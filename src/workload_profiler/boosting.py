@@ -53,66 +53,6 @@ DEFAULT_PARAMS = BoostingParams()
 _MIN_GAIN = 1e-12  # a split must strictly reduce loss
 
 
-@dataclass
-class Tree:
-    """Heap-layout binary tree: children of i are 2i+1 (absent) / 2i+2 (present)."""
-
-    feature: np.ndarray  # split column, -1 where leaf
-    value: np.ndarray    # node weight -G/(H+l2); the prediction at leaves
-    gain: np.ndarray     # split gain, 0 at leaves
-
-    def predict(self, present: np.ndarray) -> np.ndarray:
-        """Route rows given a dense boolean presence matrix (n, dim)."""
-        n = present.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            feats = self.feature[node[idx]]
-            goes_right = present[idx, feats]
-            node[idx] = 2 * node[idx] + 1 + goes_right
-            active = self.feature[node] >= 0
-        return self.value[node]
-
-    def predict_sparse_one(self, active_cols: frozenset[int] | set[int]) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            i = 2 * i + 2 if self.feature[i] in active_cols else 2 * i + 1
-        return float(self.value[i])
-
-    def to_json(self) -> dict:
-        def node(i: int) -> dict:
-            if self.feature[i] < 0:
-                return {"value": float(self.value[i])}
-            return {
-                "feature": int(self.feature[i]),
-                "value": float(self.value[i]),
-                "gain": float(self.gain[i]),
-                "absent": node(2 * i + 1),
-                "present": node(2 * i + 2),
-            }
-
-        return node(0)
-
-    @classmethod
-    def from_json(cls, doc: Mapping, max_depth: int) -> "Tree":
-        size = 2 ** (max_depth + 2) - 1
-        feature = np.full(size, -1, dtype=np.int64)
-        value = np.zeros(size, dtype=np.float64)
-        gain = np.zeros(size, dtype=np.float64)
-
-        def fill(node: Mapping, i: int) -> None:
-            value[i] = node["value"]
-            if "feature" in node:
-                feature[i] = node["feature"]
-                gain[i] = node["gain"]
-                fill(node["absent"], 2 * i + 1)
-                fill(node["present"], 2 * i + 2)
-
-        fill(doc, 0)
-        return cls(feature=feature, value=value, gain=gain)
-
-
 def canonical_order(rows: Sequence[tuple[int, ...]], labels: np.ndarray) -> np.ndarray:
     """Permutation sorting rows by (active columns, label): a stable, order-
     free presentation of the same training bag."""
@@ -134,13 +74,13 @@ def _build_tree(
     h: np.ndarray,
     dim: int,
     params: BoostingParams,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one regression tree; returns the tree and per-row predictions."""
+    feature: np.ndarray,
+    value: np.ndarray,
+    gain_arr: np.ndarray,
+) -> np.ndarray:
+    """Grow one regression tree into the given node arrays (views into the
+    forest's); returns the per-row predictions."""
     n = g.shape[0]
-    size = 2 ** (params.max_depth + 2) - 1
-    feature = np.full(size, -1, dtype=np.int64)
-    value = np.zeros(size, dtype=np.float64)
-    gain_arr = np.zeros(size, dtype=np.float64)
     pred = np.zeros(n, dtype=np.float64)
 
     node_of = np.zeros(n, dtype=np.int64)  # -1 once a row reaches a leaf
@@ -212,46 +152,100 @@ def _build_tree(
         node_of[splitting] = 2 * node_of[splitting] + 1 + goes_right[splitting]
         level_nodes = np.unique(np.asarray(next_nodes, dtype=np.int64))
 
-    return Tree(feature=feature, value=value, gain=gain_arr), pred
+    return pred
 
 
 @dataclass
 class Forest:
-    """rounds x n_classes trees plus what a predictor needs to route rows."""
+    """rounds x n_classes heap-layout trees stacked into (rounds, n_classes,
+    nodes) arrays: the children of node i are 2i+1 (absent) and 2i+2 (present)."""
 
-    trees: list[list[Tree]]
-    n_classes: int
+    feature: np.ndarray  # split column, -1 where leaf
+    value: np.ndarray    # node weight -G/(H+l2); the prediction at leaves
+    gain: np.ndarray     # split gain, 0 at leaves
     dim: int
     params: BoostingParams
 
-    def raw_scores(self, present: np.ndarray) -> np.ndarray:
-        n = present.shape[0]
-        F = np.zeros((n, self.n_classes), dtype=np.float64)
+    @classmethod
+    def empty(cls, n_classes: int, dim: int, params: BoostingParams) -> "Forest":
+        shape = (params.rounds, n_classes, 2 ** (params.max_depth + 1) - 1)
+        return cls(
+            feature=np.full(shape, -1, dtype=np.int32),
+            value=np.zeros(shape, dtype=np.float64),
+            gain=np.zeros(shape, dtype=np.float64),
+            dim=dim,
+            params=params,
+        )
+
+    def leaves(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """Leaf node of every row in every tree, shape (rows, rounds, n_classes).
+
+        Rows are sparse (active column indices, as encode_record returns
+        them). The batch descends all trees at once, one level per step: a
+        row goes right where the split column is among its active columns.
+        """
+        width = max((len(cols) for cols in rows), default=0)
+        active = np.full((len(rows), width), -1, dtype=np.int32)
+        for i, cols in enumerate(rows):
+            active[i, : len(cols)] = cols
+        feature = self.feature.reshape(-1, self.feature.shape[-1])
+        trees = np.arange(feature.shape[0])
+        node = np.zeros((len(rows), trees.size), dtype=np.int32)
+        for _ in range(self.params.max_depth):
+            split = feature[trees, node]
+            present = np.zeros(split.shape, dtype=bool)
+            for j in range(width):  # in place: memory stays rows x trees
+                present |= split == active[:, j, None]
+            node = np.where(split >= 0, 2 * node + 1 + present, node)
+        return node.reshape(len(rows), *self.feature.shape[:2])
+
+    def raw_scores(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+        node = self.leaves(rows)
+        classes = np.arange(self.feature.shape[1])
+        F = np.zeros((len(rows), classes.size), dtype=np.float64)
         lr = self.params.learning_rate
-        for per_class in self.trees:
-            for c, tree in enumerate(per_class):
-                F[:, c] += lr * tree.predict(present)
+        for r in range(self.params.rounds):  # round order keeps every bit
+            F += lr * self.value[r, classes, node[:, r]]
         return F
 
-    def raw_scores_sparse_one(self, active_cols) -> np.ndarray:
-        cols = set(active_cols)
-        F = np.zeros(self.n_classes, dtype=np.float64)
-        lr = self.params.learning_rate
-        for per_class in self.trees:
+    def probabilities(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+        return _softmax(self.raw_scores(rows))
+
+    def to_json(self) -> list[list[dict]]:
+        """Nested per-tree dicts, rounds-major, as model.json stores them."""
+
+        def node(r: int, c: int, i: int) -> dict:
+            if self.feature[r, c, i] < 0:
+                return {"value": float(self.value[r, c, i])}
+            return {
+                "feature": int(self.feature[r, c, i]),
+                "value": float(self.value[r, c, i]),
+                "gain": float(self.gain[r, c, i]),
+                "absent": node(r, c, 2 * i + 1),
+                "present": node(r, c, 2 * i + 2),
+            }
+
+        rounds, n_classes = self.feature.shape[:2]
+        return [[node(r, c, 0) for c in range(n_classes)] for r in range(rounds)]
+
+    @classmethod
+    def from_json(
+        cls, doc: Sequence[Sequence[Mapping]], n_classes: int, dim: int, params: BoostingParams
+    ) -> "Forest":
+        forest = cls.empty(n_classes, dim, params)
+
+        def fill(r: int, c: int, node: Mapping, i: int) -> None:
+            forest.value[r, c, i] = node["value"]
+            if "feature" in node:
+                forest.feature[r, c, i] = node["feature"]
+                forest.gain[r, c, i] = node["gain"]
+                fill(r, c, node["absent"], 2 * i + 1)
+                fill(r, c, node["present"], 2 * i + 2)
+
+        for r, per_class in enumerate(doc):
             for c, tree in enumerate(per_class):
-                F[c] += lr * tree.predict_sparse_one(cols)
-        return F
-
-    def probabilities(self, present: np.ndarray) -> np.ndarray:
-        return _softmax(self.raw_scores(present))
-
-
-def dense_presence(rows: Sequence[tuple[int, ...]], dim: int) -> np.ndarray:
-    present = np.zeros((len(rows), dim), dtype=bool)
-    for i, cols in enumerate(rows):
-        for c in cols:
-            present[i, c] = True
-    return present
+                fill(r, c, tree, 0)
+        return forest
 
 
 def fit_forest(
@@ -276,25 +270,23 @@ def fit_forest(
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
 
+    forest = Forest.empty(n_classes, dim, params)
     F = np.zeros((n, n_classes), dtype=np.float64)
-    trees: list[list[Tree]] = []
-    for _ in range(params.rounds):
+    for r in range(params.rounds):
         P = _softmax(F)
-        per_class: list[Tree] = []
         for c in range(n_classes):
             g = P[:, c] - onehot[:, c]
             h = P[:, c] * (1.0 - P[:, c])
-            tree, pred = _build_tree(rows_flat, cols_flat, g, h, dim, params)
+            pred = _build_tree(
+                rows_flat, cols_flat, g, h, dim, params,
+                forest.feature[r, c], forest.value[r, c], forest.gain[r, c],
+            )
             F[:, c] += params.learning_rate * pred
-            per_class.append(tree)
-        trees.append(per_class)
-    return Forest(trees=trees, n_classes=n_classes, dim=dim, params=params)
+    return forest
 
 
 def total_gain_by_column(forest: Forest) -> np.ndarray:
     gains = np.zeros(forest.dim, dtype=np.float64)
-    for per_class in forest.trees:
-        for tree in per_class:
-            split = tree.feature >= 0
-            np.add.at(gains, tree.feature[split], tree.gain[split])
+    split = forest.feature >= 0
+    np.add.at(gains, forest.feature[split], forest.gain[split])
     return gains

@@ -17,8 +17,6 @@ from .boosting import (
     BoostingParams,
     DEFAULT_PARAMS,
     Forest,
-    Tree,
-    dense_presence,
     fit_forest,
     total_gain_by_column,
 )
@@ -63,9 +61,7 @@ class ClassifierModel:
                 if self.bucket_bounds
                 else None
             ),
-            "trees": [
-                [tree.to_json() for tree in per_class] for per_class in self.forest.trees
-            ],
+            "trees": self.forest.to_json(),
         }
 
     @classmethod
@@ -74,14 +70,8 @@ class ClassifierModel:
             raise ValueError(f"unsupported model format: {doc.get('format_version')}")
         vocab = EncoderVocabulary.from_json(doc["vocabulary"])
         params = BoostingParams.from_json(doc["hyperparams"])
-        trees = [
-            [Tree.from_json(t, params.max_depth) for t in per_class]
-            for per_class in doc["trees"]
-        ]
         class_labels = tuple(int(c) for c in doc["class_labels"])
-        forest = Forest(
-            trees=trees, n_classes=len(class_labels), dim=vocab.dimension, params=params
-        )
+        forest = Forest.from_json(doc["trees"], len(class_labels), vocab.dimension, params)
         bounds = doc.get("bucket_bounds")
         return cls(
             vocabulary=vocab,
@@ -149,33 +139,31 @@ def train(
     )
 
 
-def _softmax_vector(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def encode(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, ...]:
+    """Active columns of one workload's metadata, bucketized as at training."""
+    return encode_record(model.vocabulary, _apply_buckets(model, metadata))
 
 
-def classify(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, dict[int, float]]:
-    """Label one workload from metadata alone; ties pick the lowest label."""
-    active = encode_record(model.vocabulary, _apply_buckets(model, metadata))
-    raw = model.forest.raw_scores_sparse_one(active)
-    probs = _softmax_vector(raw)
-    best = int(np.argmax(probs))
-    return model.class_labels[best], {
-        c: float(p) for c, p in zip(model.class_labels, probs)
-    }
+def classify_encoded(
+    model: ClassifierModel, rows: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, probability matrix in class order) of encoded rows; argmax
+    ties pick the lowest label."""
+    probs = model.forest.probabilities(rows)
+    return np.asarray(model.class_labels)[probs.argmax(axis=1)], probs
 
 
 def classify_batch(
     model: ClassifierModel, records: Sequence[Mapping[str, str]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch path: (labels, probability matrix in class order)."""
-    rows = [
-        encode_record(model.vocabulary, _apply_buckets(model, rec)) for rec in records
-    ]
-    present = dense_presence(rows, model.vocabulary.dimension)
-    probs = model.forest.probabilities(present)
-    labels = np.array([model.class_labels[i] for i in probs.argmax(axis=1)])
-    return labels, probs
+    """Label workloads from metadata alone: (labels, probability matrix)."""
+    return classify_encoded(model, [encode(model, rec) for rec in records])
+
+
+def classify(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, dict[int, float]]:
+    """Label one workload: a batch of one."""
+    labels, probs = classify_batch(model, [metadata])
+    return int(labels[0]), {c: float(p) for c, p in zip(model.class_labels, probs[0])}
 
 
 def _apply_buckets(model: ClassifierModel, metadata: Mapping[str, str]) -> Mapping[str, str]:
@@ -211,16 +199,20 @@ def feature_importance(model: ClassifierModel, top_n: int = 20) -> list[tuple[st
 def path_attribution(model: ClassifierModel, metadata: Mapping[str, str]) -> dict[str, float]:
     """Per-prediction attribution: leaf-value deltas along each tree path,
     summed per encoded feature across all trees and classes."""
-    active = set(encode_record(model.vocabulary, _apply_buckets(model, metadata)))
-    out: dict[int, float] = {}
-    lr = model.forest.params.learning_rate
-    for per_class in model.forest.trees:
-        for tree in per_class:
-            i = 0
-            while tree.feature[i] >= 0:
-                feat = int(tree.feature[i])
-                child = 2 * i + 2 if feat in active else 2 * i + 1
-                delta = float(tree.value[child] - tree.value[i])
-                out[feat] = out.get(feat, 0.0) + lr * delta
-                i = child
-    return {model.vocabulary.column_name(f): v for f, v in sorted(out.items())}
+    forest = model.forest
+    leaf = forest.leaves([encode(model, metadata)])[0]
+    # The path of each tree as child nodes, root side first and 0 before the
+    # root, so the sums below add up in path order.
+    child = np.zeros(leaf.shape + (forest.params.max_depth,), dtype=np.int64)
+    node = leaf
+    for k in reversed(range(forest.params.max_depth)):
+        child[..., k] = node
+        node = np.maximum(node - 1, 0) // 2
+    parent = np.maximum(child - 1, 0) // 2
+    r, c = (i[..., None] for i in np.indices(leaf.shape))
+    on_path = child > 0
+    feats = forest.feature[r, c, parent][on_path]
+    deltas = (forest.value[r, c, child] - forest.value[r, c, parent])[on_path]
+    out = np.zeros(forest.dim, dtype=np.float64)
+    np.add.at(out, feats, forest.params.learning_rate * deltas)
+    return {model.vocabulary.column_name(int(f)): float(out[f]) for f in np.unique(feats)}

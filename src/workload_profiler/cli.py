@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import artifacts
-from .classifier import classify
+from .classifier import ClassifierModel, classify_encoded, encode
 from .errors import ProfilerError
 from .pipeline import RunConfig, run_build, run_evaluate, run_feedback_command
 from .predictor import PredictionPolicy, predict
@@ -23,6 +24,7 @@ from .preprocess import hopkins, stratified_sample
 from .trace_model import TraceSchema, load_trace, runtime_matrix, schema_for, write_trace
 
 OUT_ENV = "WORKLOAD_PROFILER_OUT"
+CLASSIFY_CHUNK = 128  # input lines read and routed together by `classify`
 
 
 def _load_config(args) -> RunConfig:
@@ -53,8 +55,40 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _classify_chunk(model, profiles, policy, chunk: list[tuple[int, str]]) -> None:
+    """Route a chunk's valid lines together; write one output line per input
+    line, in input order, with malformed lines reported inline."""
+    docs: list[dict | None] = []
+    parsed: list[tuple[int, int, dict]] = []  # (output slot, line number, record)
+    rows = []
+    for line_no, line in chunk:
+        try:
+            record = json.loads(line)
+            rows.append(encode(model, record["metadata"]))
+        except (KeyError, ValueError, ProfilerError) as exc:
+            docs.append({"line": line_no, "error": str(exc)})
+        else:
+            parsed.append((len(docs), line_no, record))
+            docs.append(None)
+    labels, probs = classify_encoded(model, rows)
+    for (at, line_no, record), label, p in zip(parsed, labels.tolist(), probs):
+        try:
+            doc = {
+                "id": record.get("id"),
+                "label": label,
+                "probs": {str(c): float(v) for c, v in zip(model.class_labels, p)},
+            }
+            if profiles is not None:
+                group = profiles.group(label)
+                doc["predicted"] = predict(group, tuple(group.stats), policy).values
+        except (KeyError, ValueError, ProfilerError) as exc:
+            doc = {"line": line_no, "error": str(exc)}
+        docs[at] = doc
+    for doc in docs:
+        sys.stdout.write(json.dumps(artifacts.jsonable(doc), sort_keys=True) + "\n")
+
+
 def _cmd_classify(args) -> int:
-    out_dir = Path(args.out) if args.out else None
     profiles = None
     policy = PredictionPolicy()
     if args.profiles:
@@ -63,32 +97,14 @@ def _cmd_classify(args) -> int:
         profiles = ProfileSet.from_json(artifacts.read_json(args.profiles))
     if args.policy:
         policy = PredictionPolicy.from_json(json.loads(args.policy))
-    from .classifier import ClassifierModel
-
     model = ClassifierModel.from_json(artifacts.read_json(args.model))
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
-        for line_no, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                metadata = record["metadata"]
-                label, probs = classify(model, metadata)
-                doc = {
-                    "id": record.get("id"),
-                    "label": label,
-                    "probs": {str(k): v for k, v in probs.items()},
-                }
-                if profiles is not None:
-                    group = profiles.group(label)
-                    features = tuple(group.stats)
-                    doc["predicted"] = predict(group, features, policy).values
-            except (KeyError, ValueError, ProfilerError) as exc:
-                doc = {"line": line_no, "error": str(exc)}
-            sys.stdout.write(json.dumps(artifacts.jsonable(doc), sort_keys=True) + "\n")
+        numbered = ((n, line.strip()) for n, line in enumerate(source, start=1))
+        lines = ((n, line) for n, line in numbered if line)
+        while chunk := list(itertools.islice(lines, CLASSIFY_CHUNK)):
+            _classify_chunk(model, profiles, policy, chunk)
     finally:
         if source is not sys.stdin:
             source.close()
@@ -159,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", help="profile set for behavior prediction")
     p.add_argument("--policy", help="prediction policy as inline JSON")
     p.add_argument("--input", default="-", help="JSONL input path or - for stdin")
-    p.add_argument("--out", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions on a holdout trace")

@@ -9,6 +9,7 @@ names pass through without erroring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import SchemaError
@@ -24,11 +25,13 @@ class EncoderVocabulary:
     def dimension(self) -> int:
         return sum(len(self.categories[f]) for f in self.feature_names)
 
-    def offsets(self) -> dict[str, int]:
+    @cached_property
+    def column_of(self) -> dict[str, dict[str, int]]:
+        """Per feature, each category's one-hot column."""
         out = {}
         at = 0
         for f in self.feature_names:
-            out[f] = at
+            out[f] = {value: at + j for j, value in enumerate(self.categories[f])}
             at += len(self.categories[f])
         return out
 
@@ -76,16 +79,12 @@ def encode_record(vocab: EncoderVocabulary, record: Mapping[str, str]) -> tuple[
 
     Unknown categories contribute no index; a missing feature is an error.
     """
-    offsets = vocab.offsets()
+    columns = vocab.column_of
     active: list[int] = []
     for f in vocab.feature_names:
         if f not in record:
             raise SchemaError(f"metadata record is missing feature {f!r}")
-        cats = vocab.categories[f]
-        value = str(record[f])
-        # sorted tuple: binary search would work, but vocabularies are small
-        try:
-            active.append(offsets[f] + cats.index(value))
-        except ValueError:
-            pass  # unknown value: all-zero block
+        col = columns[f].get(str(record[f]))
+        if col is not None:  # an unknown value leaves its block all-zero
+            active.append(col)
     return tuple(active)

@@ -24,6 +24,7 @@ from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_batch, train
 from .errors import (
     DegenerateDataError,
+    DuplicateIdError,
     EmptyProfileSetError,
     EmptyWindowError,
     NoViableConfigError,
@@ -442,13 +443,14 @@ def run_feedback(
         triggers.append(record)
 
         seen = stream.select(range(index + 1))
-        data_t = _concat(training_data, seen)
         try:
+            data_t = _concat(training_data, seen)
             new_profiles, new_model, score_total, n_clusters = _recluster(
                 data_t, regen, t
             )
         except (
             DegenerateDataError,
+            DuplicateIdError,
             EmptyProfileSetError,
             NoViableConfigError,
             ValueError,

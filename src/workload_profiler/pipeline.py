@@ -18,6 +18,7 @@ from .classifier import (
     ClassifierModel,
     TrainingSet,
     build_training_set,
+    classify_encoded,
     feature_importance,
     train,
 )
@@ -217,13 +218,8 @@ def run_build(config: RunConfig) -> BuildResult:
 
     validation_doc = None
     if val_part is not None and len(val_part):
-        # Validation rows are already encoded; route them through the forest directly.
-        from .boosting import dense_presence
-
-        present = dense_presence(val_part.rows, vocab.dimension)
-        probs = model.forest.probabilities(present)
-        predicted = [model.class_labels[i] for i in probs.argmax(axis=1)]
-        report = class_report(predicted, val_part.labels.tolist())
+        predicted, _ = classify_encoded(model, val_part.rows)
+        report = class_report(predicted.tolist(), val_part.labels.tolist())
         validation_doc = report.to_json()
 
     selected_row = next(r for r in rows if r.selected)

@@ -291,3 +291,40 @@ def partition_of(labels):
 
 def same_partition(a, b) -> bool:
     return partition_of(a) == partition_of(b)
+
+
+def slow_forest_probabilities(model_json, metadata) -> dict:
+    """Class probabilities of one record by walking model.json's nested trees.
+
+    Numeric metadata is bucketized with the stored bounds and encoded by
+    category lookup; each tree is walked from its root; leaf values add up in
+    round order; the softmax is taken over the one score vector.
+    """
+    from workload_profiler.trace_model import bucketize_value
+
+    bounds = model_json.get("bucket_bounds") or {}
+    vocab = model_json["vocabulary"]
+    active = set()
+    at = 0
+    for f in vocab["feature_names"]:
+        value = metadata[f]
+        if f in bounds:
+            try:
+                value = bucketize_value(float(value), tuple(bounds[f]))
+            except (TypeError, ValueError):
+                pass
+        cats = list(vocab["categories"][f])
+        if str(value) in cats:
+            active.add(at + cats.index(str(value)))
+        at += len(cats)
+
+    lr = model_json["hyperparams"]["learning_rate"]
+    labels = model_json["class_labels"]
+    raw = np.zeros(len(labels))
+    for per_class in model_json["trees"]:
+        for c, node in enumerate(per_class):
+            while "feature" in node:
+                node = node["present"] if node["feature"] in active else node["absent"]
+            raw[c] += lr * node["value"]
+    e = np.exp(raw - raw.max())
+    return dict(zip(labels, e / e.sum()))

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from oracles import slow_forest_probabilities
 
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import (
@@ -208,6 +211,87 @@ def test_path_attribution_names_determining_feature():
     assert heavy[0].startswith("g=")
 
 
+# ------------------------------------------------- exact routing oracle
+
+def _bucketized_model():
+    # class 0 <-> small requests (q1/q2), class 1 <-> large requests (q3/q4)
+    records = [{"req": q, "noise": "n"} for q in ("q1", "q2", "q3", "q4") for _ in range(50)]
+    y = np.array([0] * 100 + [1] * 100)
+    vocab = build_vocabulary(("req", "noise"), records)
+    rows = [encode_record(vocab, r) for r in records]
+    ts = TrainingSet(rows=rows, labels=y, dimension=vocab.dimension)
+    model = train(ts, vocab, FAST, seed=0, bucket_bounds={"req": (10.0, 20.0, 30.0)})
+    queries = [{"req": v, "noise": n} for v in (5.0, 15.0, 25.0, 999.0, "q2", "q9")
+               for n in ("n", "unseen")]
+    return model, queries
+
+
+def _bijective_model(n_classes, extra_vocab, depth):
+    ts, vocab, records, _ = bijective_training(40 * n_classes, n_classes, seed=n_classes,
+                                               extra_vocab=extra_vocab)
+    model = train(ts, vocab, BoostingParams(rounds=15, max_depth=depth), seed=0)
+    unseen = [{"g": "never", "noise": r["noise"]} for r in records[:5]]
+    unseen += [{"g": r["g"], "noise": "never"} for r in records[:5]]
+    return model, records[:60] + unseen + [{"g": "never", "noise": "never"}]
+
+
+def _blob_model():
+    ds, labels, _ = make_blob_trace(300, 4, seed=3, metadata_noise=0.1)
+    spec, _ = fit_transform(runtime_matrix(ds), "standard")
+    profiles = build_profiles(ds, labels, ClusteringConfig("hdbscan", "standard", "euclidean", 5),
+                              spec, now=0)
+    ts, vocab = build_training_set(ds, profiles)
+    model = train(ts, vocab, BoostingParams(rounds=20), seed=0)
+    queries = [w.metadata for w in ds.workloads[:80]]
+    queries += [{**w.metadata, "owner": "new-owner"} for w in ds.workloads[:20]]
+    queries += [{**w.metadata, "app": "new-app"} for w in ds.workloads[:20]]
+    return model, queries
+
+
+ORACLE_MODELS = {
+    "bijective-2": lambda: _bijective_model(2, 2, 6),
+    "bijective-7-deep": lambda: _bijective_model(7, 30, 8),
+    "bijective-3-stump": lambda: _bijective_model(3, 4, 1),
+    "bucketized": _bucketized_model,
+    "blobs": _blob_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_routing_equals_slow_oracle_exactly(name):
+    model, queries = ORACLE_MODELS[name]()
+    doc = json.loads(json.dumps(model.to_json()))
+    want = [slow_forest_probabilities(doc, q) for q in queries]
+    for m in (model, ClassifierModel.from_json(doc)):
+        labels, probs = classify_batch(m, queries)
+        for q, w, label, row in zip(queries, want, labels, probs):
+            assert dict(zip(m.class_labels, row)) == w
+            assert classify(m, q) == (max(w, key=w.get), w)
+            assert label == max(w, key=w.get)
+
+
+def test_path_attribution_sums_leaf_deltas_along_the_routed_paths():
+    model, queries = _blob_model()
+    doc = model.to_json()
+    lr = doc["hyperparams"]["learning_rate"]
+    leaves = model.forest.leaves([encode_record(model.vocabulary, q) for q in queries])
+    assert leaves.max() > 6  # some paths are three or more splits deep
+    for q in queries[::5]:
+        active = set(encode_record(model.vocabulary, q))
+        want: dict[int, float] = {}
+        for per_class in doc["trees"]:
+            for node in per_class:
+                while "feature" in node:
+                    child = node["present"] if node["feature"] in active else node["absent"]
+                    want[node["feature"]] = (
+                        want.get(node["feature"], 0.0) + lr * (child["value"] - node["value"])
+                    )
+                    node = child
+        assert path_attribution(model, q) == {
+            model.vocabulary.column_name(f): v for f, v in sorted(want.items())
+        }
+
+
 # ---------------------------------------------------------- persistence
 
 def test_model_round_trip(tmp_path):
@@ -231,14 +315,7 @@ def test_model_version_check():
 
 
 def test_bucketized_metadata_at_classify_time():
-    # class 0 <-> small requests (q1/q2), class 1 <-> large requests (q3/q4)
-    records = [{"req": q, "noise": "n"} for q in ("q1", "q2", "q3", "q4") for _ in range(50)]
-    y = np.array([0] * 100 + [1] * 100)
-    vocab = build_vocabulary(("req", "noise"), records)
-    rows = [encode_record(vocab, r) for r in records]
-    ts = TrainingSet(rows=rows, labels=y, dimension=vocab.dimension)
-    bounds = {"req": (10.0, 20.0, 30.0)}
-    model = train(ts, vocab, FAST, seed=0, bucket_bounds=bounds)
+    model, _ = _bucketized_model()
     # raw numeric metadata is quartile-bucketized with the stored boundaries
     assert classify(model, {"req": 5.0, "noise": "n"})[0] == 0
     assert classify(model, {"req": 15.0, "noise": "n"})[0] == 0
@@ -248,5 +325,5 @@ def test_bucketized_metadata_at_classify_time():
     assert classify(model, {"req": "q4", "noise": "n"})[0] == 1
     # round trip preserves the bounds
     back = ClassifierModel.from_json(model.to_json())
-    assert back.bucket_bounds == bounds
+    assert back.bucket_bounds == {"req": (10.0, 20.0, 30.0)}
     assert classify(back, {"req": 5.0, "noise": "n"})[0] == 0

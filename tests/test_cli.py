@@ -1,7 +1,10 @@
 import json
 
-from workload_profiler import artifacts
-from workload_profiler.cli import main
+from oracles import slow_forest_probabilities
+
+from workload_profiler import artifacts, pipeline
+from workload_profiler.classifier import encode
+from workload_profiler.cli import CLASSIFY_CHUNK, main
 from workload_profiler.synth import make_blob_trace, make_drift_pair
 from workload_profiler.trace_model import schema_for, write_trace
 
@@ -103,11 +106,29 @@ def test_classify_jsonl(tmp_path, capsys):
     assert main(["build", "--config", str(config)]) == 0
     capsys.readouterr()
 
-    lines = []
-    for w in ds.workloads[:5]:
-        lines.append(json.dumps({"id": w.id, "metadata": w.metadata}))
-    lines.append('{"id": "broken", "metadata": {"app": "a0"}}')  # missing features
-    lines.append("not json at all")
+    # Three chunks of non-blank lines. With the blank line 11 the first chunk
+    # ends at line CLASSIFY_CHUNK + 1, so malformed lines sit on both sides
+    # of that boundary; every fifth line has an unseen zone.
+    n_lines = 2 * CLASSIFY_CHUNK + 7
+    bad = {
+        1: '{"id": "broken", "metadata": {"app": "a0"}}',  # missing features
+        CLASSIFY_CHUNK: "not json at all",
+        CLASSIFY_CHUNK + 1: '{"id": "no-metadata"}',
+        CLASSIFY_CHUNK + 2: "{",
+        n_lines + 1: "[still not",
+    }
+    blank = 11  # skipped, but later lines keep their file line numbers
+    lines, good = [], {}
+    for line_no in range(1, n_lines + 2):
+        if line_no == blank:
+            lines.append("")
+        elif line_no in bad:
+            lines.append(bad[line_no])
+        else:
+            w = ds.workloads[line_no % len(ds)]
+            metadata = dict(w.metadata, zone="never-seen") if line_no % 5 == 0 else w.metadata
+            good[line_no] = (f"line{line_no}", metadata)
+            lines.append(json.dumps({"id": f"line{line_no}", "metadata": metadata}))
     inp = tmp_path / "batch.jsonl"
     inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -117,12 +138,44 @@ def test_classify_jsonl(tmp_path, capsys):
     ])
     assert code == 0
     rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-    assert len(rows) == 7  # order preserved, errors inline
-    for row in rows[:5]:
+    assert len(rows) == n_lines  # order preserved, errors inline
+    model_doc = artifacts.read_json(out / "model.json")
+    for line_no, row in zip([n for n in range(1, n_lines + 2) if n != blank], rows):
+        if line_no in bad:
+            assert set(row) == {"line", "error"} and row["line"] == line_no
+            continue
+        wid, metadata = good[line_no]
         assert set(row) == {"id", "label", "probs", "predicted"}
-        assert abs(sum(row["probs"].values()) - 1.0) < 1e-9
-    assert "error" in rows[5] and rows[5]["line"] == 6
-    assert "error" in rows[6] and rows[6]["line"] == 7
+        assert row["id"] == wid
+        want = slow_forest_probabilities(model_doc, metadata)
+        assert row["probs"] == {str(c): p for c, p in want.items()}
+        assert row["label"] == max(want, key=want.get)
+
+
+def test_build_validation_predictions_equal_slow_oracle(tmp_path, monkeypatch):
+    routed, reported = [], []
+    real_route, real_report = pipeline.classify_encoded, pipeline.class_report
+
+    def route(model, rows):
+        routed.extend(rows)
+        return real_route(model, rows)
+
+    def report(predicted, actual):
+        reported.extend(predicted)
+        return real_report(predicted, actual)
+
+    monkeypatch.setattr(pipeline, "classify_encoded", route)
+    monkeypatch.setattr(pipeline, "class_report", report)
+    _, _, trace, descriptor = write_inputs(tmp_path)
+    config = write_config(tmp_path, trace, descriptor, tmp_path / "out")
+    result = pipeline.run_build(pipeline.RunConfig.load(config))
+
+    assert routed and len(reported) == len(routed)
+    doc = json.loads(json.dumps(result.model.to_json()))
+    metadata_of = {encode(result.model, w.metadata): w.metadata for w in result.dataset.workloads}
+    for row, label in zip(routed, reported):
+        want = slow_forest_probabilities(doc, metadata_of[row])
+        assert label == max(want, key=want.get)
 
 
 def test_evaluate_headline(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from workload_profiler.feedback import (
 from workload_profiler.gridsearch import GridSpec, grid_search
 from workload_profiler.predictor import BehaviorPrediction, PredictionPolicy
 from workload_profiler.synth import make_blob_trace, make_drift_pair
+from workload_profiler.trace_model import Dataset
 
 FAST_BOOST = BoostingParams(rounds=25)
 
@@ -301,6 +303,31 @@ def test_degenerate_thresholds_pure_evaluation():
     assert report.triggers == [] and report.violations_total == 0
     assert report.events_total == len(stream)
     assert len(report.timeline) == len(stream)
+
+
+def test_stream_id_colliding_with_training_id_is_a_recorded_trigger():
+    train_ds, stream, profiles, model, grid, regen = drift_setup(seed=3)
+    # stream ids t0, t1, ... reuse the training ids, so D(t) cannot be built
+    colliding = Dataset(
+        stream.schema_runtime, stream.schema_metadata,
+        tuple(dataclasses.replace(w, id=f"t{i}") for i, w in enumerate(stream.workloads)),
+        stream.bucket_bounds,
+    )
+    assert {w.id for w in colliding.workloads} <= {w.id for w in train_ds.workloads}
+    cfg = FeedbackConfig(
+        delta=DeltaSpec(mode="relative", default=0.5),
+        tau_v=0.2, tau_o=0.9, tau_f=0.5, decay=1e-12,
+        window=250, tau_quality=0.5, min_events_between_triggers=250,
+    )
+    report = run_feedback(
+        colliding, model, profiles, cfg, regen, PredictionPolicy(), train_ds
+    )
+    assert report.events_total == len(colliding) == len(report.timeline)
+    assert report.triggers and report.adopted_count == 0
+    for record in report.triggers:
+        assert not record.adopted
+        assert "duplicate workload id" in record.reason
+    assert report.final_profiles is profiles
 
 
 def test_seconds_window_mode_end_to_end():
