@@ -13,7 +13,7 @@ from .classifier import (
     train,
 )
 from .dbscan import dbscan
-from .distances import distance, similarity
+from .distances import distance
 from .encoding import EncoderVocabulary, build_vocabulary, encode_record
 from .feedback import (
     DeltaSpec,

@@ -55,7 +55,20 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _classify_chunk(model, profiles, policy, chunk: list[tuple[int, str]]) -> None:
+def _label_predictions(model, profiles, policy) -> dict[int, dict | Exception]:
+    """Each class label's predicted values, coerced to strict JSON once per
+    command, or the error that predicting them raises."""
+    out: dict[int, dict | Exception] = {}
+    for label in model.class_labels:
+        try:
+            group = profiles.group(label)
+            out[label] = artifacts.jsonable(predict(group, tuple(group.stats), policy).values)
+        except (KeyError, ValueError, ProfilerError) as exc:
+            out[label] = exc
+    return out
+
+
+def _classify_chunk(model, predictions, chunk: list[tuple[int, str]]) -> None:
     """Route a chunk's valid lines together; write one output line per input
     line, in input order, with malformed lines reported inline."""
     docs: list[dict | None] = []
@@ -71,21 +84,23 @@ def _classify_chunk(model, profiles, policy, chunk: list[tuple[int, str]]) -> No
             parsed.append((len(docs), line_no, record))
             docs.append(None)
     labels, probs = classify_encoded(model, rows)
-    for (at, line_no, record), label, p in zip(parsed, labels.tolist(), probs):
-        try:
-            doc = {
-                "id": record.get("id"),
-                "label": label,
-                "probs": {str(c): float(v) for c, v in zip(model.class_labels, p)},
-            }
-            if profiles is not None:
-                group = profiles.group(label)
-                doc["predicted"] = predict(group, tuple(group.stats), policy).values
-        except (KeyError, ValueError, ProfilerError) as exc:
-            doc = {"line": line_no, "error": str(exc)}
+    keys = [str(c) for c in model.class_labels]
+    for (at, line_no, record), label, p in zip(parsed, labels.tolist(), probs.tolist()):
+        predicted = None if predictions is None else predictions[label]
+        if isinstance(predicted, Exception):
+            docs[at] = {"line": line_no, "error": str(predicted)}
+            continue
+        # json.loads accepts NaN and Infinity, so the echoed id is coerced.
+        doc = {
+            "id": artifacts.jsonable(record.get("id")),
+            "label": label,
+            "probs": dict(zip(keys, p)),
+        }
+        if predicted is not None:
+            doc["predicted"] = predicted
         docs[at] = doc
     for doc in docs:
-        sys.stdout.write(json.dumps(artifacts.jsonable(doc), sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _cmd_classify(args) -> int:
@@ -98,13 +113,14 @@ def _cmd_classify(args) -> int:
     if args.policy:
         policy = PredictionPolicy.from_json(json.loads(args.policy))
     model = ClassifierModel.from_json(artifacts.read_json(args.model))
+    predictions = None if profiles is None else _label_predictions(model, profiles, policy)
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         numbered = ((n, line.strip()) for n, line in enumerate(source, start=1))
         lines = ((n, line) for n, line in numbered if line)
         while chunk := list(itertools.islice(lines, CLASSIFY_CHUNK)):
-            _classify_chunk(model, profiles, policy, chunk)
+            _classify_chunk(model, predictions, chunk)
     finally:
         if source is not sys.stdin:
             source.close()

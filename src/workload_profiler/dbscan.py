@@ -15,19 +15,15 @@ from collections import deque
 import numpy as np
 
 from .distances import point_to_rows
-from .trace_model import FeatureMatrix
+from .trace_model import matrix_rows
 
 _UNVISITED = -2
 NOISE = -1
 
 
-def _rows(matrix) -> np.ndarray:
-    return matrix.rows if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=np.float64)
-
-
 def dbscan(matrix, eps: float, min_points: int, kind: str = "euclidean") -> np.ndarray:
     """Label every row; -1 marks outliers. O(n^2) time, O(n) memory."""
-    X = _rows(matrix)
+    X = np.asfortranarray(matrix_rows(matrix))
     n = X.shape[0]
     if eps <= 0:
         raise ValueError("eps must be positive")

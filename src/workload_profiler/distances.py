@@ -40,16 +40,55 @@ def distance(a, b, kind: str = "euclidean") -> float:
 
 
 def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
-    """Distances from one point to every row of a matrix (vectorized)."""
+    """Distances from one point to every row of a matrix (vectorized).
+
+    Euclidean and manhattan run feature-major, over ``rows.T``, in a fixed
+    summation order: manhattan adds the absolute differences in ascending
+    feature order; euclidean keeps two running sums of squared differences,
+    one over the even-indexed features and one over the odd-indexed ones,
+    each in ascending order, and returns sqrt(even + odd). Every step is
+    elementwise, so the result has the same bits whatever the memory layout
+    of ``rows`` and d(a, b) == d(b, a) exactly, which keeps exact ties.
+    Callers in O(n^2) loops pass ``np.asfortranarray(X)`` so that each
+    feature is one contiguous row. With 1 to 7 features these are the bits
+    of a row-wise ``einsum`` / ``sum(axis=1)`` on numpy 2.4; with 8 or more
+    they can differ in the last place from those (numpy then sums pairwise).
+    """
     _check_kind(kind)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != rows.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {rows.shape[1]}")
-    if kind == "euclidean":
-        diff = rows - x
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if kind == "cosine":
+        return _cosine_to_rows(x, rows)
+    cols = rows.T
+    x = x.tolist()
     if kind == "manhattan":
-        return np.abs(rows - x).sum(axis=1)
+        total = np.abs(cols[0] - x[0])
+        term = np.empty_like(total)
+        for j in range(1, len(x)):
+            np.subtract(cols[j], x[j], out=term)
+            total += np.abs(term, out=term)
+        return total
+    even = np.square(cols[0] - x[0])
+    if len(x) > 1:
+        odd = np.square(cols[1] - x[1])
+        term = np.empty_like(even)
+        for j in range(2, len(x)):
+            np.subtract(cols[j], x[j], out=term)
+            np.square(term, out=term)
+            if j % 2:
+                odd += term
+            else:
+                even += term
+        even += odd
+    return np.sqrt(even, out=even)
+
+
+def _cosine_to_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # Off the hot paths: contiguous copies make the BLAS dot products' bits
+    # independent of the callers' layout.
+    x = np.ascontiguousarray(x)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     nx = np.sqrt(np.dot(x, x))
     nr = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     out = np.ones(rows.shape[0], dtype=np.float64)
@@ -59,30 +98,3 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     cos = (rows[ok] @ x) / (nr[ok] * nx)
     out[ok] = 1.0 - np.clip(cos, -1.0, 1.0)
     return out
-
-
-def pairwise(rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
-    """Dense n x n distance matrix. Only for small n; O(n^2) memory."""
-    n = rows.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i] = point_to_rows(rows[i], rows, kind)
-    return out
-
-
-def max_pairwise(rows: np.ndarray, kind: str = "euclidean") -> float:
-    """Largest pairwise distance, computed row by row (O(n) memory)."""
-    best = 0.0
-    for i in range(rows.shape[0]):
-        best = max(best, float(point_to_rows(rows[i], rows, kind).max()))
-    return best
-
-
-def similarity(a, b, kind: str, dataset_max_distance: float) -> float:
-    """Similarity in [0, 1]: 1 - d(a, b) / max distance over the dataset."""
-    d = distance(a, b, kind)
-    if dataset_max_distance == 0.0:
-        return 1.0
-    if dataset_max_distance < d:
-        raise ValueError("dataset_max_distance is smaller than d(a, b)")
-    return 1.0 - d / dataset_max_distance

@@ -1,10 +1,11 @@
 """Feedback loop: violation monitoring, staleness, and triggered re-clustering.
 
 Events are applied strictly in stream order (single writer); classification
-is prefetched in batches purely as an optimization and is discarded whenever
-the model is replaced. A fired trigger re-clusters over all data seen so far
-and the result is adopted only when its composite quality score clears
-tau_quality; otherwise the old profiles stay and a rejected update is logged.
+and the outlier rule are prefetched in batches purely as an optimization and
+are discarded whenever the model and profiles are replaced. A fired trigger
+re-clusters over all data seen so far and the result is adopted only when its
+composite quality score clears tau_quality; otherwise the old profiles stay
+and a rejected update is logged.
 
 A minimum number of events between fired triggers (default: the window size)
 keeps the update frequency balanced; without it a tripped threshold would
@@ -333,28 +334,33 @@ def _recluster(
     return profile_set, model, score_total, n_clusters
 
 
-class _PrefetchClassifier:
-    """Batched classification ahead of the single writer; flushed whenever
-    the model changes."""
+class _Prefetch:
+    """Labels and outlier flags computed a chunk ahead of the single writer;
+    flushed whenever the model and profiles are swapped."""
 
-    def __init__(self, model: ClassifierModel, stream: Dataset, chunk: int = 512):
+    def __init__(self, model: ClassifierModel, profiles: ProfileSet, stream: Dataset,
+                 chunk: int = 512):
         self.stream = stream
         self.chunk = chunk
-        self.model = model
-        self._labels: dict[int, int] = {}
+        self.swap(model, profiles)
 
-    def swap_model(self, model: ClassifierModel) -> None:
+    def swap(self, model: ClassifierModel, profiles: ProfileSet) -> None:
         self.model = model
-        self._labels.clear()
+        self.profiles = profiles
+        self._start = self._stop = 0
+        self._labels: list[int] = []
+        self._outliers: list[bool] = []
 
-    def label(self, index: int) -> int:
-        if index not in self._labels:
-            hi = min(index + self.chunk, len(self.stream))
-            records = [w.metadata for w in self.stream.workloads[index:hi]]
-            labels, _ = classify_batch(self.model, records)
-            for k, lab in enumerate(labels):
-                self._labels[index + k] = int(lab)
-        return self._labels[index]
+    def __getitem__(self, index: int) -> tuple[int, bool]:
+        if not self._start <= index < self._stop:
+            self._start = index
+            self._stop = min(index + self.chunk, len(self.stream))
+            workloads = self.stream.workloads[self._start:self._stop]
+            labels, _ = classify_batch(self.model, [w.metadata for w in workloads])
+            self._labels = labels.tolist()
+            self._outliers = self.profiles.outlier_flags([w.runtime for w in workloads]).tolist()
+        k = index - self._start
+        return self._labels[k], self._outliers[k]
 
 
 def _concat(a: Dataset, b: Dataset) -> Dataset:
@@ -387,7 +393,7 @@ def run_feedback(
     feats = tuple(features) if features else stream.schema_runtime
 
     state = FeedbackState(cfg=cfg)
-    prefetch = _PrefetchClassifier(model, stream)
+    prefetch = _Prefetch(model, profiles, stream)
     group_of = {g.label: g for g in profiles.groups}
     prediction_cache: dict[int, BehaviorPrediction] = {}
 
@@ -399,12 +405,11 @@ def run_feedback(
 
     for index, w in enumerate(stream.workloads):
         t = w.submitted_at
-        label = prefetch.label(index)
+        label, outlier = prefetch[index]
         if label not in prediction_cache:
             prediction_cache[label] = predict(group_of[label], feats, policy)
         actual = {f: w.runtime[f] for f in feats}
         violated, _ = detect_violation(prediction_cache[label], actual, cfg.delta)
-        outlier = profiles.is_outlier(w.runtime)
         state.push(w.id, violated, t, outlier=outlier)
         violations_total += int(violated)
         timeline.append(
@@ -464,7 +469,7 @@ def run_feedback(
             adopted_count += 1
             profiles = new_profiles
             model = new_model
-            prefetch.swap_model(new_model)
+            prefetch.swap(new_model, profiles)
             group_of = {g.label: g for g in profiles.groups}
             prediction_cache.clear()
             state.reset_window()

@@ -3,6 +3,7 @@ composite clustering metric."""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -16,6 +17,10 @@ from .metrics import DEFAULT_SILHOUETTE_CAP
 from .preprocess import fit_transform
 from .profiles import ClusteringConfig, ProfileSet, build_profiles
 from .trace_model import Dataset, runtime_matrix
+
+# The module, not the function of the same name that the package exports:
+# core distances are looked up on it at call time.
+_hdbscan_module = importlib.import_module(".hdbscan", __package__)
 
 # Paper-style default search range for the minimum cluster size.
 DEFAULT_MIN_POINTS = (50, 100, 200, 300, 400, 600, 1000)
@@ -125,10 +130,12 @@ GRID_REPORT_FIELDS = (
 )
 
 
-def run_clustering(config: ClusteringConfig, transformed) -> np.ndarray:
+def run_clustering(config: ClusteringConfig, transformed, core=None) -> np.ndarray:
+    """Labels for one combination; ``core`` is hdbscan's precomputed core
+    distances for ``config.min_points``, if any."""
     if config.algorithm == "dbscan":
         return dbscan(transformed, config.eps, config.min_points, config.distance)
-    return hdbscan(transformed, config.min_points, config.distance)
+    return hdbscan(transformed, config.min_points, config.distance, core=core)
 
 
 def grid_search(
@@ -144,10 +151,16 @@ def grid_search(
     """Evaluate every combination and build profiles from the best one.
 
     The winner maximizes the composite score; ties break toward fewer
-    outliers, then smaller min_points, then declaration order.
+    outliers, then smaller min_points, then declaration order. hdbscan core
+    distances are computed once per (transform, distance) for every valid
+    min_points of the grid; combinations differing only in min_points are
+    adjacent, so only one such table is alive at a time.
     """
     matrix = runtime_matrix(dataset)
     n = len(dataset)
+    core_sizes = tuple(sorted({k for k in grid.min_points if 2 <= k <= n}))
+    core_key: tuple[str, str] | None = None
+    core: dict[int, np.ndarray] = {}
     fitted: dict[str, tuple] = {}
     rows: list[GridRow] = []
     best_key = None
@@ -164,7 +177,17 @@ def grid_search(
             fitted[config.transform] = fit_transform(matrix, config.transform)
         spec, transformed = fitted[config.transform]
         try:
-            labels = run_clustering(config, transformed)
+            shared = None
+            if config.algorithm == "hdbscan" and config.min_points in core_sizes:
+                key = (config.transform, config.distance)
+                if core_key != key:
+                    core_key, core = None, {}  # free the previous table first
+                    core = _hdbscan_module.core_distances(
+                        transformed.rows, core_sizes, config.distance
+                    )
+                    core_key = key
+                shared = core[config.min_points]
+            labels = run_clustering(config, transformed, core=shared)
         except (ValueError, NotImplementedError) as exc:
             row.error = str(exc)
             continue

@@ -28,48 +28,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import point_to_rows
-from .trace_model import FeatureMatrix
+from .trace_model import matrix_rows
 
 
-def _rows(matrix) -> np.ndarray:
-    return matrix.rows if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=np.float64)
+def core_distances(X: np.ndarray, ks, kind: str = "euclidean") -> dict[int, np.ndarray]:
+    """Distance to the k-th nearest neighbor, the point itself included, for
+    every k in ``ks`` (each 1 <= k <= n) from one distance row per point.
 
-
-def core_distances(X: np.ndarray, k: int, kind: str = "euclidean") -> np.ndarray:
-    """Distance to the k-th nearest neighbor, the point itself included."""
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        d = point_to_rows(X[i], X, kind)
-        out[i] = np.partition(d, k - 1)[k - 1]
-    return out
+    One partition per row selects every order statistic at once, so each
+    array equals a separate per-k computation exactly.
+    """
+    kth = sorted({k - 1 for k in ks})
+    XF = np.asfortranarray(X)
+    table = np.empty((len(kth), XF.shape[0]), dtype=np.float64)
+    for i in range(XF.shape[0]):
+        d = point_to_rows(XF[i], XF, kind)
+        d.partition(kth)
+        table[:, i] = d[kth]
+    return {k: table[kth.index(k - 1)] for k in ks}
 
 
 def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
     """Prim's MST over the implicit mutual reachability graph.
 
     Returns an (n-1, 3) array of edges [a, b, weight]; rows of the distance
-    matrix are recomputed on the fly so memory stays O(n).
+    matrix are recomputed on the fly so memory stays O(n). A point that joins
+    the tree gets an infinite core distance in a working copy, which makes
+    every later mutual reachability to it infinite, so it is never offered
+    again; argmin breaks ties toward the lowest index.
     """
     n = X.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
+    XF = np.asfortranarray(X)
+    live_core = np.array(core, dtype=np.float64)
     dist_to_tree = np.full(n, np.inf)
     source = np.full(n, -1, dtype=np.int64)
     edges = np.empty((n - 1, 3), dtype=np.float64)
 
     current = 0
-    in_tree[0] = True
+    live_core[0] = np.inf
     for step in range(n - 1):
-        row = np.maximum(point_to_rows(X[current], X, kind), core)
-        row = np.maximum(row, core[current])
-        row[in_tree] = np.inf
-        better = row < dist_to_tree
-        dist_to_tree[better] = row[better]
-        source[better] = current
-        masked = np.where(in_tree, np.inf, dist_to_tree)
-        nxt = int(np.argmin(masked))
+        row = point_to_rows(XF[current], XF, kind)
+        np.maximum(row, live_core, out=row)
+        np.maximum(row, core[current], out=row)
+        np.copyto(source, current, where=row < dist_to_tree)
+        np.minimum(dist_to_tree, row, out=dist_to_tree)
+        nxt = int(np.argmin(dist_to_tree))
         edges[step] = (source[nxt], nxt, dist_to_tree[nxt])
-        in_tree[nxt] = True
+        live_core[nxt] = np.inf
         dist_to_tree[nxt] = np.inf
         current = nxt
     return edges
@@ -281,16 +286,21 @@ def labels_from_selection(ct: CondensedTree, chosen: list[int], n: int) -> np.nd
     return labels
 
 
-def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean") -> np.ndarray:
-    """Cluster rows by density; returns labels with -1 for outliers."""
-    X = _rows(matrix)
+def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean", core=None) -> np.ndarray:
+    """Cluster rows by density; returns labels with -1 for outliers.
+
+    ``core`` takes precomputed core distances for ``min_cluster_size`` (from
+    ``core_distances``), so that a grid search computes them once for all
+    its sizes."""
+    X = matrix_rows(matrix)
     n = X.shape[0]
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
     if n < min_cluster_size:
         raise ValueError(f"need at least min_cluster_size={min_cluster_size} rows, got {n}")
 
-    core = core_distances(X, min_cluster_size, kind)
+    if core is None:
+        core = core_distances(X, (min_cluster_size,), kind)[min_cluster_size]
     edges = mutual_reachability_mst(X, core, kind)
     tree = build_merge_tree(edges, n)
     ct = condense(tree, min_cluster_size)

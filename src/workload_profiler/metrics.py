@@ -16,13 +16,9 @@ import numpy as np
 from .distances import distance, point_to_rows
 from .errors import DegenerateDataError
 from .preprocess import proportional_allocation
-from .trace_model import FeatureMatrix
+from .trace_model import matrix_rows
 
 DEFAULT_SILHOUETTE_CAP = 20_000
-
-
-def _rows(matrix) -> np.ndarray:
-    return matrix.rows if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=np.float64)
 
 
 def _clustered_subset(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +40,7 @@ def silhouette_mean(
     that a proportional per-cluster subsample (fixed seed) is scored instead.
     Singleton-cluster points score 0 by convention.
     """
-    X, lab = _clustered_subset(_rows(matrix), np.asarray(labels))
+    X, lab = _clustered_subset(matrix_rows(matrix), np.asarray(labels))
     uniq = np.unique(lab)
     if uniq.size < 2:
         raise DegenerateDataError("silhouette needs at least 2 clusters after outlier exclusion")
@@ -61,6 +57,7 @@ def silhouette_mean(
         sel = np.sort(np.concatenate(picked))
         X, lab = X[sel], lab[sel]
 
+    X = np.asfortranarray(X)
     # Compact labels to 0..k-1 for bincount aggregation.
     uniq, dense = np.unique(lab, return_inverse=True)
     k = uniq.size
@@ -83,7 +80,7 @@ def silhouette_mean(
 
 def davies_bouldin(matrix, labels, kind: str = "euclidean") -> float:
     """Davies-Bouldin index; lower is better, +inf flags coincident centroids."""
-    X, lab = _clustered_subset(_rows(matrix), np.asarray(labels))
+    X, lab = _clustered_subset(matrix_rows(matrix), np.asarray(labels))
     uniq = np.unique(lab)
     if uniq.size < 2:
         raise DegenerateDataError("davies_bouldin needs at least 2 clusters")

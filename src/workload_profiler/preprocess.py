@@ -171,13 +171,6 @@ def apply_transform(spec: TransformSpec, matrix: FeatureMatrix) -> FeatureMatrix
     return FeatureMatrix(rows=T, feature_names=matrix.feature_names, transform_applied=kind)
 
 
-def transform_vector(spec: TransformSpec, values: Mapping[str, float]) -> np.ndarray:
-    """Transform a single raw runtime record into the fitted feature space."""
-    row = np.array([[values[f] for f in spec.feature_names]], dtype=np.float64)
-    m = FeatureMatrix(rows=row, feature_names=spec.feature_names)
-    return apply_transform(spec, m).rows[0]
-
-
 def hopkins(matrix: FeatureMatrix, sample_fraction: float = 0.1, seed: int = 0) -> HopkinsResult:
     """Clustering-tendency score in [0, 1]; values near 0 indicate clusters.
 
@@ -201,7 +194,7 @@ def hopkins(matrix: FeatureMatrix, sample_fraction: float = 0.1, seed: int = 0) 
 
     # Canonical row order makes the sampled points independent of input order.
     order = np.lexsort(X.T[::-1])
-    Xs = X[order]
+    Xs = np.asfortranarray(X[order])
 
     m = min(n, max(50, int(round(n * sample_fraction))))
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .distances import point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
-from .preprocess import TransformSpec, apply_transform, skewness, transform_vector
+from .preprocess import TransformSpec, apply_transform, skewness
 from .trace_model import Dataset, FeatureMatrix, runtime_matrix
 
 DEFAULT_PERCENTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -166,18 +166,29 @@ class ProfileSet:
     def labels(self) -> list[int]:
         return [g.label for g in self.groups]
 
+    def _centroid_distances(self, runtimes: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """(groups, records) distances, in the transformed space, from each
+        centroid to raw runtime records."""
+        names = self.transform_spec.feature_names
+        raw = np.array([[r[f] for f in names] for r in runtimes], dtype=np.float64)
+        t = apply_transform(self.transform_spec, FeatureMatrix(rows=raw, feature_names=names))
+        rows = np.asfortranarray(t.rows)
+        return np.stack([point_to_rows(g.centroid, rows, self.config.distance) for g in self.groups])
+
     def nearest_group(self, runtime: Mapping[str, float]) -> tuple[int, float]:
         """Nearest centroid (transformed space) for a raw runtime record."""
-        x = transform_vector(self.transform_spec, runtime)
-        centroids = np.stack([g.centroid for g in self.groups])
-        d = point_to_rows(x, centroids, self.config.distance)
+        d = self._centroid_distances([runtime])[:, 0]
         i = int(np.argmin(d))
         return self.groups[i].label, float(d[i])
 
+    def outlier_flags(self, runtimes: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Post-hoc outlier rule for new arrivals, one flag per record:
+        beyond tau of every centroid."""
+        return self._centroid_distances(runtimes).min(axis=0) > self.distance_threshold
+
     def is_outlier(self, runtime: Mapping[str, float]) -> bool:
-        """Post-hoc outlier rule for new arrivals: beyond tau of every centroid."""
-        _, d = self.nearest_group(runtime)
-        return d > self.distance_threshold
+        """``outlier_flags`` for a single record."""
+        return bool(self.outlier_flags([runtime])[0])
 
     def to_json(self, include_members: bool = False) -> dict:
         return {
@@ -221,6 +232,7 @@ def _feature_stats(values: np.ndarray, percentiles: Sequence[float]) -> FeatureS
 
 
 def _medoid_index(rows: np.ndarray, kind: str) -> int:
+    rows = np.asfortranarray(rows)
     best, best_sum = 0, np.inf
     for i in range(rows.shape[0]):
         s = float(point_to_rows(rows[i], rows, kind).sum())

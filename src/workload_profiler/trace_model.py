@@ -164,6 +164,11 @@ class FeatureMatrix:
         return self.rows.shape[0]
 
 
+def matrix_rows(matrix) -> np.ndarray:
+    """The float rows of a FeatureMatrix or of any 2-D array-like."""
+    return matrix.rows if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=np.float64)
+
+
 def runtime_matrix(dataset: Dataset) -> FeatureMatrix:
     """Stack the raw runtime vectors; row i corresponds to workloads[i]."""
     names = dataset.schema_runtime

@@ -20,6 +20,54 @@ def _dense_distances(X: np.ndarray, kind: str) -> list[list[float]]:
     return [point_to_rows(X[i], X, kind).tolist() for i in range(len(X))]
 
 
+def ordered_distance(a, b, kind: str) -> float:
+    """Scalar distance in point_to_rows' documented summation order:
+    manhattan adds |a_j - b_j| for ascending j; euclidean sums the squares of
+    even and of odd features separately, each ascending, then adds the two."""
+    diffs = [float(p) - float(q) for p, q in zip(a, b)]
+    if kind == "manhattan":
+        total = abs(diffs[0])
+        for d in diffs[1:]:
+            total += abs(d)
+        return total
+    sums = []
+    for start in (0, 1):
+        part = diffs[start::2]
+        if part:
+            acc = part[0] * part[0]
+            for d in part[1:]:
+                acc += d * d
+            sums.append(acc)
+    return math.sqrt(sums[0] + sums[1] if len(sums) == 2 else sums[0])
+
+
+def slow_prim_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
+    """Prim's MST over mutual reachability with explicit in-tree masking;
+    ties go to the lowest index. Returns (n-1, 3) edges [a, b, weight]."""
+    n = X.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    dist_to_tree = np.full(n, np.inf)
+    source = np.full(n, -1, dtype=np.int64)
+    edges = np.empty((n - 1, 3), dtype=np.float64)
+
+    current = 0
+    in_tree[0] = True
+    for step in range(n - 1):
+        row = np.maximum(point_to_rows(X[current], X, kind), core)
+        row = np.maximum(row, core[current])
+        row[in_tree] = np.inf
+        better = row < dist_to_tree
+        dist_to_tree[better] = row[better]
+        source[better] = current
+        masked = np.where(in_tree, np.inf, dist_to_tree)
+        nxt = int(np.argmin(masked))
+        edges[step] = (source[nxt], nxt, dist_to_tree[nxt])
+        in_tree[nxt] = True
+        dist_to_tree[nxt] = np.inf
+        current = nxt
+    return edges
+
+
 # ---------------------------------------------------------------- dbscan
 
 def slow_dbscan(X: np.ndarray, eps: float, min_points: int, kind: str = "euclidean"):

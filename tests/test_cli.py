@@ -5,6 +5,8 @@ from oracles import slow_forest_probabilities
 from workload_profiler import artifacts, pipeline
 from workload_profiler.classifier import encode
 from workload_profiler.cli import CLASSIFY_CHUNK, main
+from workload_profiler.predictor import PredictionPolicy, predict
+from workload_profiler.profiles import ProfileSet
 from workload_profiler.synth import make_blob_trace, make_drift_pair
 from workload_profiler.trace_model import schema_for, write_trace
 
@@ -330,3 +332,47 @@ def test_classify_policy_flag(tmp_path, capsys):
     assert low["label"] == high["label"]
     for f in low["predicted"]:
         assert low["predicted"][f] <= high["predicted"][f]
+
+
+def test_classify_output_is_strict_json_and_reports_labels_without_a_profile(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, trace, descriptor, out)
+    assert main(["build", "--config", str(config)]) == 0
+    capsys.readouterr()
+    meta = [ds.workloads[i].metadata for i in range(0, len(ds), 7)]
+    ids = ["NaN", '[1, Infinity, {"a": -Infinity}]', '"plain"']
+    inp = tmp_path / "ids.jsonl"
+    inp.write_text(
+        "".join(f'{{"id": {ids[i % 3]}, "metadata": {json.dumps(m)}}}\n' for i, m in enumerate(meta)),
+        encoding="utf-8",
+    )
+
+    def classify(profiles_path):
+        args = ["classify", "--model", str(out / "model.json"),
+                "--profiles", str(profiles_path), "--input", str(inp)]
+        assert main(args) == 0
+        return [
+            json.loads(line, parse_constant=lambda c: f"non-strict {c}")
+            for line in capsys.readouterr().out.splitlines()
+        ]
+
+    expected_ids = [None, [1, None, {"a": None}], "plain"]
+    rows = classify(out / "profiles.json")
+    profiles = ProfileSet.from_json(artifacts.read_json(out / "profiles.json"))
+    for i, row in enumerate(rows):
+        assert row["id"] == expected_ids[i % 3]
+        group = profiles.group(row["label"])
+        assert row["predicted"] == predict(group, tuple(group.stats), PredictionPolicy()).values
+
+    # Drop the most common label's profile: its lines become inline errors.
+    dropped = max({r["label"] for r in rows}, key=[r["label"] for r in rows].count)
+    doc = artifacts.read_json(out / "profiles.json")
+    doc["groups"] = [g for g in doc["groups"] if g["label"] != dropped]
+    partial = tmp_path / "partial.json"
+    artifacts.write_json(partial, doc)
+    for line_no, (full, row) in enumerate(zip(rows, classify(partial)), start=1):
+        if full["label"] == dropped:
+            assert row == {"line": line_no, "error": f"'no profile group with label {dropped}'"}
+        else:
+            assert row == full

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workload_profiler.distances import distance, max_pairwise, point_to_rows, similarity
+from oracles import ordered_distance
+from workload_profiler.distances import distance, point_to_rows
 
 finite = st.floats(-1e3, 1e3)
 vec3 = st.tuples(finite, finite, finite)
@@ -61,15 +62,31 @@ def test_point_to_rows_matches_scalar():
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
-def test_similarity():
-    assert similarity([1, 1], [1, 1], "euclidean", 8.0) == 1.0
-    assert similarity([0, 0], [0, 8], "euclidean", 8.0) == 0.0
-    assert similarity([0, 0], [0, 2], "euclidean", 8.0) == pytest.approx(0.75)
-    assert similarity([3, 3], [3, 3], "euclidean", 0.0) == 1.0  # all points identical
-    with pytest.raises(ValueError):
-        similarity([0, 0], [0, 9], "euclidean", 8.0)
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_point_to_rows_bits_independent_of_layout(kind):
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(300, 5)) * [1.0, 1e3, 1e-3, 7.0, 0.5]
+    F = np.asfortranarray(X)
+    for i in range(0, 300, 17):
+        c = point_to_rows(X[i], X, kind)
+        assert np.array_equal(c, point_to_rows(F[i], F, kind))
+        assert np.array_equal(c, point_to_rows(X[i].copy(), F, kind))
 
 
-def test_max_pairwise():
-    X = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    assert max_pairwise(X, "euclidean") == pytest.approx(5.0)
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_point_to_rows_symmetric_bit_for_bit(kind):
+    rng = np.random.default_rng(2)
+    X = np.asfortranarray(rng.normal(size=(120, 4)) * 100.0)
+    D = np.stack([point_to_rows(X[i], X, kind) for i in range(120)])
+    assert np.array_equal(D, D.T)
+
+
+@pytest.mark.parametrize("dims", range(1, 10))
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_point_to_rows_equals_scalar_loop_in_documented_order(kind, dims):
+    rng = np.random.default_rng(dims)
+    X = rng.normal(size=(60, dims)) * rng.uniform(0.01, 100.0, size=dims)
+    F = np.asfortranarray(X)
+    for i in range(0, 60, 7):
+        expected = [ordered_distance(X[i], X[j], kind) for j in range(60)]
+        assert point_to_rows(F[i], F, kind).tolist() == expected

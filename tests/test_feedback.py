@@ -6,6 +6,7 @@ import pytest
 
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import build_training_set, train
+from workload_profiler.distances import point_to_rows
 from workload_profiler.errors import EmptyWindowError
 from workload_profiler.feedback import (
     DeltaSpec,
@@ -20,8 +21,9 @@ from workload_profiler.feedback import (
 )
 from workload_profiler.gridsearch import GridSpec, grid_search
 from workload_profiler.predictor import BehaviorPrediction, PredictionPolicy
+from workload_profiler.preprocess import apply_transform
 from workload_profiler.synth import make_blob_trace, make_drift_pair
-from workload_profiler.trace_model import Dataset
+from workload_profiler.trace_model import Dataset, FeatureMatrix
 
 FAST_BOOST = BoostingParams(rounds=25)
 
@@ -272,6 +274,32 @@ def test_drift_triggers_and_adoption_reduces_violations():
     # adopted profiles are fresh at adoption time
     assert report.final_profiles is not None
     assert all(g.last_update == last.t for g in report.final_profiles.groups)
+
+
+def test_prefetched_outlier_flags_equal_the_per_event_rule_across_a_swap():
+    train_ds, stream, profiles, model, grid, regen = drift_setup(seed=3)
+    cfg = FeedbackConfig(
+        delta=DeltaSpec(mode="relative", default=0.5),
+        tau_v=0.2, tau_o=0.9, tau_f=0.5, decay=1e-12,
+        window=250, tau_quality=0.5, min_events_between_triggers=250,
+    )
+    report = run_feedback(
+        stream, model, profiles, cfg, regen, PredictionPolicy(), train_ds
+    )
+    (swap,) = [tr.event_index for tr in report.triggers if tr.adopted]
+    names = profiles.transform_spec.feature_names
+
+    def one_event(ps, runtime):
+        raw = FeatureMatrix(rows=np.array([[runtime[f] for f in names]]), feature_names=names)
+        x = apply_transform(ps.transform_spec, raw).rows[0]
+        centroids = np.stack([g.centroid for g in ps.groups])
+        return bool(point_to_rows(x, centroids, ps.config.distance).min() > ps.distance_threshold)
+
+    flags = [e["outlier"] for e in report.timeline]
+    assert any(flags[: swap + 1]) and not all(flags)
+    for i, w in enumerate(stream.workloads):
+        live = profiles if i <= swap else report.final_profiles
+        assert flags[i] == one_event(live, w.runtime) == live.is_outlier(w.runtime)
 
 
 def test_infinite_quality_threshold_never_adopts():

@@ -111,3 +111,29 @@ def test_report_records_every_combination():
     assert len(rows) == 3 * 2 * 2
     recs = [r.to_record() for r in rows]
     assert all(set(r) == set(recs[0]) for r in recs)
+
+
+def test_shared_core_distances_give_the_rows_of_each_combination_alone():
+    ds, _, _ = make_blob_trace(240, 3, seed=5, outlier_fraction=0.05)
+    grid = GridSpec(
+        algorithms=("hdbscan",), transforms=("standard", "power"),
+        distances=("euclidean", "manhattan"), min_points=(30, 8, 300, 15),
+    )
+    _, _, rows = grid_search(ds, grid, optimal_cluster_count=3, seed=0)
+    assert len(rows) == 16
+    assert any(r.error for r in rows) and any(r.error is None for r in rows)
+    for row in rows:
+        c = row.config
+        alone = GridSpec(
+            algorithms=("hdbscan",), transforms=(c.transform,),
+            distances=(c.distance,), min_points=(c.min_points,),
+        )
+        try:
+            _, _, (single,) = grid_search(ds, alone, optimal_cluster_count=3, seed=0)
+        except NoViableConfigError:
+            assert row.error is not None
+            continue
+        expected = single.to_record()
+        got = row.to_record()
+        del expected["selected"], got["selected"]
+        assert got == expected

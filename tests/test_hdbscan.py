@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import same_partition, slow_hdbscan
+from oracles import same_partition, slow_hdbscan, slow_prim_mst
+from workload_profiler.distances import point_to_rows
 from workload_profiler.hdbscan import (
     build_merge_tree,
     condense,
@@ -67,13 +68,42 @@ def test_min_cluster_size_is_respected():
 def test_core_distance_definition():
     X = np.array([[0.0], [1.0], [3.0], [6.0]])
     # k=2: distance to the 2nd nearest including self = nearest other point
-    np.testing.assert_allclose(core_distances(X, 2), [1.0, 1.0, 2.0, 3.0])
+    np.testing.assert_allclose(core_distances(X, (2,))[2], [1.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_shared_core_distances_equal_separate_calls(kind):
+    rng = np.random.default_rng(6)
+    X = np.vstack([blobs(rng, [(0, 0, 0), (4, 4, 4)], 60, sigma=0.5, dims=3), np.zeros((5, 3))])
+    ks = (50, 2, 9, 125, 9)
+    shared = core_distances(X, ks, kind)
+    assert sorted(shared) == [2, 9, 50, 125]
+    for k in ks:
+        alone = core_distances(X, (k,), kind)[k]
+        assert np.array_equal(shared[k], alone)
+        expected = [np.sort(point_to_rows(X[i], X, kind))[k - 1] for i in range(len(X))]
+        assert shared[k].tolist() == expected
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_prim_edges_equal_slow_oracle(kind, duplicates):
+    rng = np.random.default_rng(7)
+    X = blobs(rng, [(0, 0), (3, 0), (0, 5)], 40, sigma=0.4)
+    if duplicates:
+        # repeated points and an all-equal block make exact mrd ties
+        X = np.vstack([X, X[:25], np.full((12, 2), 1.5)])
+        X = np.round(X, 1)
+    for k in (2, 5, 15):
+        core = core_distances(X, (k,), kind)[k]
+        edges = mutual_reachability_mst(X, core, kind)
+        assert np.array_equal(edges, slow_prim_mst(X, core, kind))
 
 
 def test_mst_total_weight_matches_brute_force():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
-    core = core_distances(X, 5)
+    core = core_distances(X, (5,))[5]
     edges = mutual_reachability_mst(X, core, "euclidean")
     # brute-force Prim over the dense mutual reachability matrix
     n = len(X)
@@ -97,7 +127,7 @@ def test_mst_total_weight_matches_brute_force():
 def test_merge_tree_structure():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 2))
-    core = core_distances(X, 4)
+    core = core_distances(X, (4,))[4]
     tree = build_merge_tree(mutual_reachability_mst(X, core, "euclidean"), 30)
     # merge thresholds appear in nondecreasing order and the root covers all
     assert np.all(np.diff(tree.dist) >= -1e-12)
