@@ -14,6 +14,15 @@ DISTANCE_KINDS = ("euclidean", "manhattan", "cosine")
 
 _ZERO_EPS = 0.0  # exact-zero norm check; usage values are nonnegative reals
 
+# A block of distance rows holds at most about this many elements, so that a
+# block costs about as much memory as one row of a 16k-point matrix.
+BLOCK_ELEMENTS = 16_384
+
+
+def block_rows(n: int) -> int:
+    """Rows of n distances in one block: at least 1, at most BLOCK_ELEMENTS."""
+    return max(1, BLOCK_ELEMENTS // max(n, 1))
+
 
 def _check_kind(kind: str) -> None:
     if kind not in DISTANCE_KINDS:
@@ -40,15 +49,18 @@ def distance(a, b, kind: str = "euclidean") -> float:
 
 
 def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
-    """Distances from one point to every row of a matrix (vectorized).
+    """Distances from one point, shape (m,), to every row of an (n, m) matrix,
+    shape (n,); or from each of a (K, m) block of points, shape (K, n).
 
     Euclidean and manhattan run feature-major, over ``rows.T``, in a fixed
     summation order: manhattan adds the absolute differences in ascending
     feature order; euclidean keeps two running sums of squared differences,
     one over the even-indexed features and one over the odd-indexed ones,
-    each in ascending order, and returns sqrt(even + odd). Every step is
-    elementwise, so the result has the same bits whatever the memory layout
-    of ``rows`` and d(a, b) == d(b, a) exactly, which keeps exact ties.
+    each in ascending order, and returns sqrt(even + odd). A block's
+    coordinates are broadcast as columns through the same steps. Every step
+    is elementwise, so the result has the same bits whatever the memory
+    layout of ``rows``, each element of a block equals the one-point call,
+    and d(a, b) == d(b, a) exactly, which keeps exact ties.
     Callers in O(n^2) loops pass ``np.asfortranarray(X)`` so that each
     feature is one contiguous row. With 1 to 7 features these are the bits
     of a row-wise ``einsum`` / ``sum(axis=1)`` on numpy 2.4; with 8 or more
@@ -56,12 +68,17 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """
     _check_kind(kind)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != rows.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {rows.shape[1]}")
+    if x.shape[-1] != rows.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rows.shape[1]}")
     if kind == "cosine":
+        if x.ndim == 2:
+            return np.stack([_cosine_to_rows(p, rows) for p in x])
         return _cosine_to_rows(x, rows)
+    if x.ndim == 2 and x.shape[0] == 1:
+        return point_to_rows(x[0], rows, kind)[None]  # scalars broadcast faster
     cols = rows.T
-    x = x.tolist()
+    # One coordinate per feature: a float, or a (K, 1) column of a block.
+    x = x.tolist() if x.ndim == 1 else [x[:, j:j + 1] for j in range(x.shape[1])]
     if kind == "manhattan":
         total = np.abs(cols[0] - x[0])
         term = np.empty_like(total)

@@ -3,8 +3,8 @@ composite clustering metric."""
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -17,10 +17,6 @@ from .metrics import DEFAULT_SILHOUETTE_CAP
 from .preprocess import fit_transform
 from .profiles import ClusteringConfig, ProfileSet, build_profiles
 from .trace_model import Dataset, runtime_matrix
-
-# The module, not the function of the same name that the package exports:
-# core distances are looked up on it at call time.
-_hdbscan_module = importlib.import_module(".hdbscan", __package__)
 
 # Paper-style default search range for the minimum cluster size.
 DEFAULT_MIN_POINTS = (50, 100, 200, 300, 400, 600, 1000)
@@ -41,10 +37,6 @@ class GridSpec:
         if not (self.algorithms and self.transforms and self.distances and self.min_points):
             raise ValueError("grid axes must be nonempty")
         for algorithm in self.algorithms:
-            if algorithm == "optics":
-                raise NotImplementedError(
-                    "OPTICS is a documented extension point; use hdbscan or dbscan"
-                )
             if algorithm not in ("hdbscan", "dbscan"):
                 raise ValueError(f"unknown clustering algorithm {algorithm!r}")
         for transform in self.transforms:
@@ -99,43 +91,48 @@ class GridRow:
     selected: bool = False
 
     def to_record(self) -> dict:
-        rec = {
-            "algorithm": self.config.algorithm,
-            "transform": self.config.transform,
-            "distance": self.config.distance,
-            "min_points": self.config.min_points,
-            "eps": self.config.eps,
-            "n_clusters": self.n_clusters,
-            "n_outliers": self.n_outliers,
-            "mean_cluster_size": self.mean_cluster_size,
-            "silhouette": self.silhouette,
-            "silhouette_defined": self.silhouette_defined,
-            "silhouette_subsampled": self.silhouette_subsampled,
-            "davies_bouldin": self.davies_bouldin,
-            "acquires_total": self.acquires_total,
-            "cluster_count_score": self.cluster_count_score,
-            "outliers_score": self.outliers_score,
-            "error": self.error,
-            "selected": self.selected,
+        return {
+            f: getattr(self.config if f in _CONFIG_FIELDS else self, f)
+            for f in GRID_REPORT_FIELDS
         }
-        return rec
 
 
-GRID_REPORT_FIELDS = (
-    "algorithm", "transform", "distance", "min_points", "eps",
-    "n_clusters", "n_outliers", "mean_cluster_size",
-    "silhouette", "silhouette_defined", "silhouette_subsampled",
-    "davies_bouldin", "acquires_total", "cluster_count_score",
-    "outliers_score", "error", "selected",
-)
+_CONFIG_FIELDS = ("algorithm", "transform", "distance", "min_points", "eps")
+# The report's columns: the configuration, then every GridRow field after it.
+GRID_REPORT_FIELDS = _CONFIG_FIELDS + tuple(f.name for f in fields(GridRow)[1:])
 
 
-def run_clustering(config: ClusteringConfig, transformed, core=None) -> np.ndarray:
-    """Labels for one combination; ``core`` is hdbscan's precomputed core
-    distances for ``config.min_points``, if any."""
+def run_clustering(config: ClusteringConfig, transformed) -> np.ndarray:
+    """Labels for one combination."""
     if config.algorithm == "dbscan":
         return dbscan(transformed, config.eps, config.min_points, config.distance)
-    return hdbscan(transformed, config.min_points, config.distance, core=core)
+    return hdbscan(transformed, config.min_points, config.distance)
+
+
+def _cluster_group(group: list[GridRow], transformed) -> list[tuple[int, np.ndarray]]:
+    """(position, labels) of each row of a group that clusters; a row whose
+    clustering fails gets its error instead. The group's hdbscan sizes that
+    fit the data are clustered in one call (one core-distance pass, lockstep
+    Prim trees); every other combination runs alone."""
+    n = transformed.rows.shape[0]
+    sizes = sorted({
+        r.config.min_points for r in group
+        if r.config.algorithm == "hdbscan" and r.config.min_points <= n
+    })
+    shared = {}
+    if sizes:
+        shared = dict(zip(sizes, hdbscan(transformed, sizes, group[0].config.distance)))
+    out = []
+    for i, row in enumerate(group):
+        labels = shared.get(row.config.min_points) if row.config.algorithm == "hdbscan" else None
+        try:
+            if labels is None:
+                labels = run_clustering(row.config, transformed)
+        except ValueError as exc:
+            row.error = str(exc)
+            continue
+        out.append((i, labels))
+    return out
 
 
 def grid_search(
@@ -151,75 +148,71 @@ def grid_search(
     """Evaluate every combination and build profiles from the best one.
 
     The winner maximizes the composite score; ties break toward fewer
-    outliers, then smaller min_points, then declaration order. hdbscan core
-    distances are computed once per (transform, distance) for every valid
-    min_points of the grid; combinations differing only in min_points are
-    adjacent, so only one such table is alive at a time.
+    outliers, then smaller min_points, then declaration order. Combinations
+    that share an algorithm, transform and distance are adjacent and are
+    evaluated as one group: hdbscan clusters all of the group's sizes at
+    once, and one silhouette pass scores all of its labellings. Only one
+    group's arrays (K labellings of n rows) are alive at a time. Every row
+    equals the row of a grid of that combination alone.
     """
     matrix = runtime_matrix(dataset)
     n = len(dataset)
-    core_sizes = tuple(sorted({k for k in grid.min_points if 2 <= k <= n}))
-    core_key: tuple[str, str] | None = None
-    core: dict[int, np.ndarray] = {}
     fitted: dict[str, tuple] = {}
     rows: list[GridRow] = []
     best_key = None
     best: tuple | None = None  # (row_index, labels, spec, transformed)
 
-    for order, config in enumerate(grid.combinations()):
-        config = ClusteringConfig(
-            config.algorithm, config.transform, config.distance,
-            config.min_points, eps=config.eps, seed=seed,
+    configs = [
+        ClusteringConfig(c.algorithm, c.transform, c.distance, c.min_points, eps=c.eps, seed=seed)
+        for c in grid.combinations()
+    ]
+    for (_, transform, distance), members in groupby(
+        configs, key=lambda c: (c.algorithm, c.transform, c.distance)
+    ):
+        if transform not in fitted:
+            fitted[transform] = fit_transform(matrix, transform)
+        spec, transformed = fitted[transform]
+        first = len(rows)
+        group = [GridRow(config=config) for config in members]
+        rows.extend(group)
+
+        scored = []
+        for i, labels in _cluster_group(group, transformed):
+            row = group[i]
+            clustered = labels[labels >= 0]
+            row.n_clusters = int(np.unique(clustered).size)
+            row.n_outliers = int(np.sum(labels == -1))
+            if row.n_clusters == 0:
+                row.error = "no clusters"
+                continue
+            row.mean_cluster_size = float(clustered.size / row.n_clusters)
+            row.silhouette_subsampled = clustered.size > silhouette_cap
+            scored.append((first + i, labels))
+        if not scored:
+            continue
+        silhouettes = silhouette_mean(
+            transformed, np.stack([labels for _, labels in scored]), distance,
+            max_points=silhouette_cap, seed=seed,
         )
-        row = GridRow(config=config)
-        rows.append(row)
-        if config.transform not in fitted:
-            fitted[config.transform] = fit_transform(matrix, config.transform)
-        spec, transformed = fitted[config.transform]
-        try:
-            shared = None
-            if config.algorithm == "hdbscan" and config.min_points in core_sizes:
-                key = (config.transform, config.distance)
-                if core_key != key:
-                    core_key, core = None, {}  # free the previous table first
-                    core = _hdbscan_module.core_distances(
-                        transformed.rows, core_sizes, config.distance
-                    )
-                    core_key = key
-                shared = core[config.min_points]
-            labels = run_clustering(config, transformed, core=shared)
-        except (ValueError, NotImplementedError) as exc:
-            row.error = str(exc)
-            continue
 
-        clustered = labels[labels >= 0]
-        row.n_clusters = int(np.unique(clustered).size)
-        row.n_outliers = int(np.sum(labels == -1))
-        if row.n_clusters == 0:
-            row.error = "no clusters"
-            continue
-        row.mean_cluster_size = float(clustered.size / row.n_clusters)
-        row.silhouette_subsampled = clustered.size > silhouette_cap
-        try:
-            row.silhouette = silhouette_mean(
-                transformed, labels, config.distance, max_points=silhouette_cap, seed=seed
-            )
-            row.silhouette_defined = True
-        except DegenerateDataError:
-            row.silhouette = 0.0  # single cluster: neutral cohesion term
-        try:
-            row.davies_bouldin = davies_bouldin(transformed, labels, config.distance)
-        except DegenerateDataError:
-            row.davies_bouldin = None
-        score = acquires(labels, n, optimal_cluster_count, row.silhouette, weights)
-        row.acquires_total = score.total
-        row.cluster_count_score = score.cluster_count_score
-        row.outliers_score = score.outliers_score
+        for (index, labels), silhouette in zip(scored, silhouettes):
+            row = rows[index]
+            # A single cluster has no silhouette: neutral cohesion term.
+            row.silhouette_defined = silhouette is not None
+            row.silhouette = 0.0 if silhouette is None else silhouette
+            try:
+                row.davies_bouldin = davies_bouldin(transformed, labels, distance)
+            except DegenerateDataError:
+                row.davies_bouldin = None
+            score = acquires(labels, n, optimal_cluster_count, row.silhouette, weights)
+            row.acquires_total = score.total
+            row.cluster_count_score = score.cluster_count_score
+            row.outliers_score = score.outliers_score
 
-        key = (-score.total, row.n_outliers, config.min_points, order)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (len(rows) - 1, labels, spec, transformed)
+            key = (-score.total, row.n_outliers, row.config.min_points, index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (index, labels, spec, transformed)
 
     if best is None:
         raise NoViableConfigError("no grid combination produced a valid clustering")

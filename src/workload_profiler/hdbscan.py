@@ -4,7 +4,8 @@ Pipeline:
   1. core distance of each point = distance to its k-th nearest neighbor
      (itself included), k = min_cluster_size;
   2. mutual reachability distance mrd(a, b) = max(core_a, core_b, d(a, b));
-  3. minimum spanning tree over mrd (Prim, O(n^2) time / O(n) memory);
+  3. minimum spanning tree over mrd (Prim, O(n^2) time / O(n) memory per
+     tree; the trees of several sizes grow in lockstep);
   4. a merge tree of the components at each distinct edge weight;
   5. condensation of the merge tree at min_cluster_size;
   6. cluster selection by total stability (excess of mass), root excluded.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import point_to_rows
+from .distances import block_rows, point_to_rows
 from .trace_model import matrix_rows
 
 
@@ -35,49 +36,84 @@ def core_distances(X: np.ndarray, ks, kind: str = "euclidean") -> dict[int, np.n
     """Distance to the k-th nearest neighbor, the point itself included, for
     every k in ``ks`` (each 1 <= k <= n) from one distance row per point.
 
-    One partition per row selects every order statistic at once, so each
-    array equals a separate per-k computation exactly.
+    Rows come in blocks; one partition per row at the largest k and a sort of
+    that prefix select every order statistic at once, so each array equals a
+    separate per-k computation (and a full sort) exactly.
     """
     kth = sorted({k - 1 for k in ks})
     XF = np.asfortranarray(X)
-    table = np.empty((len(kth), XF.shape[0]), dtype=np.float64)
-    for i in range(XF.shape[0]):
-        d = point_to_rows(XF[i], XF, kind)
-        d.partition(kth)
-        table[:, i] = d[kth]
+    n = XF.shape[0]
+    table = np.empty((len(kth), n), dtype=np.float64)
+    step = block_rows(n)
+    for start in range(0, n, step):
+        d = point_to_rows(XF[start:start + step], XF, kind)
+        d.partition(kth[-1], axis=1)
+        prefix = np.sort(d[:, :kth[-1] + 1], axis=1)
+        table[:, start:start + step] = prefix[:, kth].T
     return {k: table[kth.index(k - 1)] for k in ks}
 
 
 def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
     """Prim's MST over the implicit mutual reachability graph.
 
-    Returns an (n-1, 3) array of edges [a, b, weight]; rows of the distance
-    matrix are recomputed on the fly so memory stays O(n). A point that joins
-    the tree gets an infinite core distance in a working copy, which makes
+    ``core`` is one array of n core distances, giving an (n-1, 3) array of
+    edges [a, b, weight], or a (K, n) stack of them, giving (K, n-1, 3): K
+    trees grown in lockstep, one block of K distance rows per step, each
+    tree's edges equal to a call of its own. Rows of the distance matrix are
+    recomputed on the fly so memory stays O(K n). A point that joins a tree
+    gets an infinite core distance in that tree's working copy, which makes
     every later mutual reachability to it infinite, so it is never offered
-    again; argmin breaks ties toward the lowest index.
+    again; argmin breaks ties toward the lowest index. Whenever the points
+    left to add have fallen by a quarter, the working columns shrink to the
+    points some tree has not reached yet (kept in ascending order, so ties
+    still go low), which about halves the distance work.
     """
-    n = X.shape[0]
-    XF = np.asfortranarray(X)
-    live_core = np.array(core, dtype=np.float64)
-    dist_to_tree = np.full(n, np.inf)
-    source = np.full(n, -1, dtype=np.int64)
-    edges = np.empty((n - 1, 3), dtype=np.float64)
+    core = np.asarray(core, dtype=np.float64)
+    cores = np.atleast_2d(core)
+    trees, n = cores.shape
+    XC = np.ascontiguousarray(X)  # gathers the current points' coordinates
+    flat_core = cores.ravel()
+    core_at = np.arange(trees) * n  # flat index of (t, 0) in cores
+    cols = np.arange(n)  # the point of each working column
+    live_core = cores.copy()
+    dist_to_tree = np.full((trees, n), np.inf)
+    source = np.full((trees, n), -1, dtype=np.int64)
+    in_tree = np.zeros((trees, n), dtype=bool)
+    edges = np.empty((n - 1, 3, trees), dtype=np.float64)
 
-    current = 0
-    live_core[0] = np.inf
+    current = np.zeros(trees, dtype=np.int64)
+    in_tree[:, 0] = True
+    shrink_at = n  # the first step shrinks away point 0 and sets up the views
     for step in range(n - 1):
-        row = point_to_rows(XF[current], XF, kind)
+        left = n - 1 - step  # points each tree has still to add
+        if left <= shrink_at:
+            keep = np.flatnonzero(~in_tree.all(axis=0))
+            cols = cols[keep]
+            XF = np.asfortranarray(XC[cols])
+            live_core, dist_to_tree, source, in_tree = (
+                a.take(keep, axis=1) for a in (live_core, dist_to_tree, source, in_tree)
+            )
+            shrink_at = left * 3 // 4
+            # Flat views: working element (t, j) sits at t * width + j.
+            at_row = np.arange(trees) * cols.size
+            flat_live, flat_dist = live_core.ravel(), dist_to_tree.ravel()
+            flat_source, flat_in = source.ravel(), in_tree.ravel()
+        row = point_to_rows(XC.take(current, axis=0), XF, kind)
         np.maximum(row, live_core, out=row)
-        np.maximum(row, core[current], out=row)
-        np.copyto(source, current, where=row < dist_to_tree)
+        np.maximum(row, flat_core.take(core_at + current)[:, None], out=row)
+        np.copyto(source, current[:, None], where=row < dist_to_tree)
         np.minimum(dist_to_tree, row, out=dist_to_tree)
-        nxt = int(np.argmin(dist_to_tree))
-        edges[step] = (source[nxt], nxt, dist_to_tree[nxt])
-        live_core[nxt] = np.inf
-        dist_to_tree[nxt] = np.inf
-        current = nxt
-    return edges
+        pos = dist_to_tree.argmin(axis=1)
+        at = at_row + pos
+        current = cols.take(pos)
+        edges[step, 0] = flat_source.take(at)
+        edges[step, 1] = current
+        edges[step, 2] = flat_dist.take(at)
+        flat_live.put(at, np.inf)
+        flat_dist.put(at, np.inf)
+        flat_in.put(at, True)
+    edges = edges.transpose(2, 0, 1)
+    return np.ascontiguousarray(edges if core.ndim == 2 else edges[0])
 
 
 @dataclass
@@ -286,23 +322,28 @@ def labels_from_selection(ct: CondensedTree, chosen: list[int], n: int) -> np.nd
     return labels
 
 
-def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean", core=None) -> np.ndarray:
+def hdbscan(matrix, min_cluster_size, kind: str = "euclidean") -> np.ndarray:
     """Cluster rows by density; returns labels with -1 for outliers.
 
-    ``core`` takes precomputed core distances for ``min_cluster_size`` (from
-    ``core_distances``), so that a grid search computes them once for all
-    its sizes."""
+    ``min_cluster_size`` is one size, giving n labels, or a sequence of K
+    sizes, giving a (K, n) stack: the sizes share one core-distance pass and
+    one lockstep Prim pass, then each gets its own merge tree, condensation
+    and selection. Each row equals a call with that size alone."""
     X = matrix_rows(matrix)
     n = X.shape[0]
-    if min_cluster_size < 2:
-        raise ValueError("min_cluster_size must be >= 2")
-    if n < min_cluster_size:
-        raise ValueError(f"need at least min_cluster_size={min_cluster_size} rows, got {n}")
+    sizes = [int(k) for k in np.atleast_1d(min_cluster_size)]
+    for k in sizes:
+        if k < 2:
+            raise ValueError("min_cluster_size must be >= 2")
+        if n < k:
+            raise ValueError(f"need at least min_cluster_size={k} rows, got {n}")
 
-    if core is None:
-        core = core_distances(X, (min_cluster_size,), kind)[min_cluster_size]
-    edges = mutual_reachability_mst(X, core, kind)
-    tree = build_merge_tree(edges, n)
-    ct = condense(tree, min_cluster_size)
-    chosen = select_clusters(ct, cluster_stability(ct))
-    return labels_from_selection(ct, chosen, n)
+    core = core_distances(X, sizes, kind)
+    forest = mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
+    labels = np.empty((len(sizes), n), dtype=np.int64)
+    for t, k in enumerate(sizes):
+        tree = build_merge_tree(forest[t], n)
+        ct = condense(tree, k)
+        chosen = select_clusters(ct, cluster_stability(ct))
+        labels[t] = labels_from_selection(ct, chosen, n)
+    return labels if np.ndim(min_cluster_size) else labels[0]

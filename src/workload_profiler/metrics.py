@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import distance, point_to_rows
+from .distances import block_rows, distance, point_to_rows
 from .errors import DegenerateDataError
 from .preprocess import proportional_allocation
 from .trace_model import matrix_rows
@@ -27,55 +27,130 @@ def _clustered_subset(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return X[keep], labels[keep]
 
 
+def _scored_rows(lab: np.ndarray, max_points: int, seed: int) -> np.ndarray | None:
+    """Ascending row indices a labelling's silhouette is taken over: its
+    clustered rows, or beyond ``max_points`` a proportional per-cluster
+    subsample of them (fixed seed); None with fewer than 2 clusters."""
+    idx = np.flatnonzero(lab >= 0)
+    sub = lab[idx]
+    uniq = np.unique(sub)
+    if uniq.size < 2:
+        return None
+    if idx.size > max_points:
+        sizes = {str(c): int(np.sum(sub == c)) for c in uniq}
+        alloc = proportional_allocation(sizes, max_points)
+        rng = np.random.default_rng(seed)
+        picked: list[np.ndarray] = []
+        for c in uniq:
+            members = np.flatnonzero(sub == c)
+            picked.append(members[rng.choice(members.size, size=alloc[str(c)], replace=False)])
+        idx = idx[np.sort(np.concatenate(picked))]
+    return idx
+
+
+class _Scoring:
+    """One labelling's silhouette within a pass over the union of the scored
+    rows of its pass: each pass row's dense cluster index (the spare bin k for
+    rows this labelling does not score) and each scored row's coefficient."""
+
+    def __init__(self, lab: np.ndarray, idx: np.ndarray, cols: np.ndarray, block: int):
+        uniq, dense = np.unique(lab[idx], return_inverse=True)
+        self.size = idx.size
+        self.k = uniq.size
+        self.counts = np.bincount(dense, minlength=self.k)
+        self.dense = np.full(cols.size, self.k, dtype=np.int64)
+        self.dense[np.searchsorted(cols, idx)] = dense
+        self.member = self.dense < self.k
+        # Bins of a block's flattened bincount: row r of the block owns
+        # bins r * (k + 1) .. r * (k + 1) + k.
+        self.bins = self.dense + (self.k + 1) * np.arange(min(block, cols.size))[:, None]
+        self.value = np.zeros(cols.size)
+        self.adds = np.zeros(cols.size, dtype=bool)  # rows that add a term
+
+    def add_block(self, rows: np.ndarray, d: np.ndarray) -> None:
+        """Coefficients of ``rows`` (scored pass rows) from their distance rows."""
+        m, k = rows.size, self.k
+        sums = np.bincount(
+            self.bins[:m].ravel(), weights=d.ravel(), minlength=m * (k + 1)
+        ).reshape(m, k + 1)
+        r = np.arange(m)
+        c = self.dense[rows]
+        size = self.counts[c]
+        a = (sums[r, c] - d[r, rows]) / np.maximum(size - 1, 1)
+        means = sums[:, :k] / self.counts
+        means[r, c] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        adds = (size > 1) & (denom > 0.0)  # a singleton scores 0
+        self.value[rows] = np.divide(b - a, denom, out=np.zeros(m), where=adds)
+        self.adds[rows] = adds
+
+    def mean(self) -> float:
+        total = 0.0
+        for v in self.value[self.adds].tolist():  # ascending rows, in order
+            total += v
+        return float(total / self.size)
+
+
+def _silhouette_pass(X: np.ndarray, labs: list, kind: str) -> list[float]:
+    """Means of several (labels, scored rows) pairs from one pass over blocks
+    of distance rows, restricted to the union of their scored rows. bincount
+    adds in index order, so each sum has the bits of a pass of its own."""
+    cols = np.unique(np.concatenate([idx for _, idx in labs]))
+    XF = np.asfortranarray(X[cols])
+    block = block_rows(cols.size)
+    scorings = [_Scoring(lab, idx, cols, block) for lab, idx in labs]
+    for start in range(0, cols.size, block):
+        rows = np.arange(start, min(start + block, cols.size))
+        d = point_to_rows(XF[start:start + block], XF, kind)
+        for s in scorings:
+            hit = s.member[rows]
+            if hit.all():
+                s.add_block(rows, d)
+            elif hit.any():
+                s.add_block(rows[hit], d[hit])
+    return [s.mean() for s in scorings]
+
+
 def silhouette_mean(
     matrix,
     labels,
     kind: str = "euclidean",
     max_points: int = DEFAULT_SILHOUETTE_CAP,
     seed: int = 0,
-) -> float:
+) -> float | list[float | None]:
     """Mean silhouette coefficient over non-outlier points.
 
     Exact O(n^2) computation up to ``max_points`` clustered points; beyond
     that a proportional per-cluster subsample (fixed seed) is scored instead.
     Singleton-cluster points score 0 by convention.
+
+    ``labels`` is one labelling, giving a float (DegenerateDataError with
+    fewer than 2 clusters), or a (K, n) stack, giving a list of K values with
+    None where the labelling alone would raise. The labellings scored on all
+    their clustered rows share one pass over blocks of distance rows; each
+    subsampled one gets a pass over its own sample. Each value equals its
+    labelling's own call.
     """
-    X, lab = _clustered_subset(matrix_rows(matrix), np.asarray(labels))
-    uniq = np.unique(lab)
-    if uniq.size < 2:
+    X = matrix_rows(matrix)
+    stack = np.asarray(labels)
+    labellings = np.atleast_2d(stack)
+    whole, sampled = [], []
+    for t, lab in enumerate(labellings):
+        idx = _scored_rows(lab, max_points, seed)
+        if idx is not None:
+            (whole if idx.size == np.count_nonzero(lab >= 0) else sampled).append((t, lab, idx))
+    passes = ([whole] if whole else []) + [[item] for item in sampled]
+    means: list[float | None] = [None] * len(labellings)
+    for group in passes:
+        values = _silhouette_pass(X, [(lab, idx) for _, lab, idx in group], kind)
+        for (t, _, _), value in zip(group, values):
+            means[t] = value
+    if stack.ndim == 2:
+        return means
+    if means[0] is None:
         raise DegenerateDataError("silhouette needs at least 2 clusters after outlier exclusion")
-
-    if X.shape[0] > max_points:
-        sizes = {str(c): int(np.sum(lab == c)) for c in uniq}
-        alloc = proportional_allocation(sizes, max_points)
-        rng = np.random.default_rng(seed)
-        picked: list[np.ndarray] = []
-        for c in uniq:
-            idx = np.flatnonzero(lab == c)
-            take = alloc[str(c)]
-            picked.append(idx[rng.choice(idx.size, size=take, replace=False)])
-        sel = np.sort(np.concatenate(picked))
-        X, lab = X[sel], lab[sel]
-
-    X = np.asfortranarray(X)
-    # Compact labels to 0..k-1 for bincount aggregation.
-    uniq, dense = np.unique(lab, return_inverse=True)
-    k = uniq.size
-    counts = np.bincount(dense, minlength=k)
-    total = 0.0
-    for i in range(X.shape[0]):
-        d = point_to_rows(X[i], X, kind)
-        sums = np.bincount(dense, weights=d, minlength=k)
-        c = dense[i]
-        if counts[c] == 1:
-            continue  # singleton scores 0
-        a = (sums[c] - d[i]) / (counts[c] - 1)
-        others = np.where(np.arange(k) == c, np.inf, sums / counts)
-        b = float(others.min())
-        denom = max(a, b)
-        if denom > 0.0:
-            total += (b - a) / denom
-    return float(total / X.shape[0])
+    return means[0]
 
 
 def davies_bouldin(matrix, labels, kind: str = "euclidean") -> float:

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import point_to_rows
+from .distances import block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TransformSpec, apply_transform, skewness
 from .trace_model import Dataset, FeatureMatrix, runtime_matrix
@@ -232,13 +232,15 @@ def _feature_stats(values: np.ndarray, percentiles: Sequence[float]) -> FeatureS
 
 
 def _medoid_index(rows: np.ndarray, kind: str) -> int:
+    """First row with the least distance sum. Row sums of a C-contiguous
+    block have the bits of one row's sum, so blocks keep the same medoid."""
     rows = np.asfortranarray(rows)
-    best, best_sum = 0, np.inf
-    for i in range(rows.shape[0]):
-        s = float(point_to_rows(rows[i], rows, kind).sum())
-        if s < best_sum:
-            best, best_sum = i, s
-    return best
+    n = rows.shape[0]
+    step = block_rows(n)
+    sums = np.empty(n)
+    for start in range(0, n, step):
+        sums[start:start + step] = point_to_rows(rows[start:start + step], rows, kind).sum(axis=1)
+    return int(np.argmin(sums))
 
 
 def build_profiles(

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from workload_profiler.distances import distance, point_to_rows
+from workload_profiler.preprocess import proportional_allocation
 
 
 def _dense_distances(X: np.ndarray, kind: str) -> list[list[float]]:
@@ -266,6 +267,41 @@ def slow_silhouette(X: np.ndarray, labels, kind="euclidean"):
         denom = max(a, b)
         scores.append(0.0 if denom == 0 else (b - a) / denom)
     return sum(scores) / len(scores)
+
+
+def rowwise_silhouette(X: np.ndarray, labels, kind="euclidean", max_points=20_000, seed=0):
+    """Mean silhouette with one distance row and one bincount per scored
+    point, over the clustered (or subsampled) rows only, summed in row order:
+    the bits the blocked, stacked silhouette_mean must reproduce."""
+    labels = np.asarray(labels)
+    X, lab = X[labels >= 0], labels[labels >= 0]
+    uniq = np.unique(lab)
+    if uniq.size < 2:
+        return None
+    if X.shape[0] > max_points:
+        alloc = proportional_allocation({str(c): int(np.sum(lab == c)) for c in uniq}, max_points)
+        rng = np.random.default_rng(seed)
+        picked = []
+        for c in uniq:
+            idx = np.flatnonzero(lab == c)
+            picked.append(idx[rng.choice(idx.size, size=alloc[str(c)], replace=False)])
+        sel = np.sort(np.concatenate(picked))
+        X, lab = X[sel], lab[sel]
+    uniq, dense = np.unique(lab, return_inverse=True)
+    k = uniq.size
+    counts = np.bincount(dense, minlength=k)
+    total = 0.0
+    for i in range(X.shape[0]):
+        d = point_to_rows(X[i], X, kind)
+        sums = np.bincount(dense, weights=d, minlength=k)
+        c = dense[i]
+        if counts[c] == 1:
+            continue
+        a = (sums[c] - d[i]) / (counts[c] - 1)
+        b = float(np.where(np.arange(k) == c, np.inf, sums / counts).min())
+        if max(a, b) > 0.0:
+            total += (b - a) / max(a, b)
+    return float(total / X.shape[0])
 
 
 def slow_davies_bouldin(X: np.ndarray, labels, kind="euclidean"):

@@ -90,3 +90,18 @@ def test_point_to_rows_equals_scalar_loop_in_documented_order(kind, dims):
     for i in range(0, 60, 7):
         expected = [ordered_distance(X[i], X[j], kind) for j in range(60)]
         assert point_to_rows(F[i], F, kind).tolist() == expected
+
+
+@pytest.mark.parametrize("dims", [1, 2, 4, 9])
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_point_block_equals_one_point_calls(kind, dims):
+    rng = np.random.default_rng(10 + dims)
+    X = rng.normal(size=(150, dims)) * rng.uniform(0.01, 100.0, size=dims)
+    X[3] = 0.0  # a zero vector for cosine
+    F = np.asfortranarray(X)
+    for block in (X[:1], X[2:9], F[[5, 3, 5, 140]], X[::-1]):
+        got = point_to_rows(block, F, kind)
+        assert got.shape == (len(block), 150)
+        assert np.array_equal(got, np.stack([point_to_rows(p, F, kind) for p in block]))
+    with pytest.raises(ValueError):
+        point_to_rows(np.zeros((2, dims + 1)), F, kind)

@@ -1,9 +1,12 @@
 import pytest
 
-from oracles import slow_acquires
+from oracles import rowwise_silhouette, slow_acquires
 from workload_profiler.errors import NoViableConfigError
-from workload_profiler.gridsearch import GridSpec, grid_search
+from workload_profiler.gridsearch import DEFAULT_MIN_POINTS, GridSpec, grid_search
+from workload_profiler.hdbscan import hdbscan
+from workload_profiler.preprocess import fit_transform
 from workload_profiler.synth import make_blob_trace
+from workload_profiler.trace_model import runtime_matrix
 
 
 def test_grid_spec_validation():
@@ -13,8 +16,8 @@ def test_grid_spec_validation():
         GridSpec(algorithms=("kmeans",))
     with pytest.raises(ValueError):
         GridSpec(algorithms=("dbscan",))  # dbscan needs eps values
-    with pytest.raises(NotImplementedError):
-        GridSpec(algorithms=("optics",))  # documented extension point
+    with pytest.raises(ValueError):
+        GridSpec(algorithms=("optics",))  # not implemented: an unknown algorithm
 
 
 def test_default_min_points_range():
@@ -113,23 +116,18 @@ def test_report_records_every_combination():
     assert all(set(r) == set(recs[0]) for r in recs)
 
 
-def test_shared_core_distances_give_the_rows_of_each_combination_alone():
-    ds, _, _ = make_blob_trace(240, 3, seed=5, outlier_fraction=0.05)
-    grid = GridSpec(
-        algorithms=("hdbscan",), transforms=("standard", "power"),
-        distances=("euclidean", "manhattan"), min_points=(30, 8, 300, 15),
-    )
-    _, _, rows = grid_search(ds, grid, optimal_cluster_count=3, seed=0)
-    assert len(rows) == 16
-    assert any(r.error for r in rows) and any(r.error is None for r in rows)
+def _rows_equal_each_combination_alone(ds, grid, **kwargs):
+    _, _, rows = grid_search(ds, grid, optimal_cluster_count=3, seed=0, **kwargs)
+    assert len(rows) == len(grid.combinations())
     for row in rows:
         c = row.config
         alone = GridSpec(
-            algorithms=("hdbscan",), transforms=(c.transform,),
+            algorithms=(c.algorithm,), transforms=(c.transform,),
             distances=(c.distance,), min_points=(c.min_points,),
+            eps=() if c.eps is None else (c.eps,),
         )
         try:
-            _, _, (single,) = grid_search(ds, alone, optimal_cluster_count=3, seed=0)
+            _, _, (single,) = grid_search(ds, alone, optimal_cluster_count=3, seed=0, **kwargs)
         except NoViableConfigError:
             assert row.error is not None
             continue
@@ -137,3 +135,35 @@ def test_shared_core_distances_give_the_rows_of_each_combination_alone():
         got = row.to_record()
         del expected["selected"], got["selected"]
         assert got == expected
+    return rows
+
+
+def test_shared_core_distances_give_the_rows_of_each_combination_alone():
+    ds, _, _ = make_blob_trace(240, 3, seed=5, outlier_fraction=0.05)
+    grid = GridSpec(
+        algorithms=("hdbscan",), transforms=("standard", "power"),
+        distances=("euclidean", "manhattan"), min_points=(30, 8, 300, 15),
+    )
+    rows = _rows_equal_each_combination_alone(ds, grid)
+    assert len(rows) == 16
+    assert any(r.error for r in rows) and any(r.error is None for r in rows)
+
+    # The default sizes, a silhouette cap below the clustered count, and
+    # dbscan combinations evaluated in groups of their own.
+    ds, _, _ = make_blob_trace(640, 3, seed=5, outlier_fraction=0.05)
+    grid = GridSpec(
+        algorithms=("hdbscan", "dbscan"), transforms=("power",),
+        distances=("euclidean", "manhattan"), min_points=DEFAULT_MIN_POINTS, eps=(0.3,),
+    )
+    rows = _rows_equal_each_combination_alone(ds, grid, silhouette_cap=250)
+    _, transformed = fit_transform(runtime_matrix(ds), "power")
+    for row in rows:
+        c = row.config
+        if c.algorithm == "hdbscan" and row.silhouette_defined:
+            labels = hdbscan(transformed, c.min_points, c.distance)
+            expected = rowwise_silhouette(transformed.rows, labels, c.distance, 250, seed=0)
+            assert row.silhouette == expected
+    assert any(r.silhouette_subsampled and r.silhouette_defined for r in rows)
+    assert any(r.error is None and not r.silhouette_defined for r in rows)
+    assert any(r.config.algorithm == "dbscan" and r.silhouette_defined for r in rows)
+    assert any(r.error and "min_cluster_size" in r.error for r in rows)

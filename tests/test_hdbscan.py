@@ -100,6 +100,46 @@ def test_prim_edges_equal_slow_oracle(kind, duplicates):
         assert np.array_equal(edges, slow_prim_mst(X, core, kind))
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_core_selection_equals_full_sort_for_k_from_1_to_n(kind):
+    rng = np.random.default_rng(8)
+    X = np.round(np.vstack([rng.normal(size=(500, 3)), np.ones((6, 3))]), 1)
+    n = len(X)
+    for ks in ((1, 2, 7, 38, 250), (1, 5, n - 1, n)):
+        core = core_distances(X, ks, kind)
+        for k in ks:
+            expected = [np.sort(point_to_rows(X[i], X, kind))[k - 1] for i in range(n)]
+            assert core[k].tolist() == expected
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("trees", [1, 2, 7])
+def test_lockstep_trees_equal_slow_oracle_per_tree(kind, duplicates, trees):
+    rng = np.random.default_rng(9)
+    X = blobs(rng, [(0, 0, 0), (3, 0, 1), (0, 5, 2)], 35, sigma=0.5, dims=3)
+    if duplicates:
+        X = np.round(np.vstack([X, X[:20], np.full((10, 3), 1.5)]), 1)
+    ks = (2, 3, 5, 9, 15, 30, 60)[:trees]
+    core = core_distances(X, ks, kind)
+    forest = mutual_reachability_mst(X, np.stack([core[k] for k in ks]), kind)
+    assert forest.shape == (trees, len(X) - 1, 3)
+    for k, edges in zip(ks, forest):
+        assert np.array_equal(edges, slow_prim_mst(X, core[k], kind))
+
+
+def test_hdbscan_stack_rows_equal_each_size_alone():
+    rng = np.random.default_rng(10)
+    X = np.vstack([blobs(rng, [(0, 0), (4, 4), (0, 6)], 40, sigma=0.5), rng.uniform(-3, 9, (8, 2))])
+    sizes = (30, 4, 12, 4)
+    stack = hdbscan(X, sizes, "manhattan")
+    assert stack.shape == (4, len(X))
+    for k, row in zip(sizes, stack):
+        assert np.array_equal(row, hdbscan(X, k, "manhattan"))
+    with pytest.raises(ValueError):
+        hdbscan(X, (5, len(X) + 1))
+
+
 def test_mst_total_weight_matches_brute_force():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    rowwise_silhouette,
     slow_acquires,
     slow_class_report,
     slow_davies_bouldin,
@@ -63,6 +64,39 @@ def test_silhouette_subsample_path_is_deterministic():
     b = silhouette_mean(X, labels, max_points=100, seed=5)
     assert a == b
     assert -1.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_stacked_silhouette_equals_one_call_per_labelling(kind):
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.normal(c, 1.0, (90, 3)) for c in (0.0, 5.0, 9.0)])
+    X[7] = X[8]  # a duplicate point
+    n = len(X)
+    base = np.repeat([0, 1, 2], 90)
+
+    def drop(lab, share):
+        return np.where(rng.random(n) < share, -1, lab)
+
+    singletons = base.copy()
+    singletons[[0, 100, 200]] = [7, 8, 9]  # singleton clusters score 0
+    stack = np.stack([
+        drop(base, 0.2),  # below the cap: scored in the shared pass
+        drop(singletons, 0.25),
+        drop(rng.integers(0, 4, n), 0.3),
+        np.where(base == 1, 0, -1),  # a single cluster: undefined
+        np.full(n, -1),  # all outliers: undefined
+        base,  # 270 clustered points > max_points: scored on a subsample
+    ])
+    got = silhouette_mean(X, stack, kind, max_points=250, seed=3)
+    assert len(got) == len(stack)
+    for lab, value in zip(stack, got):
+        try:
+            alone = silhouette_mean(X, lab, kind, max_points=250, seed=3)
+        except DegenerateDataError:
+            alone = None
+        assert value == alone == rowwise_silhouette(X, lab, kind, max_points=250, seed=3)
+    assert got[3] is None and got[4] is None and None not in got[:3]
+    assert silhouette_mean(X, base, kind, seed=3) != got[5]  # the subsample ran
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])

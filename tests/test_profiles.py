@@ -4,9 +4,11 @@ import pytest
 from oracles import slow_percentile
 from workload_profiler.errors import EmptyProfileSetError
 from workload_profiler.preprocess import fit_transform
+from workload_profiler.distances import point_to_rows
 from workload_profiler.profiles import (
     ClusteringConfig,
     ProfileSet,
+    _medoid_index,
     build_profiles,
 )
 from workload_profiler.synth import make_blob_trace
@@ -140,3 +142,18 @@ def test_labels_misaligned(tiny_dataset):
     spec, _ = small_setup(tiny_dataset)
     with pytest.raises(ValueError):
         build_profiles(tiny_dataset, [0, 0, 1], config(), spec, now=0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_blocked_medoid_equals_the_row_loop(kind):
+    rng = np.random.default_rng(12)
+    for n in (1, 7, 9, 300, 2500):
+        rows = np.round(rng.normal(size=(n, 4)), 1)
+        rows[n // 2:] = rows[: n - n // 2]  # duplicates: equal sums, first wins
+        F = np.asfortranarray(rows)
+        best, best_sum = 0, np.inf
+        for i in range(n):
+            s = float(point_to_rows(F[i], F, kind).sum())
+            if s < best_sum:
+                best, best_sum = i, s
+        assert _medoid_index(rows, kind) == best
