@@ -8,7 +8,12 @@ subprocess on one set of seeded ``synth`` inputs, generated once by the head
 tree:
 
   default-grid   build on a 1200-row trace with the default 56-combination
-                 grid, then ``classify`` of 300 JSONL records against it;
+                 grid and a numeric metadata column that the descriptor
+                 bucketizes; ``classify`` of 300 JSONL records written from
+                 the CSV rows (raw numbers, unseen values and a record
+                 missing a feature included); ``evaluate`` on a seeded
+                 holdout, once with ``alt_normalization``; ``sample`` and
+                 ``hopkins`` on the same trace;
   criterion-8    build with the config of acceptance criterion 8;
   drift          build and ``feedback`` over a ``make_drift_pair`` stream.
 
@@ -21,32 +26,74 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 GENERATE = r"""
-import json, sys
+import csv, json, sys
 from pathlib import Path
+import numpy as np
 from workload_profiler import artifacts
 from workload_profiler.synth import make_blob_trace, make_drift_pair
 from workload_profiler.trace_model import schema_for, write_trace
 
 root, seed = Path(sys.argv[1]), int(sys.argv[2])
 
-def save(name, ds, config):
+def save(name, ds, config, descriptor=None):
     write_trace(ds, root / f"{name}.csv")
-    artifacts.write_json(root / f"{name}-descriptor.json", schema_for(ds).to_json())
+    descriptor = descriptor or schema_for(ds).to_json()
+    artifacts.write_json(root / f"{name}-descriptor.json", descriptor)
     doc = {"trace": str(root / f"{name}.csv"),
            "descriptor": str(root / f"{name}-descriptor.json"), **config}
     artifacts.write_json(root / f"{name}.json", doc)
 
-ds, _, _ = make_blob_trace(1200, 4, seed=seed, metadata_noise=0.03, outlier_fraction=0.02)
-save("default-grid", ds, {"seed": seed, "acquires": {"optimal_cluster_count": 4}})
+def add_numeric_column(path, rng):
+    # A numeric metadata column the descriptor bucketizes; the cells mix
+    # integers, decimals, padded and underscored spellings, and a few cells
+    # that drop their row (nan, empty).
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        value = float(rng.choice([1, 2, 4, 8, 16])) * rng.uniform(0.5, 1.5)
+        spelling = rng.choice(6, p=[0.4, 0.3, 0.2, 0.05, 0.03, 0.02])
+        row.insert(4, [repr(value), str(int(value)), f" {value:.3f} ", "1_0", "nan", ""][spelling])
+    rows[0].insert(4, "gpu_req")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return rows
+
+config = {"seed": seed, "acquires": {"optimal_cluster_count": 4}}
+ds, _, centers = make_blob_trace(1200, 4, seed=seed, metadata_noise=0.03, outlier_fraction=0.02)
+descriptor = schema_for(ds).to_json()
+descriptor["columns"]["gpu_req"] = "metadata"
+descriptor["bucketize"] = ["gpu_req"]
+rng = np.random.default_rng(seed)
+save("default-grid", ds, config, descriptor)
+rows = add_numeric_column(root / "default-grid.csv", rng)
+header = rows[0]
 with open(root / "classify.jsonl", "w", encoding="utf-8") as fh:
-    for w in ds.workloads[:300]:
-        fh.write(json.dumps({"id": w.id, "metadata": w.metadata}, sort_keys=True) + "\n")
+    for n, row in enumerate(rows[1:301]):
+        cells = dict(zip(header, row))
+        metadata = {c: cells[c] for c in ("app", "owner", "zone")}
+        try:
+            metadata["gpu_req"] = float(cells["gpu_req"])  # the raw number
+        except ValueError:
+            metadata["gpu_req"] = cells["gpu_req"]
+        if n % 7 == 3:
+            metadata["zone"] = "never-seen"
+        if n % 50 == 11:
+            del metadata["owner"]
+        fh.write(json.dumps({"id": cells["id"], "metadata": metadata}, sort_keys=True) + "\n")
+
+holdout, _, _ = make_blob_trace(400, 4, seed=seed + 100, centers=centers, id_prefix="h",
+                                metadata_noise=0.03)
+write_trace(holdout, root / "holdout.csv")
+add_numeric_column(root / "holdout.csv", rng)
+artifacts.write_json(root / "default-grid-alt.json",
+                     {**artifacts.read_json(root / "default-grid.json"), "alt_normalization": True})
 
 ds, _, _ = make_blob_trace(800, 3, seed=23, metadata_noise=0.05)
 save("criterion-8", ds, {
@@ -95,10 +142,25 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
         run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
     run(src, CLI, ["feedback", "--config", inputs / "drift.json",
                    "--stream", inputs / "drift-stream.csv", "--out", out / "drift"])
+    grid = out / "default-grid"
     with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
-        run(src, CLI, ["classify", "--model", out / "default-grid" / "model.json",
-                       "--profiles", out / "default-grid" / "profiles.json",
+        run(src, CLI, ["classify", "--model", grid / "model.json",
+                       "--profiles", grid / "profiles.json",
                        "--input", inputs / "classify.jsonl"], stdout=fh)
+    # evaluate writes next to the build artifacts, so each run gets a copy
+    for name in ("default-grid", "default-grid-alt"):
+        target = out / f"evaluate-{name}"
+        target.mkdir(parents=True, exist_ok=True)
+        for artifact in ("model.json", "profiles.json"):
+            shutil.copyfile(grid / artifact, target / artifact)
+        run(src, CLI, ["evaluate", "--config", inputs / f"{name}.json",
+                       "--holdout", inputs / "holdout.csv", "--out", target])
+    trace = ["--trace", inputs / "default-grid.csv",
+             "--descriptor", inputs / "default-grid-descriptor.json"]
+    run(src, CLI, ["sample", *trace, "--stratify-on", "app", "--target", 300,
+                   "--seed", 5, "--out", out / "sample.csv"])
+    with open(out / "hopkins.json", "w", encoding="utf-8") as fh:
+        run(src, CLI, ["hopkins", *trace, "--fraction", 0.1, "--seed", 3], stdout=fh)
 
 
 def differences(a: Path, b: Path) -> list[str]:

@@ -14,7 +14,7 @@ from .classifier import (
 )
 from .dbscan import dbscan
 from .distances import distance
-from .encoding import EncoderVocabulary, build_vocabulary, encode_record
+from .encoding import EncoderVocabulary, build_vocabulary
 from .feedback import (
     DeltaSpec,
     FeedbackConfig,
@@ -50,8 +50,8 @@ from .profiles import ClusteringConfig, FeatureStats, ProfileGroup, ProfileSet, 
 from .trace_model import (
     Dataset,
     FeatureMatrix,
+    MetadataBlock,
     TraceSchema,
-    Workload,
     load_trace,
     runtime_matrix,
     write_trace,

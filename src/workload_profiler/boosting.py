@@ -1,6 +1,6 @@
 """Gradient-boosted decision trees with a softmax objective, from scratch.
 
-Inputs are sparse one-hot rows (tuples of active column indices), which makes
+Inputs are sparse one-hot rows (each row's active column per feature), which makes
 exact greedy split finding cheap: for every (tree node, column) pair the
 gradient/hessian sums on the column's "present" side are accumulated with one
 bincount pass, and the "absent" side follows by subtraction. Trees are grown
@@ -53,12 +53,11 @@ DEFAULT_PARAMS = BoostingParams()
 _MIN_GAIN = 1e-12  # a split must strictly reduce loss
 
 
-def canonical_order(rows: Sequence[tuple[int, ...]], labels: np.ndarray) -> np.ndarray:
-    """Permutation sorting rows by (active columns, label): a stable, order-
-    free presentation of the same training bag."""
-    keys = [(rows[i], int(labels[i]), i) for i in range(len(rows))]
-    keys.sort(key=lambda t: (t[0], t[1]))
-    return np.array([t[2] for t in keys], dtype=np.int64)
+def canonical_order(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Permutation sorting rows by (one-hot columns, label), ties in input
+    order: a stable, order-free presentation of the same training bag."""
+    keys = [np.asarray(labels)] + [rows[:, j] for j in reversed(range(rows.shape[1]))]
+    return np.lexsort(keys).astype(np.int64)
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
@@ -177,29 +176,26 @@ class Forest:
             params=params,
         )
 
-    def leaves(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    def leaves(self, rows: np.ndarray) -> np.ndarray:
         """Leaf node of every row in every tree, shape (rows, rounds, n_classes).
 
-        Rows are sparse (active column indices, as encode_record returns
-        them). The batch descends all trees at once, one level per step: a
-        row goes right where the split column is among its active columns.
+        Rows are encoded metadata, (n, features) one-hot columns with -1 for
+        an unseen value. The batch descends all trees at once, one level per
+        step: a row goes right where the split column is one of its columns.
         """
-        width = max((len(cols) for cols in rows), default=0)
-        active = np.full((len(rows), width), -1, dtype=np.int32)
-        for i, cols in enumerate(rows):
-            active[i, : len(cols)] = cols
         feature = self.feature.reshape(-1, self.feature.shape[-1])
+        active = rows.astype(feature.dtype)  # compared without a cast per level
         trees = np.arange(feature.shape[0])
         node = np.zeros((len(rows), trees.size), dtype=np.int32)
         for _ in range(self.params.max_depth):
             split = feature[trees, node]
             present = np.zeros(split.shape, dtype=bool)
-            for j in range(width):  # in place: memory stays rows x trees
+            for j in range(active.shape[1]):  # in place: memory stays rows x trees
                 present |= split == active[:, j, None]
             node = np.where(split >= 0, 2 * node + 1 + present, node)
         return node.reshape(len(rows), *self.feature.shape[:2])
 
-    def raw_scores(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    def raw_scores(self, rows: np.ndarray) -> np.ndarray:
         node = self.leaves(rows)
         classes = np.arange(self.feature.shape[1])
         F = np.zeros((len(rows), classes.size), dtype=np.float64)
@@ -208,7 +204,7 @@ class Forest:
             F += lr * self.value[r, classes, node[:, r]]
         return F
 
-    def probabilities(self, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    def probabilities(self, rows: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(rows))
 
     def to_json(self) -> list[list[dict]]:
@@ -249,23 +245,23 @@ class Forest:
 
 
 def fit_forest(
-    rows: Sequence[tuple[int, ...]],
+    rows: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
     dim: int,
     params: BoostingParams = DEFAULT_PARAMS,
 ) -> Forest:
-    """Boost softmax trees on sparse one-hot rows with dense labels 0..K-1."""
+    """Boost softmax trees on encoded rows ((n, features) one-hot columns,
+    -1 for none) with dense labels 0..K-1."""
     labels = np.asarray(labels, dtype=np.int64)
     order = canonical_order(rows, labels)
-    rows = [rows[i] for i in order]
+    rows = rows[order]
     y = labels[order]
     n = len(rows)
 
-    rows_flat = np.array(
-        [i for i, cols in enumerate(rows) for _ in cols], dtype=np.int64
-    )
-    cols_flat = np.array([c for cols in rows for c in cols], dtype=np.int64)
+    active = rows >= 0
+    rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order
+    cols_flat = rows[active]
 
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0

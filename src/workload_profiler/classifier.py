@@ -20,19 +20,19 @@ from .boosting import (
     fit_forest,
     total_gain_by_column,
 )
-from .encoding import EncoderVocabulary, build_vocabulary, encode_record
-from .errors import DegenerateDataError, EmptyProfileSetError
+from .encoding import EncoderVocabulary, build_vocabulary
+from .errors import DegenerateDataError, EmptyProfileSetError, SchemaError
 from .profiles import ProfileSet
-from .trace_model import Dataset
+from .trace_model import Dataset, MetadataBlock, bucketize_value
 
 MODEL_FORMAT_VERSION = 1
 
 
 @dataclass
 class TrainingSet:
-    """Sparse encoded metadata rows with aligned profile labels."""
+    """Encoded metadata rows with aligned profile labels."""
 
-    rows: list[tuple[int, ...]]
+    rows: np.ndarray  # (n, features) one-hot columns, as EncoderVocabulary.encode gives
     labels: np.ndarray  # profile labels, not yet densified
     dimension: int
 
@@ -97,13 +97,14 @@ def build_training_set(
             raise ValueError("profile set lacks member ids; rebuild profiles in memory")
         for wid in g.member_ids:
             label_of[wid] = g.label
-    kept = [w for w in dataset.workloads if w.id in label_of]
+    labels = [label_of.get(wid) for wid in dataset.ids.tolist()]
+    kept = [i for i, label in enumerate(labels) if label is not None]
     if not kept:
         raise EmptyProfileSetError("no clustered workloads to train on")
-    vocab = build_vocabulary(dataset.schema_metadata, (w.metadata for w in kept))
-    rows = [encode_record(vocab, w.metadata) for w in kept]
-    labels = np.array([label_of[w.id] for w in kept], dtype=np.int64)
-    return TrainingSet(rows=rows, labels=labels, dimension=vocab.dimension), vocab
+    metadata = dataset.select(kept).metadata
+    vocab = build_vocabulary(metadata)
+    labels = np.array([labels[i] for i in kept], dtype=np.int64)
+    return TrainingSet(rows=vocab.encode(metadata), labels=labels, dimension=vocab.dimension), vocab
 
 
 def train(
@@ -139,13 +140,37 @@ def train(
     )
 
 
-def encode(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, ...]:
-    """Active columns of one workload's metadata, bucketized as at training."""
-    return encode_record(model.vocabulary, _apply_buckets(model, metadata))
+def record_values(model: ClassifierModel, metadata: Mapping) -> list[str]:
+    """One record's metadata values in vocabulary order, bucketized as at
+    training; a missing feature is an error."""
+    bounds = model.bucket_bounds or {}
+    values = []
+    for f in model.vocabulary.feature_names:
+        if f not in metadata:
+            raise SchemaError(f"metadata record is missing feature {f!r}")
+        values.append(str(_bucketized(metadata[f], bounds[f]) if f in bounds else metadata[f]))
+    return values
+
+
+def encode_records(model: ClassifierModel, records: Sequence[Mapping]) -> np.ndarray:
+    """Encoded rows of metadata records."""
+    values = [record_values(model, rec) for rec in records]
+    return model.vocabulary.encode(MetadataBlock.from_rows(model.vocabulary.feature_names, values))
+
+
+def encode_block(model: ClassifierModel, block: MetadataBlock) -> np.ndarray:
+    """Encoded rows of a metadata block, its values bucketized as at training
+    (a value that does not parse as a number is kept)."""
+    bounds = model.bucket_bounds or {}
+    tables = tuple(
+        tuple(_bucketized(v, bounds[f]) for v in table) if f in bounds else table
+        for f, table in zip(block.names, block.tables)
+    )
+    return model.vocabulary.encode(MetadataBlock(block.names, block.codes, tables))
 
 
 def classify_encoded(
-    model: ClassifierModel, rows: Sequence[tuple[int, ...]]
+    model: ClassifierModel, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, probability matrix in class order) of encoded rows; argmax
     ties pick the lowest label."""
@@ -157,28 +182,20 @@ def classify_batch(
     model: ClassifierModel, records: Sequence[Mapping[str, str]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label workloads from metadata alone: (labels, probability matrix)."""
-    return classify_encoded(model, [encode(model, rec) for rec in records])
+    return classify_encoded(model, encode_records(model, records))
 
 
 def classify(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, dict[int, float]]:
     """Label one workload: a batch of one."""
     labels, probs = classify_batch(model, [metadata])
-    return int(labels[0]), {c: float(p) for c, p in zip(model.class_labels, probs[0])}
+    return int(labels[0]), dict(zip(model.class_labels, probs[0].tolist()))
 
 
-def _apply_buckets(model: ClassifierModel, metadata: Mapping[str, str]) -> Mapping[str, str]:
-    if not model.bucket_bounds:
-        return metadata
-    from .trace_model import bucketize_value
-
-    out = dict(metadata)
-    for feature, bounds in model.bucket_bounds.items():
-        if feature in out:
-            try:
-                out[feature] = bucketize_value(float(out[feature]), bounds)
-            except (TypeError, ValueError):
-                pass  # already a quartile label
-    return out
+def _bucketized(value, bounds: tuple[float, float, float]):
+    try:
+        return str(bucketize_value(float(value), bounds))
+    except (TypeError, ValueError):
+        return value  # already a quartile label
 
 
 def feature_importance(model: ClassifierModel, top_n: int = 20) -> list[tuple[str, float]]:
@@ -200,7 +217,7 @@ def path_attribution(model: ClassifierModel, metadata: Mapping[str, str]) -> dic
     """Per-prediction attribution: leaf-value deltas along each tree path,
     summed per encoded feature across all trees and classes."""
     forest = model.forest
-    leaf = forest.leaves([encode(model, metadata)])[0]
+    leaf = forest.leaves(encode_records(model, [metadata]))[0]
     # The path of each tree as child nodes, root side first and 0 before the
     # root, so the sums below add up in path order.
     child = np.zeros(leaf.shape + (forest.params.max_depth,), dtype=np.int64)

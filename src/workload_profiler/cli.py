@@ -16,12 +16,14 @@ import sys
 from pathlib import Path
 
 from . import artifacts
-from .classifier import ClassifierModel, classify_encoded, encode
-from .errors import ProfilerError
-from .pipeline import RunConfig, run_build, run_evaluate, run_feedback_command
+from .classifier import ClassifierModel, classify_encoded, record_values
+from .errors import ConfigError, ProfilerError
+from .pipeline import RunConfig, read_artifacts, run_build, run_evaluate, run_feedback_command
 from .predictor import PredictionPolicy, predict
 from .preprocess import hopkins, stratified_sample
-from .trace_model import TraceSchema, load_trace, runtime_matrix, schema_for, write_trace
+from .profiles import ProfileSet
+from .trace_model import MetadataBlock, TraceSchema, load_trace, runtime_matrix
+from .trace_model import schema_for, write_trace
 
 OUT_ENV = "WORKLOAD_PROFILER_OUT"
 CLASSIFY_CHUNK = 128  # input lines read and routed together by `classify`
@@ -73,16 +75,18 @@ def _classify_chunk(model, predictions, chunk: list[tuple[int, str]]) -> None:
     line, in input order, with malformed lines reported inline."""
     docs: list[dict | None] = []
     parsed: list[tuple[int, int, dict]] = []  # (output slot, line number, record)
-    rows = []
+    values = []
     for line_no, line in chunk:
         try:
             record = json.loads(line)
-            rows.append(encode(model, record["metadata"]))
+            values.append(record_values(model, record["metadata"]))
         except (KeyError, ValueError, ProfilerError) as exc:
             docs.append({"line": line_no, "error": str(exc)})
         else:
             parsed.append((len(docs), line_no, record))
             docs.append(None)
+    vocab = model.vocabulary
+    rows = vocab.encode(MetadataBlock.from_rows(vocab.feature_names, values))
     labels, probs = classify_encoded(model, rows)
     keys = [str(c) for c in model.class_labels]
     for (at, line_no, record), label, p in zip(parsed, labels.tolist(), probs.tolist()):
@@ -104,15 +108,15 @@ def _classify_chunk(model, predictions, chunk: list[tuple[int, str]]) -> None:
 
 
 def _cmd_classify(args) -> int:
-    profiles = None
+    docs = read_artifacts(args.model, *filter(None, [args.profiles]))
+    model = ClassifierModel.from_json(docs[0])
     policy = PredictionPolicy()
-    if args.profiles:
-        from .profiles import ProfileSet
-
-        profiles = ProfileSet.from_json(artifacts.read_json(args.profiles))
     if args.policy:
-        policy = PredictionPolicy.from_json(json.loads(args.policy))
-    model = ClassifierModel.from_json(artifacts.read_json(args.model))
+        try:
+            policy = PredictionPolicy.from_json(json.loads(args.policy))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid --policy: {exc}") from exc
+    profiles = ProfileSet.from_json(docs[1]) if args.profiles else None
     predictions = None if profiles is None else _label_predictions(model, profiles, policy)
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")

@@ -1,18 +1,22 @@
 """Sparse one-hot encoding of categorical metadata.
 
 The vocabulary stores per-feature category lists in sorted order, so the
-encoded layout is independent of row order. Values unseen at training time
-encode to an all-zero block for their feature, which lets new users or job
-names pass through without erroring.
+encoded layout is independent of row order. A metadata block encodes to an
+(n, features) array holding each row's active one-hot column per feature.
+Values unseen at training time encode to -1, an all-zero block for their
+feature, which lets new users or job names pass through without erroring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import SchemaError
+from .trace_model import MetadataBlock
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,21 @@ class EncoderVocabulary:
         for f in self.feature_names:
             out[f] = {value: at + j for j, value in enumerate(self.categories[f])}
             at += len(self.categories[f])
+        return out
+
+    def encode(self, block: MetadataBlock) -> np.ndarray:
+        """One-hot column of each row's value of each feature, (n, features);
+        -1 where the value is unseen, which leaves the feature's block
+        all-zero. Features meet block columns by name; a missing one is an
+        error."""
+        out = np.empty((len(block.codes), len(self.feature_names)), dtype=np.int64)
+        for j, f in enumerate(self.feature_names):
+            if f not in block.names:
+                raise SchemaError(f"metadata record is missing feature {f!r}")
+            k = block.names.index(f)
+            columns = self.column_of[f]
+            lookup = np.array([columns.get(v, -1) for v in block.tables[k]], dtype=np.int64)
+            out[:, j] = lookup[block.codes[:, k]]
         return out
 
     def column_name(self, index: int) -> str:
@@ -60,31 +79,7 @@ class EncoderVocabulary:
         )
 
 
-def build_vocabulary(
-    feature_names: Iterable[str], records: Iterable[Mapping[str, str]]
-) -> EncoderVocabulary:
-    names = tuple(feature_names)
-    seen: dict[str, set[str]] = {f: set() for f in names}
-    for rec in records:
-        for f in names:
-            seen[f].add(str(rec[f]))
-    return EncoderVocabulary(
-        feature_names=names,
-        categories={f: tuple(sorted(seen[f])) for f in names},
-    )
-
-
-def encode_record(vocab: EncoderVocabulary, record: Mapping[str, str]) -> tuple[int, ...]:
-    """Active one-hot indices for one metadata record (sparse form).
-
-    Unknown categories contribute no index; a missing feature is an error.
-    """
-    columns = vocab.column_of
-    active: list[int] = []
-    for f in vocab.feature_names:
-        if f not in record:
-            raise SchemaError(f"metadata record is missing feature {f!r}")
-        col = columns[f].get(str(record[f]))
-        if col is not None:  # an unknown value leaves its block all-zero
-            active.append(col)
-    return tuple(active)
+def build_vocabulary(block: MetadataBlock) -> EncoderVocabulary:
+    """One category list per column: the sorted values its rows hold."""
+    categories = {f: tuple(block.counts(j)) for j, f in enumerate(block.names)}
+    return EncoderVocabulary(feature_names=block.names, categories=categories)

@@ -1,11 +1,11 @@
 """Feedback loop: violation monitoring, staleness, and triggered re-clustering.
 
-Events are applied strictly in stream order (single writer); classification
-and the outlier rule are prefetched in batches purely as an optimization and
-are discarded whenever the model and profiles are replaced. A fired trigger
-re-clusters over all data seen so far and the result is adopted only when its
-composite quality score clears tau_quality; otherwise the old profiles stay
-and a rejected update is logged.
+Events are applied strictly in stream order (single writer); labels,
+violation checks and the outlier rule are prefetched in batches purely as an
+optimization and are discarded whenever the model and profiles are replaced.
+A fired trigger re-clusters over all data seen so far and the result is
+adopted only when its composite quality score clears tau_quality; otherwise
+the old profiles stay and a rejected update is logged.
 
 A minimum number of events between fired triggers (default: the window size)
 keeps the update frequency balanced; without it a tripped threshold would
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .boosting import BoostingParams, DEFAULT_PARAMS
-from .classifier import ClassifierModel, build_training_set, classify_batch, train
+from .classifier import ClassifierModel, build_training_set, classify_encoded, encode_block, train
 from .errors import (
     DegenerateDataError,
     DuplicateIdError,
@@ -30,12 +30,11 @@ from .errors import (
     EmptyWindowError,
     NoViableConfigError,
 )
-from .gridsearch import GridSpec, grid_search, run_clustering
-from .metrics import EQUAL_WEIGHTS, acquires, silhouette_mean
+from .gridsearch import GridSpec, grid_search
+from .metrics import EQUAL_WEIGHTS
 from .predictor import BehaviorPrediction, PredictionPolicy, predict
-from .preprocess import fit_transform
-from .profiles import ClusteringConfig, ProfileGroup, ProfileSet, build_profiles
-from .trace_model import Dataset, runtime_matrix
+from .profiles import ProfileGroup, ProfileSet
+from .trace_model import Dataset, FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ class FeedbackConfig:
             raise ValueError("window must be >= 1")
         if self.window_mode not in ("events", "seconds"):
             raise ValueError("window_mode must be 'events' or 'seconds'")
+        if self.min_events_between_triggers is not None and self.min_events_between_triggers < 0:
+            raise ValueError("min_events_between_triggers must be >= 0")
 
     @property
     def cooldown(self) -> int:
@@ -121,7 +122,10 @@ class FeedbackConfig:
             window=int(doc.get("window", 10_000)),
             window_mode=doc.get("window_mode", "events"),
             tau_quality=float(doc.get("tau_quality", 0.5)),
-            min_events_between_triggers=doc.get("min_events_between_triggers"),
+            min_events_between_triggers=(
+                None if doc.get("min_events_between_triggers") is None
+                else int(doc["min_events_between_triggers"])
+            ),
         )
 
 
@@ -172,6 +176,16 @@ class FeedbackState:
         return self.outliers_seen / self.total_seen if self.total_seen else 0.0
 
 
+def _violated(
+    expected: np.ndarray, actual: np.ndarray, delta: DeltaSpec, features: Sequence[str]
+) -> np.ndarray:
+    """(rows, features) flags: actual strays beyond delta from expected."""
+    deviation = np.abs(actual - expected)
+    if delta.mode == "relative":
+        deviation /= np.maximum(np.abs(expected), 1e-9)
+    return deviation > np.array([delta.threshold(f) for f in features])
+
+
 def detect_violation(
     prediction: BehaviorPrediction,
     actual: Mapping[str, float],
@@ -180,13 +194,10 @@ def detect_violation(
     """Flag features whose actual value strays beyond delta from expectation."""
     if set(prediction.values) != set(actual):
         raise ValueError("prediction and actual feature sets differ")
-    flags: dict[str, bool] = {}
-    for f, expected in prediction.values.items():
-        deviation = abs(actual[f] - expected)
-        if delta.mode == "relative":
-            deviation /= max(abs(expected), 1e-9)
-        flags[f] = deviation > delta.threshold(f)
-    return any(flags.values()), flags
+    names = list(prediction.values)
+    expected = np.array([prediction.values[f] for f in names])
+    flags = _violated(expected, np.array([actual[f] for f in names]), delta, names).tolist()
+    return any(flags), dict(zip(names, flags))
 
 
 def violation_rate(state: FeedbackState, t: int) -> float:
@@ -226,20 +237,15 @@ def update_trigger(
 
 @dataclass(frozen=True)
 class ReclusterSpec:
-    """How to rebuild profiles when a trigger fires: a full grid or a single
-    pinned configuration."""
+    """How to rebuild profiles when a trigger fires: a grid search, which may
+    hold a single pinned combination."""
 
     optimal_cluster_count: int
-    grid: GridSpec | None = None
-    config: ClusteringConfig | None = None
+    grid: GridSpec = field(default_factory=GridSpec)
     weights: tuple[float, float, float] = EQUAL_WEIGHTS
     classifier_params: BoostingParams = DEFAULT_PARAMS
     seed: int = 0
     percentiles: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.grid is None) == (self.config is None):
-            raise ValueError("provide exactly one of grid or config")
 
 
 @dataclass
@@ -248,10 +254,10 @@ class TriggerRecord:
     t: int
     causes: list[str]
     acquires_before: float | None
-    acquires_total: float | None
-    adopted: bool
-    n_clusters: int | None
     window_rate_before: float | None
+    acquires_total: float | None = None
+    adopted: bool = False
+    n_clusters: int | None = None
     violations_after: int | None = None
     events_after: int | None = None
     reason: str | None = None
@@ -297,78 +303,50 @@ def _recluster(
     data: Dataset, regen: ReclusterSpec, t: int
 ) -> tuple[ProfileSet, ClassifierModel, float, int]:
     """Full rebuild over D(t): cluster, profile, retrain the classifier."""
-    if regen.grid is not None:
-        _, profile_set, rows = grid_search(
-            data, regen.grid, regen.optimal_cluster_count,
-            seed=regen.seed, weights=regen.weights, now=t,
-            percentiles=regen.percentiles,
-        )
-        selected = next(r for r in rows if r.selected)
-        score_total = float(selected.acquires_total)
-        n_clusters = selected.n_clusters
-    else:
-        config = regen.config
-        spec, transformed = fit_transform(runtime_matrix(data), config.transform)
-        labels = run_clustering(config, transformed)
-        if not np.any(labels >= 0):
-            raise EmptyProfileSetError("re-clustering produced no clusters")
-        try:
-            sil = silhouette_mean(transformed, labels, config.distance, seed=regen.seed)
-        except DegenerateDataError:
-            sil = 0.0
-        score = acquires(
-            labels, len(data), regen.optimal_cluster_count, sil, regen.weights
-        )
-        score_total = score.total
-        n_clusters = int(np.unique(labels[labels >= 0]).size)
-        kwargs = {} if regen.percentiles is None else {"percentiles": regen.percentiles}
-        profile_set = build_profiles(
-            data, labels, config, spec, now=t, transformed=transformed, **kwargs
-        )
-    profile_set.quality = score_total
+    _, profile_set, rows = grid_search(
+        data, regen.grid, regen.optimal_cluster_count,
+        seed=regen.seed, weights=regen.weights, now=t,
+        percentiles=regen.percentiles,
+    )
+    selected = next(r for r in rows if r.selected)
     ts, vocab = build_training_set(data, profile_set)
     model = train(
         ts, vocab, regen.classifier_params, seed=regen.seed,
         bucket_bounds=data.bucket_bounds,
     )
-    return profile_set, model, score_total, n_clusters
+    return profile_set, model, float(selected.acquires_total), selected.n_clusters
 
 
 class _Prefetch:
-    """Labels and outlier flags computed a chunk ahead of the single writer;
-    flushed whenever the model and profiles are swapped."""
+    """(label, outlier, violated) of stream events, computed a chunk ahead of
+    the single writer; flushed whenever the model and profiles are swapped."""
 
-    def __init__(self, model: ClassifierModel, profiles: ProfileSet, stream: Dataset,
-                 chunk: int = 512):
-        self.stream = stream
-        self.chunk = chunk
-        self.swap(model, profiles)
+    def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
+                 delta: DeltaSpec, chunk: int = 512):
+        self.stream, self.policy, self.delta, self.chunk = stream, policy, delta, chunk
+        self.features = tuple(dict.fromkeys(features))  # a repeated feature is checked once
+        self.actual = stream.runtime[:, [stream.schema_runtime.index(f) for f in self.features]]
 
     def swap(self, model: ClassifierModel, profiles: ProfileSet) -> None:
-        self.model = model
-        self.profiles = profiles
-        self._start = self._stop = 0
-        self._labels: list[int] = []
-        self._outliers: list[bool] = []
+        self.model, self.profiles = model, profiles
+        self.rows = encode_block(model, self.stream.metadata)
+        self.expected: dict[int, list[float]] = {}
+        self.start, self.events = 0, []
 
-    def __getitem__(self, index: int) -> tuple[int, bool]:
-        if not self._start <= index < self._stop:
-            self._start = index
-            self._stop = min(index + self.chunk, len(self.stream))
-            workloads = self.stream.workloads[self._start:self._stop]
-            labels, _ = classify_batch(self.model, [w.metadata for w in workloads])
-            self._labels = labels.tolist()
-            self._outliers = self.profiles.outlier_flags([w.runtime for w in workloads]).tolist()
-        k = index - self._start
-        return self._labels[k], self._outliers[k]
-
-
-def _concat(a: Dataset, b: Dataset) -> Dataset:
-    if a.schema_runtime != b.schema_runtime or a.schema_metadata != b.schema_metadata:
-        raise ValueError("datasets have different schemas")
-    return Dataset(
-        a.schema_runtime, a.schema_metadata, a.workloads + b.workloads, a.bucket_bounds
-    )
+    def __getitem__(self, index: int) -> tuple[int, bool, bool]:
+        if not 0 <= index - self.start < len(self.events):
+            self.start, span = index, slice(index, index + self.chunk)
+            labels = classify_encoded(self.model, self.rows[span])[0].tolist()
+            for label in set(labels) - self.expected.keys():
+                values = predict(self.profiles.group(label), self.features, self.policy).values
+                self.expected[label] = [values[f] for f in self.features]
+            expected = np.array([self.expected[label] for label in labels])
+            violated = _violated(expected, self.actual[span], self.delta, self.features)
+            outliers = self.profiles.outlier_flags(
+                FeatureMatrix(self.stream.runtime[span], self.stream.schema_runtime)
+            )
+            self.events = list(zip(labels, outliers.tolist(), violated.any(axis=1).tolist()))
+        return self.events[index - self.start]
 
 
 def run_feedback(
@@ -388,14 +366,13 @@ def run_feedback(
     evaluate the trigger. On a fired trigger the profiles are rebuilt over
     original training data plus everything streamed so far.
     """
-    if len(stream) == 0:
-        raise ValueError("stream is empty")
     feats = tuple(features) if features else stream.schema_runtime
 
     state = FeedbackState(cfg=cfg)
-    prefetch = _Prefetch(model, profiles, stream)
-    group_of = {g.label: g for g in profiles.groups}
-    prediction_cache: dict[int, BehaviorPrediction] = {}
+    prefetch = _Prefetch(stream, feats, policy, cfg.delta)
+    prefetch.swap(model, profiles)
+    ids = stream.ids.tolist()
+    times = stream.submitted_at.tolist()
 
     triggers: list[TriggerRecord] = []
     timeline: list[dict] = []
@@ -403,30 +380,15 @@ def run_feedback(
     adopted_count = 0
     last_fire_index: int | None = None
 
-    for index, w in enumerate(stream.workloads):
-        t = w.submitted_at
-        label, outlier = prefetch[index]
-        if label not in prediction_cache:
-            prediction_cache[label] = predict(group_of[label], feats, policy)
-        actual = {f: w.runtime[f] for f in feats}
-        violated, _ = detect_violation(prediction_cache[label], actual, cfg.delta)
-        state.push(w.id, violated, t, outlier=outlier)
+    for index, (wid, t) in enumerate(zip(ids, times)):
+        label, outlier, violated = prefetch[index]
+        state.push(wid, violated, t, outlier=outlier)
         violations_total += int(violated)
-        timeline.append(
-            {
-                "event_index": index,
-                "t": t,
-                "id": w.id,
-                "label": label,
-                "violated": violated,
-                "outlier": outlier,
-            }
-        )
+        timeline.append({"event_index": index, "t": t, "id": wid, "label": label,
+                         "violated": violated, "outlier": outlier})
 
         fire, causes = update_trigger(state, profiles, cfg, t)
-        in_cooldown = (
-            last_fire_index is not None and index - last_fire_index < cfg.cooldown
-        )
+        in_cooldown = last_fire_index is not None and index - last_fire_index < cfg.cooldown
         if not fire or in_cooldown:
             continue
 
@@ -435,31 +397,16 @@ def run_feedback(
             rate_before = violation_rate(state, t)
         except EmptyWindowError:
             rate_before = None
-        record = TriggerRecord(
-            event_index=index,
-            t=t,
-            causes=sorted(causes),
-            acquires_before=profiles.quality,
-            acquires_total=None,
-            adopted=False,
-            n_clusters=None,
-            window_rate_before=rate_before,
-        )
+        record = TriggerRecord(index, t, sorted(causes), profiles.quality, rate_before)
         triggers.append(record)
 
-        seen = stream.select(range(index + 1))
         try:
-            data_t = _concat(training_data, seen)
+            data_t = training_data.concat(stream.select(np.arange(index + 1)))
             new_profiles, new_model, score_total, n_clusters = _recluster(
                 data_t, regen, t
             )
-        except (
-            DegenerateDataError,
-            DuplicateIdError,
-            EmptyProfileSetError,
-            NoViableConfigError,
-            ValueError,
-        ) as exc:
+        except (DegenerateDataError, DuplicateIdError, EmptyProfileSetError,
+                NoViableConfigError, ValueError) as exc:
             record.reason = f"re-clustering failed: {exc}"
             continue
         record.acquires_total = score_total
@@ -470,8 +417,6 @@ def run_feedback(
             profiles = new_profiles
             model = new_model
             prefetch.swap(new_model, profiles)
-            group_of = {g.label: g for g in profiles.groups}
-            prediction_cache.clear()
             state.reset_window()
             state.outliers_seen = 0
         else:

@@ -56,6 +56,12 @@ class GridSpec:
                 kwargs[key] = tuple(doc[key])
         return cls(**kwargs)
 
+    @classmethod
+    def pinned(cls, c: ClusteringConfig) -> "GridSpec":
+        """The grid of one combination."""
+        eps = () if c.eps is None else (c.eps,)
+        return cls((c.algorithm,), (c.transform,), (c.distance,), (c.min_points,), eps)
+
     def combinations(self) -> list[ClusteringConfig]:
         combos: list[ClusteringConfig] = []
         for algorithm in self.algorithms:

@@ -198,6 +198,18 @@ class AcquiresScore:
 EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
+def check_acquires_params(
+    optimal_cluster_count: int, weights: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """The weights as floats, after checking them and the expected cluster count."""
+    if optimal_cluster_count < 1:
+        raise ValueError("optimal_cluster_count must be >= 1")
+    w = tuple(float(x) for x in weights)
+    if len(w) != 3 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+        raise ValueError("weights must be three nonnegative reals summing to 1")
+    return w
+
+
 def acquires(
     labels,
     n: int,
@@ -214,11 +226,7 @@ def acquires(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if optimal_cluster_count < 1:
-        raise ValueError("optimal_cluster_count must be >= 1")
-    w = tuple(float(x) for x in weights)
-    if len(w) != 3 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("weights must be three nonnegative reals summing to 1")
+    w = check_acquires_params(optimal_cluster_count, weights)
     lab = np.asarray(labels)
     n_outliers = int(np.sum(lab == -1))
     actual = int(np.unique(lab[lab >= 0]).size)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .feedback import FeedbackConfig, ReclusterSpec, run_feedback
 from .gridsearch import GRID_REPORT_FIELDS, GridSpec, grid_search
-from .metrics import EQUAL_WEIGHTS, class_report
+from .metrics import EQUAL_WEIGHTS, check_acquires_params, class_report
 from .predictor import PredictionPolicy, evaluate_holdout
 from .preprocess import hopkins
 from .profiles import ClusteringConfig, ProfileSet
@@ -63,7 +63,7 @@ class RunConfig:
     validation_fraction: float = 0.2
     prediction: PredictionPolicy = field(default_factory=PredictionPolicy)
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    recluster_config: ClusteringConfig | None = None
+    recluster_config: GridSpec | None = None  # one pinned combination
     predict_features: tuple[str, ...] | None = None
     build_timestamp: int = 0
     hopkins_fraction: float = 0.1
@@ -102,7 +102,7 @@ class RunConfig:
                 prediction=PredictionPolicy.from_json(doc.get("prediction", {})),
                 feedback=FeedbackConfig.from_json(doc.get("feedback", {})),
                 recluster_config=(
-                    ClusteringConfig.from_json(recluster) if recluster else None
+                    None if recluster is None else GridSpec.pinned(ClusteringConfig.from_json(recluster))
                 ),
                 predict_features=(
                     tuple(doc["predict_features"]) if "predict_features" in doc else None
@@ -121,6 +121,9 @@ class RunConfig:
             raise ConfigError(f"invalid run configuration: {exc}") from exc
 
     def _validated(self) -> "RunConfig":
+        check_acquires_params(self.optimal_cluster_count, self.acquires_weights)
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ConfigError("validation_fraction must be in [0, 1)")
         # the prediction quantile must be one of the stored profile percentiles
         key = round(self.prediction.quantile * 100.0, 6)
         if not any(abs(p - key) < 1e-9 for p in self.stats_percentiles):
@@ -145,9 +148,8 @@ class RunConfig:
 def stratified_split(
     ts: TrainingSet, validation_fraction: float, seed: int
 ) -> tuple[TrainingSet, TrainingSet | None]:
-    """Per-class 80/20-style split; every class keeps >= 1 training row."""
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ConfigError("validation_fraction must be in [0, 1)")
+    """Per-class 80/20-style split; every class keeps >= 1 training row. The
+    fraction is in [0, 1), as RunConfig validates."""
     if validation_fraction == 0.0:
         return ts, None
     rng = np.random.default_rng(seed)
@@ -162,18 +164,10 @@ def stratified_split(
         train_idx.extend(idx[n_val:].tolist())
     train_idx.sort()
     val_idx.sort()
-    train_part = TrainingSet(
-        rows=[ts.rows[i] for i in train_idx],
-        labels=labels[train_idx],
-        dimension=ts.dimension,
-    )
+    train_part = TrainingSet(rows=ts.rows[train_idx], labels=labels[train_idx], dimension=ts.dimension)
     if not val_idx:
         return train_part, None
-    val_part = TrainingSet(
-        rows=[ts.rows[i] for i in val_idx],
-        labels=labels[val_idx],
-        dimension=ts.dimension,
-    )
+    val_part = TrainingSet(rows=ts.rows[val_idx], labels=labels[val_idx], dimension=ts.dimension)
     return train_part, val_part
 
 
@@ -253,15 +247,17 @@ def run_build(config: RunConfig) -> BuildResult:
     return BuildResult(dataset=dataset, profiles=profiles, model=model, report=build_report)
 
 
-def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
-    profiles_path = output_dir / PROFILES_FILE
-    model_path = output_dir / MODEL_FILE
-    for p in (profiles_path, model_path):
-        if not p.exists():
+def read_artifacts(*paths: Path) -> list:
+    """Build artifacts' JSON documents, once every path is known to exist."""
+    for p in paths:
+        if not Path(p).exists():
             raise MissingArtifactError(f"missing build artifact: {p}")
-    profiles = ProfileSet.from_json(artifacts.read_json(profiles_path))
-    model = ClassifierModel.from_json(artifacts.read_json(model_path))
-    return profiles, model
+    return [artifacts.read_json(p) for p in paths]
+
+
+def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
+    profiles_doc, model_doc = read_artifacts(output_dir / PROFILES_FILE, output_dir / MODEL_FILE)
+    return ProfileSet.from_json(profiles_doc), ClassifierModel.from_json(model_doc)
 
 
 def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
@@ -299,8 +295,7 @@ def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
     stream, _ = load_trace(stream_path, schema, bucket_bounds=model.bucket_bounds)
     regen = ReclusterSpec(
         optimal_cluster_count=config.optimal_cluster_count,
-        grid=config.grid if config.recluster_config is None else None,
-        config=config.recluster_config,
+        grid=config.recluster_config or config.grid,
         weights=config.acquires_weights,
         classifier_params=config.classifier_params,
         seed=config.seed,

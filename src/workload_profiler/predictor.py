@@ -11,13 +11,12 @@ normalization by the profile's feature mean is available behind a flag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import ClassifierModel, classify_batch
+from .classifier import ClassifierModel, classify_encoded, encode_block
 from .errors import EmptyHoldoutError
 from .profiles import ProfileGroup, ProfileSet
 from .trace_model import Dataset
@@ -93,18 +92,26 @@ def predict(
     )
 
 
+def _errors(predicted: np.ndarray, actual: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(per-feature error % rows, combined % per row): 100 |p - a| / max(|scale|, eps),
+    combined as the root mean square over features, summed in feature order."""
+    errors = 100.0 * np.abs(predicted - actual) / np.maximum(np.abs(scale), REL_EPS)
+    squares = errors[:, 0] * errors[:, 0]
+    for j in range(1, errors.shape[1]):
+        squares = squares + errors[:, j] * errors[:, j]
+    return errors, np.sqrt(squares / errors.shape[1])
+
+
 def rmse_perc(
     predicted: Mapping[str, float], actual: Mapping[str, float]
 ) -> tuple[dict[str, float], float]:
     """(per-feature error %, combined %). Zero iff prediction is exact."""
     if set(predicted) != set(actual):
         raise ValueError("predicted and actual feature sets differ")
-    errors = {
-        f: 100.0 * abs(predicted[f] - actual[f]) / max(abs(actual[f]), REL_EPS)
-        for f in predicted
-    }
-    combined = math.sqrt(sum(e * e for e in errors.values()) / len(errors))
-    return errors, combined
+    names = list(predicted)
+    a = np.array([[actual[f] for f in names]], dtype=np.float64)
+    errors, combined = _errors(np.array([[predicted[f] for f in names]], dtype=np.float64), a, a)
+    return dict(zip(names, errors[0].tolist())), combined[0].item()
 
 
 @dataclass
@@ -160,66 +167,47 @@ def evaluate_holdout(
     excluded and counted (this cannot happen for a model and profiles from
     the same build, but guards stale artifact mixes).
     """
-    if len(dataset) == 0:
-        raise EmptyHoldoutError("holdout is empty")
     feats = tuple(features) if features else dataset.schema_runtime
-    known = set(profiles.labels())
-
-    labels, _ = classify_batch(model, [w.metadata for w in dataset.workloads])
-    rows: list[dict] = []
-    alt_rows: list[dict] = []
-    combined_by_profile: dict[int, list[float]] = {}
-    excluded = 0
-    group_of = {g.label: g for g in profiles.groups}
-    prediction_cache: dict[int, BehaviorPrediction] = {}
-    for w, label in zip(dataset.workloads, labels):
-        label = int(label)
-        if label not in known:
-            excluded += 1
-            continue
-        if label not in prediction_cache:
-            prediction_cache[label] = predict(group_of[label], feats, policy)
-        pred = prediction_cache[label]
-        actual = {f: w.runtime[f] for f in feats}
-        errors, combined = rmse_perc(pred.values, actual)
-        rows.append(
-            {"id": w.id, "profile": label, "errors": errors, "combined": combined}
-        )
-        combined_by_profile.setdefault(label, []).append(combined)
-        if alt_normalization:
-            group = group_of[label]
-            alt_errors = {
-                f: 100.0
-                * abs(pred.values[f] - actual[f])
-                / max(abs(group.stats[f].mean), REL_EPS)
-                for f in feats
-            }
-            alt_combined = math.sqrt(
-                sum(e * e for e in alt_errors.values()) / len(alt_errors)
-            )
-            alt_rows.append(
-                {"id": w.id, "profile": label, "errors": alt_errors, "combined": alt_combined}
-            )
-
-    if not rows:
+    labels, _ = classify_encoded(model, encode_block(model, dataset.metadata))
+    scored = np.isin(labels, profiles.labels())
+    if not scored.any():
         raise EmptyHoldoutError("no workload could be scored against the profiles")
+    labels = labels[scored]
+    order, which = np.unique(labels, return_inverse=True)
+    order = order.tolist()
+    group_of = {g.label: g for g in profiles.groups}
+    names = tuple(dict.fromkeys(feats))  # a repeated feature is scored once
+    predictions = [predict(group_of[label], names, policy).values for label in order]
+    predicted = np.array([[p[f] for f in names] for p in predictions])[which]
+    actual = dataset.runtime[scored][:, [dataset.schema_runtime.index(f) for f in names]]
+    errors, combined = _errors(predicted, actual, actual)
+
+    ids = dataset.ids[scored].tolist()
+
+    def report_rows(errors: np.ndarray, combined: np.ndarray) -> list[dict]:
+        return [
+            {"id": wid, "profile": label, "errors": dict(zip(names, e)), "combined": c}
+            for wid, label, e, c in zip(ids, labels.tolist(), errors.tolist(), combined.tolist())
+        ]
+
+    rows = report_rows(errors, combined)
+    alt_rows: list[dict] = []
+    if alt_normalization:
+        means = np.array([[group_of[label].stats[f].mean for f in names] for label in order])
+        alt_rows = report_rows(*_errors(predicted, actual, means[which]))
+
     per_profile = {}
-    for label, values in combined_by_profile.items():
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
-        per_profile[label] = {
-            "q1": float(q1),
-            "median": float(med),
-            "q3": float(q3),
-            "count": len(values),
-        }
-    below = sum(1 for r in rows if r["combined"] < 50.0)
+    for label in order:
+        values = combined[labels == label]
+        q1, med, q3 = np.percentile(values, [25, 50, 75]).tolist()
+        per_profile[label] = {"q1": q1, "median": med, "q3": q3, "count": values.size}
     return RmseReport(
         features=feats,
         rows=rows,
         per_profile=per_profile,
-        fraction_below_50=below / len(rows),
+        fraction_below_50=int(np.count_nonzero(combined < 50.0)) / len(rows),
         n_evaluated=len(rows),
-        n_excluded=excluded,
+        n_excluded=len(dataset) - len(rows),
         policy=policy,
         alt_rows=alt_rows,
     )

@@ -258,20 +258,19 @@ def stratified_sample(
     if target_size > n:
         raise ValueError("target_size exceeds the dataset size")
 
-    strata: dict[str, list[int]] = {}
-    for i, w in enumerate(dataset.workloads):
-        strata.setdefault(w.metadata[stratify_on], []).append(i)
-    alloc = proportional_allocation({s: len(ix) for s, ix in strata.items()}, target_size)
+    j = dataset.schema_metadata.index(stratify_on)
+    codes = dataset.metadata.codes[:, j]
+    table = dataset.metadata.tables[j]  # sorted, so strata are visited in name order
+    alloc = proportional_allocation(dataset.metadata.counts(j), target_size)
 
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for name in sorted(strata):
-        take = alloc[name]
+    chosen: list[np.ndarray] = []
+    for code, name in enumerate(table):
+        take = alloc.get(name, 0)
         if take:
-            idx = np.asarray(strata[name])
-            chosen.extend(idx[rng.choice(len(idx), size=take, replace=False)].tolist())
-    chosen.sort()
-    return dataset.select(chosen)
+            idx = np.flatnonzero(codes == code)
+            chosen.append(idx[rng.choice(len(idx), size=take, replace=False)])
+    return dataset.select(np.sort(np.concatenate(chosen)))
 
 
 def skewness(values: Sequence[float]) -> float:

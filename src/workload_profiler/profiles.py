@@ -166,29 +166,34 @@ class ProfileSet:
     def labels(self) -> list[int]:
         return [g.label for g in self.groups]
 
-    def _centroid_distances(self, runtimes: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def _centroid_distances(self, matrix: FeatureMatrix) -> np.ndarray:
         """(groups, records) distances, in the transformed space, from each
-        centroid to raw runtime records."""
+        centroid to raw runtime rows; the matrix columns are taken by name."""
         names = self.transform_spec.feature_names
-        raw = np.array([[r[f] for f in names] for r in runtimes], dtype=np.float64)
-        t = apply_transform(self.transform_spec, FeatureMatrix(rows=raw, feature_names=names))
-        rows = np.asfortranarray(t.rows)
+        columns = [matrix.feature_names.index(f) for f in names]
+        raw = FeatureMatrix(rows=matrix.rows[:, columns], feature_names=names)
+        rows = np.asfortranarray(apply_transform(self.transform_spec, raw).rows)
         return np.stack([point_to_rows(g.centroid, rows, self.config.distance) for g in self.groups])
+
+    def _one(self, runtime: Mapping[str, float]) -> FeatureMatrix:
+        names = self.transform_spec.feature_names
+        return FeatureMatrix(rows=np.array([[runtime[f] for f in names]], dtype=np.float64),
+                             feature_names=names)
 
     def nearest_group(self, runtime: Mapping[str, float]) -> tuple[int, float]:
         """Nearest centroid (transformed space) for a raw runtime record."""
-        d = self._centroid_distances([runtime])[:, 0]
+        d = self._centroid_distances(self._one(runtime))[:, 0]
         i = int(np.argmin(d))
         return self.groups[i].label, float(d[i])
 
-    def outlier_flags(self, runtimes: Sequence[Mapping[str, float]]) -> np.ndarray:
-        """Post-hoc outlier rule for new arrivals, one flag per record:
-        beyond tau of every centroid."""
-        return self._centroid_distances(runtimes).min(axis=0) > self.distance_threshold
+    def outlier_flags(self, matrix: FeatureMatrix) -> np.ndarray:
+        """Post-hoc outlier rule for new arrivals, one flag per raw runtime
+        row: beyond tau of every centroid."""
+        return self._centroid_distances(matrix).min(axis=0) > self.distance_threshold
 
     def is_outlier(self, runtime: Mapping[str, float]) -> bool:
         """``outlier_flags`` for a single record."""
-        return bool(self.outlier_flags([runtime])[0])
+        return bool(self.outlier_flags(self._one(runtime))[0])
 
     def to_json(self, include_members: bool = False) -> dict:
         return {
@@ -268,7 +273,8 @@ def build_profiles(
         transformed = apply_transform(spec, runtime_matrix(dataset))
     T = transformed.rows
     raw = runtime_matrix(dataset).rows
-    ids = dataset.ids()
+    ids = dataset.ids
+    metadata = dataset.metadata
 
     groups: list[ProfileGroup] = []
     centroid_dists: list[np.ndarray] = []
@@ -281,11 +287,7 @@ def build_profiles(
             f: _feature_stats(raw[idx, j], percentiles)
             for j, f in enumerate(dataset.schema_runtime)
         }
-        bag: dict[str, dict[str, int]] = {f: {} for f in dataset.schema_metadata}
-        for i in idx:
-            for f in dataset.schema_metadata:
-                value = dataset.workloads[i].metadata[f]
-                bag[f][value] = bag[f].get(value, 0) + 1
+        bag = {f: metadata.counts(j, idx) for j, f in enumerate(metadata.names)}
         groups.append(
             ProfileGroup(
                 label=label,
@@ -295,13 +297,13 @@ def build_profiles(
                 stats=stats,
                 metadata_bag=bag,
                 last_update=now,
-                member_ids=tuple(ids[i] for i in idx),
+                member_ids=tuple(ids[idx].tolist()),
             )
         )
         centroid_dists.append(point_to_rows(centroid, member_rows, config.distance))
 
     tau = float(np.percentile(np.concatenate(centroid_dists), 95))
-    outliers = tuple(ids[i] for i in np.flatnonzero(lab == -1))
+    outliers = tuple(ids[lab == -1].tolist())
     return ProfileSet(
         groups=tuple(groups),
         outlier_ids=outliers,

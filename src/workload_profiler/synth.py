@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace_model import Dataset, Workload
+from .trace_model import Dataset
 
 RUNTIME_FEATURES = ("cpu_usage", "gpu_usage", "mem_usage", "duration")
 METADATA_FEATURES = ("app", "owner", "zone")
@@ -71,9 +71,8 @@ def make_blob_trace(
             log_values[i] = rng.uniform(-1.0, 5.0, len(features)) * np.log(10)
     values = np.exp(log_values)
 
-    workloads = []
-    for i in range(n):
-        c = int(cluster_of[i])
+    apps, owners, zones = [], [], []
+    for c in cluster_of.astype(np.int64).tolist():  # one row's draws at a time, in a fixed order
         if c >= 0:
             app = f"app{c}"
             if metadata_noise and rng.random() < metadata_noise:
@@ -82,24 +81,14 @@ def make_blob_trace(
         else:
             app = "adhoc"
             owner = f"user{int(rng.integers(0, n_clusters * 3))}"
-        metadata = {
-            "app": app,
-            "owner": owner,
-            "zone": f"z{int(rng.integers(0, 4))}",
-        }
-        runtime = {f: float(values[i, j]) for j, f in enumerate(features)}
-        workloads.append(
-            Workload(
-                id=f"{id_prefix}{i}",
-                metadata=metadata,
-                runtime=runtime,
-                submitted_at=start_time + i,
-            )
-        )
-    dataset = Dataset(
-        schema_runtime=features,
-        schema_metadata=METADATA_FEATURES,
-        workloads=tuple(workloads),
+        apps.append(app)
+        owners.append(owner)
+        zones.append(f"z{int(rng.integers(0, 4))}")
+    dataset = Dataset.from_columns(
+        ids=[f"{id_prefix}{i}" for i in range(n)],
+        runtime={f: values[:, j] for j, f in enumerate(features)},
+        metadata=dict(zip(METADATA_FEATURES, (apps, owners, zones))),
+        submitted_at=np.arange(start_time, start_time + n),
     )
     return dataset, cluster_of, centers
 
@@ -133,7 +122,7 @@ def make_drift_pair(
         id_prefix="s",
         start_time=n_train,
     )
-    drifted_workloads = ()
+    stream = known
     if n_stream_drift:
         drifted, _, _ = make_blob_trace(
             n_stream_drift,
@@ -145,10 +134,5 @@ def make_drift_pair(
             id_prefix="d",
             start_time=n_train + n_stream_known,
         )
-        drifted_workloads = drifted.workloads
-    stream = Dataset(
-        schema_runtime=train.schema_runtime,
-        schema_metadata=train.schema_metadata,
-        workloads=known.workloads + drifted_workloads,
-    )
+        stream = known.concat(drifted)
     return train, stream

@@ -1,9 +1,10 @@
 """Core domain types and CSV trace ingestion.
 
 A trace is a CSV file with a header row; a sidecar JSON descriptor assigns
-each column a role (id | metadata | runtime | timestamp | ignore). Datasets
-and feature matrices are immutable after construction, so they are safe to
-share across threads.
+each column a role (id | metadata | runtime | timestamp | ignore). A dataset
+holds the accepted rows as columns: ids, timestamps, a runtime matrix and
+int-coded metadata. Datasets and feature matrices are immutable after
+construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -98,53 +99,143 @@ class TraceSchema:
         return doc
 
 
-@dataclass(frozen=True)
-class Workload:
-    """One trace record: static metadata plus measured runtime features."""
+def _code_column(cells: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(codes, table) of one column of strings: the table holds the distinct
+    values in Python string order (a numpy ``U`` array would drop trailing
+    NULs) and codes[i] indexes cells[i] in it."""
+    table = tuple(sorted(set(cells)))
+    index = {value: code for code, value in enumerate(table)}
+    return np.fromiter(map(index.__getitem__, cells), np.int64, len(cells)), table
 
-    id: str
-    metadata: dict[str, str]
-    runtime: dict[str, float]
-    submitted_at: int = 0
+
+@dataclass(frozen=True, eq=False)
+class MetadataBlock:
+    """Categorical columns as int codes: codes[i, j] indexes tables[j], the
+    sorted values of column names[j]. Rows taken from a larger block keep its
+    tables, so a table may hold values that none of the rows hold."""
+
+    names: tuple[str, ...]
+    codes: np.ndarray  # (n, len(names)) int64
+    tables: tuple[tuple[str, ...], ...]
+
+    @classmethod
+    def from_columns(cls, names: Sequence[str], columns: Iterable[Sequence[str]]) -> "MetadataBlock":
+        codes, tables = zip(*map(_code_column, columns))
+        return cls(tuple(names), np.stack(codes, axis=1), tables)
+
+    @classmethod
+    def from_rows(cls, names: Sequence[str], rows: Sequence[Sequence[str]]) -> "MetadataBlock":
+        return cls.from_columns(names, list(zip(*rows)) or [()] * len(names))
+
+    def values(self, j: int) -> list[str]:
+        """Column j decoded, in row order."""
+        return np.asarray(self.tables[j], dtype=object)[self.codes[:, j]].tolist()
+
+    def counts(self, j: int, rows=slice(None)) -> dict[str, int]:
+        """How many of the rows hold each value of column j, for the values
+        they hold, in table order."""
+        held = np.bincount(self.codes[rows, j], minlength=len(self.tables[j])).tolist()
+        return {value: count for value, count in zip(self.tables[j], held) if count}
+
+    def concat(self, other: "MetadataBlock") -> "MetadataBlock":
+        """These rows, then other's, over the merged value tables."""
+        codes, tables = [], []
+        for j, (mine, theirs) in enumerate(zip(self.tables, other.tables)):
+            table = tuple(sorted(set(mine) | set(theirs)))
+            index = {value: code for code, value in enumerate(table)}
+            codes.append(np.concatenate([
+                np.array([index[v] for v in own], dtype=np.int64)[block.codes[:, j]]
+                for block, own in ((self, mine), (other, theirs))
+            ]))
+            tables.append(table)
+        return MetadataBlock(self.names, np.stack(codes, axis=1), tuple(tables))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of workloads sharing one schema."""
+    """An ordered collection of workloads sharing one schema, held as
+    columns: row i is ids[i], submitted_at[i], runtime[i] and metadata row i.
+    The arrays are read-only."""
 
     schema_runtime: tuple[str, ...]
-    schema_metadata: tuple[str, ...]
-    workloads: tuple[Workload, ...]
+    ids: np.ndarray           # (n,) object array of str
+    submitted_at: np.ndarray  # (n,) int64
+    runtime: np.ndarray       # (n, len(schema_runtime)) float64
+    metadata: MetadataBlock
     bucket_bounds: dict[str, tuple[float, float, float]] | None = None
 
     def __post_init__(self):
+        n = len(self.ids)
         if not self.schema_runtime:
             raise SchemaError("dataset needs at least one runtime feature")
-        if not self.workloads:
+        if n == 0:
             raise NoValidRowsError("dataset needs at least one workload")
-        seen: set[str] = set()
-        rt_keys = set(self.schema_runtime)
-        md_keys = set(self.schema_metadata)
-        for w in self.workloads:
-            if w.id in seen:
-                raise DuplicateIdError(f"duplicate workload id {w.id!r}")
-            seen.add(w.id)
-            if set(w.runtime) != rt_keys or set(w.metadata) != md_keys:
-                raise SchemaError(f"workload {w.id!r} does not match the declared schemas")
-            for name, value in w.runtime.items():
-                if not math.isfinite(value):
-                    raise SchemaError(f"workload {w.id!r} has non-finite {name!r}")
+        shapes = (self.submitted_at.shape, self.runtime.shape, self.metadata.codes.shape)
+        if shapes != ((n,), (n, len(self.schema_runtime)), (n, len(self.metadata.names))):
+            raise SchemaError("dataset columns do not match the declared schemas")
+        for array in (self.ids, self.submitted_at, self.runtime, self.metadata.codes):
+            array.flags.writeable = False
+        # The first offending row decides; within a row a repeated id comes first.
+        ids = self.ids.tolist()
+        first = {wid: i for i, wid in reversed(list(enumerate(ids)))}  # each id's first row
+        repeat = n if len(first) == n else next(i for i, wid in enumerate(ids) if first[wid] != i)
+        bad = ~np.isfinite(self.runtime)
+        row = int(bad.any(axis=1).argmax()) if bad.any() else n
+        if repeat < n and repeat <= row:
+            raise DuplicateIdError(f"duplicate workload id {self.ids[repeat]!r}")
+        if row < n:
+            name = self.schema_runtime[int(bad[row].argmax())]
+            raise SchemaError(f"workload {self.ids[row]!r} has non-finite {name!r}")
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        runtime: Mapping[str, Sequence[float]],
+        metadata: Mapping[str, Sequence[str]],
+        submitted_at: Sequence[int] | None = None,
+        bucket_bounds: dict[str, tuple[float, float, float]] | None = None,
+    ) -> "Dataset":
+        """A dataset from named columns; submission order defaults to row order."""
+        n = len(ids)
+        rows = np.empty((n, len(runtime)), dtype=np.float64)
+        for j, column in enumerate(runtime.values()):
+            rows[:, j] = column
+        return cls(
+            schema_runtime=tuple(runtime),
+            ids=np.array(list(ids), dtype=object),
+            submitted_at=np.asarray(range(n) if submitted_at is None else submitted_at, np.int64),
+            runtime=rows,
+            metadata=MetadataBlock.from_columns(tuple(metadata), metadata.values()),
+            bucket_bounds=bucket_bounds,
+        )
+
+    @property
+    def schema_metadata(self) -> tuple[str, ...]:
+        return self.metadata.names
 
     def __len__(self) -> int:
-        return len(self.workloads)
+        return len(self.ids)
 
-    def select(self, indices: Iterable[int]) -> "Dataset":
+    def select(self, indices: Sequence[int] | np.ndarray) -> "Dataset":
         """Subset by row indices, preserving the given order."""
-        picked = tuple(self.workloads[i] for i in indices)
-        return Dataset(self.schema_runtime, self.schema_metadata, picked, self.bucket_bounds)
+        idx = np.asarray(indices, dtype=np.int64)
+        metadata = MetadataBlock(self.metadata.names, self.metadata.codes[idx], self.metadata.tables)
+        return Dataset(self.schema_runtime, self.ids[idx], self.submitted_at[idx],
+                       self.runtime[idx], metadata, self.bucket_bounds)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(w.id for w in self.workloads)
+    def concat(self, other: "Dataset") -> "Dataset":
+        """These rows, then other's; the bucket bounds stay these."""
+        if self.schema_runtime != other.schema_runtime or self.schema_metadata != other.schema_metadata:
+            raise ValueError("datasets have different schemas")
+        return Dataset(
+            self.schema_runtime,
+            np.concatenate([self.ids, other.ids]),
+            np.concatenate([self.submitted_at, other.submitted_at]),
+            np.concatenate([self.runtime, other.runtime]),
+            self.metadata.concat(other.metadata),
+            self.bucket_bounds,
+        )
 
 
 @dataclass(frozen=True)
@@ -159,10 +250,6 @@ class FeatureMatrix:
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.feature_names):
             raise ValueError("matrix shape does not match feature names")
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
 
 def matrix_rows(matrix) -> np.ndarray:
     """The float rows of a FeatureMatrix or of any 2-D array-like."""
@@ -170,37 +257,30 @@ def matrix_rows(matrix) -> np.ndarray:
 
 
 def runtime_matrix(dataset: Dataset) -> FeatureMatrix:
-    """Stack the raw runtime vectors; row i corresponds to workloads[i]."""
-    names = dataset.schema_runtime
-    rows = np.array(
-        [[w.runtime[f] for f in names] for w in dataset.workloads], dtype=np.float64
-    )
-    return FeatureMatrix(rows=rows, feature_names=names, transform_applied="none")
+    """The raw runtime vectors, not copied; row i corresponds to dataset row i."""
+    return FeatureMatrix(rows=dataset.runtime, feature_names=dataset.schema_runtime)
 
 
-def _parse_finite(cell: str) -> float | None:
+def _float_or_nan(cell: str) -> float:
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
 
 
-def _quartile_bounds(values: Sequence[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = np.percentile(np.asarray(values, dtype=np.float64), [25, 50, 75])
-    return float(q1), float(q2), float(q3)
+def _parse(cells: Sequence[str]) -> np.ndarray:
+    """float() of each cell of a column, nan where it does not parse."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
 
 
-def bucketize_value(value: float, bounds: tuple[float, float, float]) -> str:
-    """Map a numeric metadata value onto its quartile label."""
+def bucketize_value(value, bounds: tuple[float, float, float]):
+    """Map a numeric metadata value, or an array of them, onto quartile labels."""
     b1, b2, b3 = bounds
-    if value <= b1:
-        return QUARTILE_LABELS[0]
-    if value <= b2:
-        return QUARTILE_LABELS[1]
-    if value <= b3:
-        return QUARTILE_LABELS[2]
-    return QUARTILE_LABELS[3]
+    index = np.where(value <= b1, 0, np.where(value <= b2, 1, np.where(value <= b3, 2, 3)))
+    return np.asarray(QUARTILE_LABELS, dtype=object)[index]
 
 
 def load_trace(
@@ -214,87 +294,68 @@ def load_trace(
     cell does not parse to a finite float, or when a bucketized metadata cell
     does not parse. Returns the dataset plus the number of dropped rows.
     Pass ``bucket_bounds`` to reuse quartile boundaries from an earlier load
-    (otherwise they are fitted on this file's accepted rows).
+    (otherwise they are fitted on this file's accepted rows). Blank lines are
+    skipped; a repeated header name reads its last column.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise TraceReadError(f"cannot read trace {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise TraceReadError(f"trace {path} has no header row")
         declared = [c for c, r in schema.columns.items() if r != "ignore"]
-        missing = [c for c in declared if c not in reader.fieldnames]
+        missing = [c for c in declared if c not in header]
         if missing:
             raise SchemaError(f"trace {path} lacks declared columns: {missing}")
-
-        id_col = schema.id_column
-        ts_col = schema.timestamp_column
-        md_cols = schema.metadata_columns
-        rt_cols = schema.runtime_columns
-
-        accepted: list[dict] = []
-        dropped = 0
+        at = {name: i for i, name in enumerate(header)}
+        wanted = [at[c] for c in declared]
+        cells = [[] for _ in declared]
         for row in reader:
-            cells = {c: (row.get(c) or "").strip() for c in declared}
-            if any(cells[c] == "" for c in declared):
-                dropped += 1
+            if not row:
                 continue
-            runtime = {}
-            bad = False
-            for c in rt_cols:
-                value = _parse_finite(cells[c])
-                if value is None:
-                    bad = True
-                    break
-                runtime[c] = value
-            if not bad and ts_col is not None:
-                ts = _parse_finite(cells[ts_col])
-                bad = ts is None
-            if not bad:
-                for c in schema.bucketize:
-                    if _parse_finite(cells[c]) is None:
-                        bad = True
-                        break
-            if bad:
-                dropped += 1
-                continue
-            accepted.append(
-                {
-                    "id": cells[id_col],
-                    "metadata": {c: cells[c] for c in md_cols},
-                    "runtime": runtime,
-                    "ts": int(float(cells[ts_col])) if ts_col else len(accepted),
-                }
-            )
+            for column, i in zip(cells, wanted):
+                column.append(row[i].strip() if i < len(row) else "")
+    col = dict(zip(declared, cells))
+    n_read = len(cells[0])
 
-    if not accepted:
+    ok = np.logical_and.reduce([np.fromiter(map(bool, column), bool, n_read) for column in cells])
+    parsed = {}
+    for c in (*schema.runtime_columns, *filter(None, [schema.timestamp_column]), *schema.bucketize):
+        parsed[c] = _parse(col[c])
+        ok &= np.isfinite(parsed[c])
+    keep = np.flatnonzero(ok)
+    if keep.size == 0:
         raise NoValidRowsError(f"trace {path} contains no valid rows")
+    kept = keep.tolist()
 
-    bounds: dict[str, tuple[float, float, float]] = {}
-    if schema.bucketize:
-        for col in schema.bucketize:
-            if bucket_bounds and col in bucket_bounds:
-                b = bucket_bounds[col]
-                bounds[col] = (float(b[0]), float(b[1]), float(b[2]))
-            else:
-                bounds[col] = _quartile_bounds([float(r["metadata"][col]) for r in accepted])
-        for r in accepted:
-            for col in schema.bucketize:
-                r["metadata"][col] = bucketize_value(float(r["metadata"][col]), bounds[col])
+    def accepted(c: str) -> list[str]:
+        return [col[c][i] for i in kept]
 
-    workloads = tuple(
-        Workload(id=r["id"], metadata=r["metadata"], runtime=r["runtime"], submitted_at=r["ts"])
-        for r in accepted
-    )
-    dataset = Dataset(
-        schema_runtime=rt_cols,
-        schema_metadata=md_cols,
-        workloads=workloads,
+    metadata = {c: accepted(c) for c in schema.metadata_columns}
+    bounds = {}
+    for c in schema.bucketize:
+        values = parsed[c][keep]
+        given = (bucket_bounds or {}).get(c)
+        bounds[c] = tuple(map(float, given[:3] if given else np.percentile(values, [25, 50, 75])))
+        metadata[c] = bucketize_value(values, bounds[c]).tolist()
+
+    submitted_at = None
+    if schema.timestamp_column is not None:
+        stamps = parsed[schema.timestamp_column][keep]
+        if not (np.abs(stamps) < 2.0**63).all():
+            raise SchemaError(f"trace {path} has a timestamp outside the int64 range")
+        submitted_at = stamps.astype(np.int64)  # truncates toward zero, as int() does
+    dataset = Dataset.from_columns(
+        ids=accepted(schema.id_column),
+        runtime={c: parsed[c][keep] for c in schema.runtime_columns},
+        metadata=metadata,
+        submitted_at=submitted_at,
         bucket_bounds=bounds or None,
     )
-    return dataset, dropped
+    return dataset, n_read - keep.size
 
 
 def render_number(value: float) -> str:
@@ -307,15 +368,15 @@ def render_number(value: float) -> str:
 def write_trace(dataset: Dataset, path: str | Path) -> None:
     """Persist a dataset as CSV in the canonical column layout."""
     header = ["id", *dataset.schema_metadata, *dataset.schema_runtime, "submitted_at"]
+    columns = [dataset.ids.tolist()]
+    columns += [dataset.metadata.values(j) for j in range(len(dataset.schema_metadata))]
+    columns += [list(map(render_number, dataset.runtime[:, j].tolist()))
+                for j in range(len(dataset.schema_runtime))]
+    columns.append(list(map(str, dataset.submitted_at.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for w in dataset.workloads:
-            row = [w.id]
-            row += [w.metadata[c] for c in dataset.schema_metadata]
-            row += [render_number(w.runtime[c]) for c in dataset.schema_runtime]
-            row.append(str(w.submitted_at))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def schema_for(dataset: Dataset) -> TraceSchema:

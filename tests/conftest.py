@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from workload_profiler.trace_model import Dataset, Workload
+from rows import dataset_of
+from workload_profiler.trace_model import Dataset
 
 
 @pytest.fixture
@@ -18,19 +19,8 @@ def tiny_dataset() -> Dataset:
         ("j4", "bob", "infer", 55.0, 25.0),
         ("j5", "carol", "train", 11.0, 105.0),
     ]
-    workloads = tuple(
-        Workload(
-            id=r[0],
-            metadata={"user": r[1], "task": r[2]},
-            runtime={"cpu": r[3], "mem": r[4]},
-            submitted_at=i,
-        )
-        for i, r in enumerate(rows)
-    )
-    return Dataset(
-        schema_runtime=("cpu", "mem"),
-        schema_metadata=("user", "task"),
-        workloads=workloads,
+    return dataset_of(
+        (r[0], {"user": r[1], "task": r[2]}, {"cpu": r[3], "mem": r[4]}) for r in rows
     )
 
 

@@ -377,6 +377,14 @@ def same_partition(a, b) -> bool:
     return partition_of(a) == partition_of(b)
 
 
+def slow_bucket(value: float, bounds) -> str:
+    """Quartile label of one value: the first bound it does not exceed."""
+    for label, bound in zip(("q1", "q2", "q3"), bounds):
+        if value <= bound:
+            return label
+    return "q4"
+
+
 def slow_forest_probabilities(model_json, metadata) -> dict:
     """Class probabilities of one record by walking model.json's nested trees.
 
@@ -384,8 +392,6 @@ def slow_forest_probabilities(model_json, metadata) -> dict:
     category lookup; each tree is walked from its root; leaf values add up in
     round order; the softmax is taken over the one score vector.
     """
-    from workload_profiler.trace_model import bucketize_value
-
     bounds = model_json.get("bucket_bounds") or {}
     vocab = model_json["vocabulary"]
     active = set()
@@ -394,7 +400,7 @@ def slow_forest_probabilities(model_json, metadata) -> dict:
         value = metadata[f]
         if f in bounds:
             try:
-                value = bucketize_value(float(value), tuple(bounds[f]))
+                value = slow_bucket(float(value), tuple(bounds[f]))
             except (TypeError, ValueError):
                 pass
         cats = list(vocab["categories"][f])
@@ -412,3 +418,60 @@ def slow_forest_probabilities(model_json, metadata) -> dict:
             raw[c] += lr * node["value"]
     e = np.exp(raw - raw.max())
     return dict(zip(labels, e / e.sum()))
+
+
+def slow_load_trace(path, schema, bucket_bounds=None) -> dict:
+    """The row-at-a-time loader: csv.DictReader, one dict per accepted row.
+
+    Returns ids, metadata and runtime dicts, timestamps, the dropped count
+    and the bucket bounds as plain Python values, for ``==`` comparison.
+    """
+    import csv
+
+    def parse_finite(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        declared = [c for c, r in schema.columns.items() if r != "ignore"]
+        ts_col = schema.timestamp_column
+        accepted, dropped = [], 0
+        for row in reader:
+            cells = {c: (row.get(c) or "").strip() for c in declared}
+            if any(cells[c] == "" for c in declared):
+                dropped += 1
+                continue
+            runtime = {c: parse_finite(cells[c]) for c in schema.runtime_columns}
+            checked = [*runtime.values(), *(parse_finite(cells[c]) for c in schema.bucketize)]
+            if ts_col is not None:
+                checked.append(parse_finite(cells[ts_col]))
+            if any(v is None for v in checked):
+                dropped += 1
+                continue
+            accepted.append({
+                "id": cells[schema.id_column],
+                "metadata": {c: cells[c] for c in schema.metadata_columns},
+                "runtime": runtime,
+                "ts": int(float(cells[ts_col])) if ts_col else len(accepted),
+            })
+    bounds = {}
+    for col in schema.bucketize:
+        if bucket_bounds and col in bucket_bounds:
+            bounds[col] = tuple(float(b) for b in bucket_bounds[col])
+        else:
+            values = np.asarray([float(r["metadata"][col]) for r in accepted])
+            bounds[col] = tuple(float(q) for q in np.percentile(values, [25, 50, 75]))
+        for r in accepted:
+            r["metadata"][col] = slow_bucket(float(r["metadata"][col]), bounds[col])
+    return {
+        "ids": [r["id"] for r in accepted],
+        "metadata": [r["metadata"] for r in accepted],
+        "runtime_bits": [[np.float64(v).tobytes() for v in r["runtime"].values()] for r in accepted],
+        "ts": [r["ts"] for r in accepted],
+        "dropped": dropped,
+        "bounds": bounds or None,
+    }

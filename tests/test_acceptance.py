@@ -16,11 +16,11 @@ from oracles import (
     slow_hdbscan,
     slow_silhouette,
 )
+from rows import encoded
 from workload_profiler import artifacts
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import TrainingSet, classify_batch, train
 from workload_profiler.dbscan import dbscan
-from workload_profiler.encoding import build_vocabulary, encode_record
 from workload_profiler.feedback import (
     DeltaSpec,
     FeedbackConfig,
@@ -171,8 +171,7 @@ def test_criterion_4_classifier_recoverability():
             {"g": f"g{y[i]}", "noise": f"n{rng.integers(0, vocab_extra)}"}
             for i in range(900)
         ]
-        vocab = build_vocabulary(("g", "noise"), records)
-        rows = [encode_record(vocab, r) for r in records]
+        vocab, rows = encoded(("g", "noise"), records)
         ts = TrainingSet(rows=rows[:700], labels=y[:700], dimension=vocab.dimension)
         model = train(ts, vocab, BoostingParams(rounds=40), seed=seed)
         labels, _ = classify_batch(model, records[700:])
@@ -188,8 +187,7 @@ def test_criterion_4_classifier_recoverability():
             {"g": f"g{rng.integers(0, 40)}", "noise": f"n{rng.integers(0, 40)}"}
             for _ in range(n)
         ]
-        vocab = build_vocabulary(("g", "noise"), records)
-        rows = [encode_record(vocab, r) for r in records]
+        vocab, rows = encoded(("g", "noise"), records)
         ts = TrainingSet(rows=rows[:640], labels=y[:640], dimension=vocab.dimension)
         model = train(ts, vocab, BoostingParams(rounds=40), seed=seed)
         labels, _ = classify_batch(model, records[640:])

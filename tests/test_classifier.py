@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from oracles import slow_forest_probabilities
+from rows import block_of, encoded, rows_of
 
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import (
@@ -11,11 +12,11 @@ from workload_profiler.classifier import (
     build_training_set,
     classify,
     classify_batch,
+    encode_records,
     feature_importance,
     path_attribution,
     train,
 )
-from workload_profiler.encoding import build_vocabulary, encode_record
 from workload_profiler.errors import DegenerateDataError, SchemaError
 from workload_profiler.preprocess import fit_transform
 from workload_profiler.profiles import ClusteringConfig, build_profiles
@@ -28,7 +29,7 @@ FAST = BoostingParams(rounds=25)
 # -------------------------------------------------------------- encoding
 
 def test_encoded_dimension():
-    vocab = build_vocabulary(
+    vocab, _ = encoded(
         ("a", "b"),
         [{"a": "x", "b": "p"}, {"a": "y", "b": "q"}, {"a": "z", "b": "p"}],
     )
@@ -37,20 +38,21 @@ def test_encoded_dimension():
 
 
 def test_unknown_value_encodes_to_zero_block():
-    vocab = build_vocabulary(("a", "b"), [{"a": "x", "b": "p"}])
-    assert encode_record(vocab, {"a": "x", "b": "p"}) == (0, 1)
-    assert encode_record(vocab, {"a": "??", "b": "p"}) == (1,)
-    assert encode_record(vocab, {"a": "??", "b": "??"}) == ()
+    vocab, _ = encoded(("a", "b"), [{"a": "x", "b": "p"}])
+    queries = [{"a": "x", "b": "p"}, {"a": "??", "b": "p"}, {"a": "??", "b": "??"}]
+    assert vocab.encode(block_of(("a", "b"), queries)).tolist() == [[0, 1], [-1, 1], [-1, -1]]
+    # block columns meet the vocabulary's features by name, in any order
+    assert vocab.encode(block_of(("b", "a"), queries)).tolist() == [[0, 1], [-1, 1], [-1, -1]]
 
 
 def test_missing_feature_errors():
-    vocab = build_vocabulary(("a", "b"), [{"a": "x", "b": "p"}])
-    with pytest.raises(SchemaError):
-        encode_record(vocab, {"a": "x"})
+    vocab, _ = encoded(("a", "b"), [{"a": "x", "b": "p"}])
+    with pytest.raises(SchemaError, match="missing feature 'b'"):
+        vocab.encode(block_of(("a",), [{"a": "x"}]))
 
 
 def test_column_names_are_feature_value_pairs():
-    vocab = build_vocabulary(("task name",), [{"task name": "ps"}, {"task name": "worker"}])
+    vocab, _ = encoded(("task name",), [{"task name": "ps"}, {"task name": "worker"}])
     assert vocab.column_name(0) == "task name=ps"
     assert vocab.column_name(1) == "task name=worker"
 
@@ -64,8 +66,7 @@ def bijective_training(n, n_classes, seed, extra_vocab=4):
     records = [
         {"g": f"g{y[i]}", "noise": f"n{rng.integers(0, extra_vocab)}"} for i in range(n)
     ]
-    vocab = build_vocabulary(("g", "noise"), records)
-    rows = [encode_record(vocab, r) for r in records]
+    vocab, rows = encoded(("g", "noise"), records)
     return TrainingSet(rows=rows, labels=y, dimension=vocab.dimension), vocab, records, y
 
 
@@ -110,8 +111,7 @@ def test_bijective_family_extremes(n_classes, vocab_extra):
         {"g": f"g{y[i]}", "noise": f"n{rng.integers(0, vocab_extra)}"}
         for i in range(n)
     ]
-    vocab = build_vocabulary(("g", "noise"), records)
-    rows = [encode_record(vocab, r) for r in records]
+    vocab, rows = encoded(("g", "noise"), records)
     split = int(n * 0.8)
     ts = TrainingSet(rows=rows[:split], labels=y[:split], dimension=vocab.dimension)
     model = train(ts, vocab, BoostingParams(rounds=20), seed=0)
@@ -135,8 +135,7 @@ def test_random_labels_score_near_majority():
             {"g": f"g{rng.integers(0, 40)}", "noise": f"n{rng.integers(0, 40)}"}
             for _ in range(n)
         ]
-        vocab = build_vocabulary(("g", "noise"), records)
-        rows = [encode_record(vocab, r) for r in records]
+        vocab, rows = encoded(("g", "noise"), records)
         split = int(n * 0.8)
         ts = TrainingSet(rows=rows[:split], labels=y[:split], dimension=vocab.dimension)
         model = train(ts, vocab, FAST, seed=seed)
@@ -152,9 +151,7 @@ def test_training_row_order_invariance():
     model_a = train(ts, vocab, FAST, seed=0)
     rng = np.random.default_rng(6)
     perm = rng.permutation(len(ts))
-    ts_shuffled = TrainingSet(
-        rows=[ts.rows[i] for i in perm], labels=ts.labels[perm], dimension=ts.dimension
-    )
+    ts_shuffled = TrainingSet(rows=ts.rows[perm], labels=ts.labels[perm], dimension=ts.dimension)
     model_b = train(ts_shuffled, vocab, FAST, seed=0)
     _, probs_a = classify_batch(model_a, records[:50])
     _, probs_b = classify_batch(model_b, records[:50])
@@ -217,8 +214,7 @@ def _bucketized_model():
     # class 0 <-> small requests (q1/q2), class 1 <-> large requests (q3/q4)
     records = [{"req": q, "noise": "n"} for q in ("q1", "q2", "q3", "q4") for _ in range(50)]
     y = np.array([0] * 100 + [1] * 100)
-    vocab = build_vocabulary(("req", "noise"), records)
-    rows = [encode_record(vocab, r) for r in records]
+    vocab, rows = encoded(("req", "noise"), records)
     ts = TrainingSet(rows=rows, labels=y, dimension=vocab.dimension)
     model = train(ts, vocab, FAST, seed=0, bucket_bounds={"req": (10.0, 20.0, 30.0)})
     queries = [{"req": v, "noise": n} for v in (5.0, 15.0, 25.0, 999.0, "q2", "q9")
@@ -242,9 +238,10 @@ def _blob_model():
                               spec, now=0)
     ts, vocab = build_training_set(ds, profiles)
     model = train(ts, vocab, BoostingParams(rounds=20), seed=0)
-    queries = [w.metadata for w in ds.workloads[:80]]
-    queries += [{**w.metadata, "owner": "new-owner"} for w in ds.workloads[:20]]
-    queries += [{**w.metadata, "app": "new-app"} for w in ds.workloads[:20]]
+    rows = rows_of(ds)
+    queries = [w.metadata for w in rows[:80]]
+    queries += [{**w.metadata, "owner": "new-owner"} for w in rows[:20]]
+    queries += [{**w.metadata, "app": "new-app"} for w in rows[:20]]
     return model, queries
 
 
@@ -274,10 +271,10 @@ def test_path_attribution_sums_leaf_deltas_along_the_routed_paths():
     model, queries = _blob_model()
     doc = model.to_json()
     lr = doc["hyperparams"]["learning_rate"]
-    leaves = model.forest.leaves([encode_record(model.vocabulary, q) for q in queries])
+    leaves = model.forest.leaves(encode_records(model, queries))
     assert leaves.max() > 6  # some paths are three or more splits deep
     for q in queries[::5]:
-        active = set(encode_record(model.vocabulary, q))
+        active = set(encode_records(model, [q])[0].tolist())
         want: dict[int, float] = {}
         for per_class in doc["trees"]:
             for node in per_class:

@@ -1,9 +1,10 @@
 import json
 
 from oracles import slow_forest_probabilities
+from rows import rows_of
 
 from workload_profiler import artifacts, pipeline
-from workload_profiler.classifier import encode
+from workload_profiler.classifier import ClassifierModel, classify_batch, encode_records
 from workload_profiler.cli import CLASSIFY_CHUNK, main
 from workload_profiler.predictor import PredictionPolicy, predict
 from workload_profiler.profiles import ProfileSet
@@ -121,13 +122,14 @@ def test_classify_jsonl(tmp_path, capsys):
     }
     blank = 11  # skipped, but later lines keep their file line numbers
     lines, good = [], {}
+    records = rows_of(ds)
     for line_no in range(1, n_lines + 2):
         if line_no == blank:
             lines.append("")
         elif line_no in bad:
             lines.append(bad[line_no])
         else:
-            w = ds.workloads[line_no % len(ds)]
+            w = records[line_no % len(ds)]
             metadata = dict(w.metadata, zone="never-seen") if line_no % 5 == 0 else w.metadata
             good[line_no] = (f"line{line_no}", metadata)
             lines.append(json.dumps({"id": f"line{line_no}", "metadata": metadata}))
@@ -159,7 +161,7 @@ def test_build_validation_predictions_equal_slow_oracle(tmp_path, monkeypatch):
     real_route, real_report = pipeline.classify_encoded, pipeline.class_report
 
     def route(model, rows):
-        routed.extend(rows)
+        routed.extend(rows.tolist())
         return real_route(model, rows)
 
     def report(predicted, actual):
@@ -174,9 +176,10 @@ def test_build_validation_predictions_equal_slow_oracle(tmp_path, monkeypatch):
 
     assert routed and len(reported) == len(routed)
     doc = json.loads(json.dumps(result.model.to_json()))
-    metadata_of = {encode(result.model, w.metadata): w.metadata for w in result.dataset.workloads}
+    metadata = [w.metadata for w in rows_of(result.dataset)]
+    metadata_of = dict(zip(map(tuple, encode_records(result.model, metadata).tolist()), metadata))
     for row, label in zip(routed, reported):
-        want = slow_forest_probabilities(doc, metadata_of[row])
+        want = slow_forest_probabilities(doc, metadata_of[tuple(row)])
         assert label == max(want, key=want.get)
 
 
@@ -238,6 +241,28 @@ def test_feedback_command(tmp_path, capsys):
     assert (out / "model-post.json").exists()
 
 
+def test_pinned_recluster_config_is_the_adopted_combination(tmp_path, capsys):
+    train_ds, stream_ds = make_drift_pair(1200, 600, 600, n_clusters=3, seed=6)
+    trace, stream = tmp_path / "trace.csv", tmp_path / "stream.csv"
+    write_trace(train_ds, trace)
+    write_trace(stream_ds, stream)
+    descriptor = tmp_path / "descriptor.json"
+    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    out = tmp_path / "out"
+    pinned = {"algorithm": "hdbscan", "transform": "standard", "distance": "manhattan",
+              "min_points": 30}
+    config = write_config(tmp_path, trace, descriptor, out, extra={"recluster_config": pinned})
+    assert main(["build", "--config", str(config)]) == 0
+    assert main(["feedback", "--config", str(config), "--stream", str(stream)]) == 0
+    capsys.readouterr()
+    assert artifacts.read_json(out / "feedback-report.json")["adopted_count"] >= 1
+    built = artifacts.read_json(out / "profiles.json")["config"]
+    assert built["transform"] == "power" and built["distance"] == "euclidean"
+    # the adopted profiles come from the pinned combination, with the run seed
+    post = artifacts.read_json(out / "profiles-post.json")["config"]
+    assert post == {**pinned, "eps": None, "seed": 11}
+
+
 def test_hopkins_command(tmp_path, capsys):
     _, _, trace, descriptor = write_inputs(tmp_path)
     assert main(["hopkins", "--trace", str(trace), "--descriptor", str(descriptor)]) == 0
@@ -282,13 +307,24 @@ def test_single_profile_build_exit_code(tmp_path):
     assert main(["build", "--config", str(config)]) == 9
 
 
-def test_config_rejects_unstored_prediction_quantile(tmp_path):
+def test_config_rejects_unstored_prediction_quantile(tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid_search ran on a bad config")
+
+    monkeypatch.setattr(pipeline, "grid_search", no_grid)
     _, _, trace, descriptor = write_inputs(tmp_path, n=300)
-    config = write_config(
-        tmp_path, trace, descriptor, tmp_path / "out",
-        extra={"prediction": {"kind": "fixed_quantile", "quantile": 0.17}},
-    )
-    assert main(["build", "--config", str(config)]) == 12
+    # each is rejected with the config exit code before any clustering work
+    for extra in (
+        {"prediction": {"kind": "fixed_quantile", "quantile": 0.17}},
+        {"acquires": {"optimal_cluster_count": 3, "weights": [0.5, 0.5, 0.5]}},
+        {"acquires": {"optimal_cluster_count": 3, "weights": [1.0, 0.0]}},
+        {"acquires": {"optimal_cluster_count": 0}},
+        {"validation_fraction": 1.0},
+        {"feedback": {"min_events_between_triggers": -1}},
+        {"feedback": {"min_events_between_triggers": "often"}},
+    ):
+        config = write_config(tmp_path, trace, descriptor, tmp_path / "out", extra=extra)
+        assert main(["build", "--config", str(config)]) == 12, extra
 
 
 def test_custom_stats_percentiles(tmp_path):
@@ -314,7 +350,7 @@ def test_classify_policy_flag(tmp_path, capsys):
     assert main(["build", "--config", str(config)]) == 0
     capsys.readouterr()
     inp = tmp_path / "one.jsonl"
-    w = ds.workloads[0]
+    w = rows_of(ds)[0]
     inp.write_text(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n", encoding="utf-8")
 
     def run(policy):
@@ -340,7 +376,7 @@ def test_classify_output_is_strict_json_and_reports_labels_without_a_profile(tmp
     config = write_config(tmp_path, trace, descriptor, out)
     assert main(["build", "--config", str(config)]) == 0
     capsys.readouterr()
-    meta = [ds.workloads[i].metadata for i in range(0, len(ds), 7)]
+    meta = [w.metadata for w in rows_of(ds)[::7]]
     ids = ["NaN", '[1, Infinity, {"a": -Infinity}]', '"plain"']
     inp = tmp_path / "ids.jsonl"
     inp.write_text(
@@ -376,3 +412,48 @@ def test_classify_output_is_strict_json_and_reports_labels_without_a_profile(tmp
             assert row == {"line": line_no, "error": f"'no profile group with label {dropped}'"}
         else:
             assert row == full
+
+
+def test_classify_artifact_and_policy_errors_exit_with_their_codes(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    inp = tmp_path / "one.jsonl"
+    w = rows_of(ds)[0]
+    inp.write_text(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n", encoding="utf-8")
+    model, profiles = str(out / "model.json"), str(out / "profiles.json")
+    missing = str(tmp_path / "nowhere.json")
+    for args, code in (
+        (["--model", missing], 10),
+        (["--model", model, "--profiles", missing], 10),
+        (["--model", model, "--policy", "{not json"], 12),
+        (["--model", model, "--profiles", profiles, "--policy", '{"kind": "wat"}'], 12),
+        (["--model", model, "--profiles", profiles, "--policy", "[]"], 12),
+    ):
+        capsys.readouterr()
+        assert main(["classify", *args, "--input", str(inp)]) == code, args
+        assert capsys.readouterr().out == ""
+
+
+def test_classify_record_missing_a_feature_fails_alone(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    records = [w.metadata for w in rows_of(ds)[:6]]
+    broken = {k: v for k, v in records[2].items() if k != "owner"}
+    lines = [json.dumps({"id": i, "metadata": m}) for i, m in enumerate(records)]
+    lines[2] = json.dumps({"id": 2, "metadata": broken})
+    inp = tmp_path / "batch.jsonl"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--model", str(out / "model.json"), "--input", str(inp)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[2] == {"line": 3, "error": "metadata record is missing feature 'owner'"}
+    good = records[:2] + records[3:]
+    model = ClassifierModel.from_json(artifacts.read_json(out / "model.json"))
+    labels, probs = classify_batch(model, good)
+    keys = [str(c) for c in model.class_labels]
+    assert [r for i, r in enumerate(rows) if i != 2] == [
+        {"id": i, "label": label, "probs": dict(zip(keys, p))}
+        for i, label, p in zip([0, 1, 3, 4, 5], labels.tolist(), probs.tolist())
+    ]

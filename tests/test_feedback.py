@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from workload_profiler.gridsearch import GridSpec, grid_search
 from workload_profiler.predictor import BehaviorPrediction, PredictionPolicy
 from workload_profiler.preprocess import apply_transform
 from workload_profiler.synth import make_blob_trace, make_drift_pair
-from workload_profiler.trace_model import Dataset, FeatureMatrix
+from rows import reordered, rows_of
+from workload_profiler.artifacts import write_csv
+from workload_profiler.trace_model import FeatureMatrix
 
 FAST_BOOST = BoostingParams(rounds=25)
 
@@ -297,7 +300,7 @@ def test_prefetched_outlier_flags_equal_the_per_event_rule_across_a_swap():
 
     flags = [e["outlier"] for e in report.timeline]
     assert any(flags[: swap + 1]) and not all(flags)
-    for i, w in enumerate(stream.workloads):
+    for i, w in enumerate(rows_of(stream)):
         live = profiles if i <= swap else report.final_profiles
         assert flags[i] == one_event(live, w.runtime) == live.is_outlier(w.runtime)
 
@@ -336,12 +339,10 @@ def test_degenerate_thresholds_pure_evaluation():
 def test_stream_id_colliding_with_training_id_is_a_recorded_trigger():
     train_ds, stream, profiles, model, grid, regen = drift_setup(seed=3)
     # stream ids t0, t1, ... reuse the training ids, so D(t) cannot be built
-    colliding = Dataset(
-        stream.schema_runtime, stream.schema_metadata,
-        tuple(dataclasses.replace(w, id=f"t{i}") for i, w in enumerate(stream.workloads)),
-        stream.bucket_bounds,
+    colliding = dataclasses.replace(
+        stream, ids=np.array([f"t{i}" for i in range(len(stream))], dtype=object)
     )
-    assert {w.id for w in colliding.workloads} <= {w.id for w in train_ds.workloads}
+    assert set(colliding.ids.tolist()) <= set(train_ds.ids.tolist())
     cfg = FeedbackConfig(
         delta=DeltaSpec(mode="relative", default=0.5),
         tau_v=0.2, tau_o=0.9, tau_f=0.5, decay=1e-12,
@@ -396,4 +397,37 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DeltaSpec(mode="sideways")
     with pytest.raises(ValueError):
-        ReclusterSpec(optimal_cluster_count=3)  # needs grid or config
+        FeedbackConfig(min_events_between_triggers=-1)
+    # the grid is the one source of a re-clustering; it defaults to the full grid
+    assert ReclusterSpec(optimal_cluster_count=3).grid == GridSpec()
+
+
+def test_min_events_between_triggers_is_parsed_as_an_int():
+    cfg = FeedbackConfig.from_json({"window": 50, "min_events_between_triggers": "100"})
+    assert cfg.min_events_between_triggers == 100 and cfg.cooldown == 100
+    assert FeedbackConfig.from_json({"window": 50}).cooldown == 50
+    with pytest.raises(ValueError):
+        FeedbackConfig.from_json({"min_events_between_triggers": "-5"})
+
+
+def test_stream_columns_meet_the_model_by_name_and_leave_as_python_scalars(tmp_path):
+    train_ds, _, profiles, model, grid, regen = drift_setup(seed=2)
+    _, stream = make_drift_pair(1200, 400, 0, n_clusters=3, seed=2)
+    cfg = FeedbackConfig(
+        delta=DeltaSpec(mode="relative", default=0.3),
+        tau_v=1.0, tau_o=1.0, tau_f=1e-300, decay=1e-300, window=200, tau_quality=0.5,
+    )
+    feats = stream.schema_runtime[1:]
+    report = run_feedback(stream, model, profiles, cfg, regen, PredictionPolicy(), train_ds,
+                          features=feats)
+    assert report.violations_total > 0 and report.outliers_total > 0
+    flipped = reordered(stream)
+    assert flipped.schema_runtime == tuple(reversed(stream.schema_runtime))
+    other = run_feedback(flipped, model, profiles, cfg, regen, PredictionPolicy(), train_ds,
+                         features=feats)
+    assert other.timeline == report.timeline
+    assert json.dumps(report.timeline)  # numpy scalars would not serialize
+    assert {type(v) for e in report.timeline for v in e.values()} == {int, str, bool}
+    path = tmp_path / "violations.csv"
+    write_csv(path, ("id", "violated", "outlier"), report.timeline)
+    assert set(path.read_text().split("\n")[1].split(",")[1:]) <= {"true", "false"}

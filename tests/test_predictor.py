@@ -1,8 +1,11 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rows import dataset_of, reordered, rows_of
 
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import build_training_set, train
@@ -16,14 +19,11 @@ from workload_profiler.predictor import (
 from workload_profiler.preprocess import fit_transform
 from workload_profiler.profiles import ClusteringConfig, build_profiles
 from workload_profiler.synth import make_blob_trace
-from workload_profiler.trace_model import Dataset, Workload, runtime_matrix
+from workload_profiler.trace_model import runtime_matrix
 
 
 def profile_from_values(values):
-    workloads = tuple(
-        Workload(f"w{i}", {"m": "x"}, {"cpu": float(v)}) for i, v in enumerate(values)
-    )
-    ds = Dataset(("cpu",), ("m",), workloads)
+    ds = dataset_of((f"w{i}", {"m": "x"}, {"cpu": float(v)}) for i, v in enumerate(values))
     spec, _ = fit_transform(runtime_matrix(ds), "standard")
     config = ClusteringConfig("hdbscan", "standard", "euclidean", 2)
     return build_profiles(ds, [0] * len(values), config, spec, now=0).groups[0]
@@ -103,6 +103,15 @@ def test_rmse_hand_values():
     assert errors["a"] == pytest.approx(30.0)
     assert errors["b"] == pytest.approx(40.0)
     assert combined == pytest.approx(math.sqrt((900 + 1600) / 2))
+    # many features: the squares add up in feature order, as scalar arithmetic does
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        pred = {f"f{i}": v for i, v in enumerate(rng.uniform(0.1, 100, 11).tolist())}
+        actual = {f"f{i}": v for i, v in enumerate(rng.uniform(0.1, 100, 11).tolist())}
+        errors, combined = rmse_perc(pred, actual)
+        want = {f: 100.0 * abs(pred[f] - actual[f]) / max(abs(actual[f]), 1e-9) for f in pred}
+        assert errors == want
+        assert combined == math.sqrt(sum(e * e for e in want.values()) / len(want))
 
 
 def test_rmse_feature_mismatch():
@@ -210,8 +219,31 @@ def test_exact_quantile_holdout_scores_zero():
     group = profiles.group(label)
     policy = PredictionPolicy(kind="fixed_quantile", quantile=0.5)
     target = predict(group, train_ds.schema_runtime, policy).values
-    donor = next(w for w in train_ds.workloads if w.id in set(group.member_ids))
-    exact = Workload("exact", donor.metadata, dict(target))
-    holdout = Dataset(train_ds.schema_runtime, train_ds.schema_metadata, (exact,))
+    donor = next(w for w in rows_of(train_ds) if w.id in set(group.member_ids))
+    holdout = dataset_of([("exact", donor.metadata, dict(target))], train_ds.schema_runtime)
     report = evaluate_holdout(holdout, model, profiles, policy)
     assert report.rows[0]["combined"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_holdout_scores_equal_scalar_arithmetic_and_meet_columns_by_name():
+    _, profiles, model, holdout = build_pipeline(seed=4)
+    policy = PredictionPolicy()
+    report = evaluate_holdout(holdout, model, profiles, policy, alt_normalization=True)
+    # the features in the same order: the same report, whatever the column order
+    flipped = reordered(holdout)
+    assert flipped.schema_runtime != holdout.schema_runtime
+    again = evaluate_holdout(flipped, model, profiles, policy, features=holdout.schema_runtime,
+                             alt_normalization=True)
+    assert again.to_json() == report.to_json()
+    assert json.dumps(report.to_json())  # numpy scalars would not serialize
+    actual_of = {w.id: w.runtime for w in rows_of(holdout)}
+    for row, alt in zip(report.rows, report.alt_rows):
+        group = profiles.group(row["profile"])
+        pred = predict(group, holdout.schema_runtime, policy).values
+        actual = actual_of[row["id"]]
+        errors = {f: 100.0 * abs(pred[f] - actual[f]) / max(abs(actual[f]), 1e-9) for f in pred}
+        alt_errors = {f: 100.0 * abs(pred[f] - actual[f]) / max(abs(group.stats[f].mean), 1e-9)
+                      for f in pred}
+        assert row["errors"] == errors and alt["errors"] == alt_errors
+        assert row["combined"] == math.sqrt(sum(e * e for e in errors.values()) / len(errors))
+        assert type(row["combined"]) is float and type(row["profile"]) is int

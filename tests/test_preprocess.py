@@ -229,7 +229,7 @@ def test_stratified_sample_proportions_and_identity():
     sampled = stratified_sample(ds, "app", 100, seed=1)
     assert len(sampled) == 100
     full = stratified_sample(ds, "app", len(ds), seed=1)
-    assert full.ids() == ds.ids()  # identity sample, original order
+    assert full.ids.tolist() == ds.ids.tolist()  # identity sample, original order
 
 
 def test_stratified_sample_errors(tiny_dataset):

@@ -12,7 +12,8 @@ from workload_profiler.profiles import (
     build_profiles,
 )
 from workload_profiler.synth import make_blob_trace
-from workload_profiler.trace_model import Dataset, Workload, runtime_matrix
+from rows import dataset_of, rows_of
+from workload_profiler.trace_model import runtime_matrix
 
 
 def config(**kw):
@@ -44,10 +45,9 @@ def test_all_outliers_rejected(tiny_dataset):
 
 
 def test_stats_hand_example():
-    workloads = tuple(
-        Workload(f"w{i}", {"m": "x"}, {"cpu": v}) for i, v in enumerate([10.0, 20.0, 30.0, 40.0])
+    ds = dataset_of(
+        (f"w{i}", {"m": "x"}, {"cpu": v}) for i, v in enumerate([10.0, 20.0, 30.0, 40.0])
     )
-    ds = Dataset(("cpu",), ("m",), workloads)
     spec, _ = fit_transform(runtime_matrix(ds), "standard")
     ps = build_profiles(ds, [0, 0, 0, 0], config(), spec, now=0)
     stats = ps.groups[0].stats["cpu"]
@@ -63,7 +63,7 @@ def test_stats_match_percentile_oracle():
     ps = build_profiles(ds, labels, config(transform="power"), spec, now=0)
     raw = runtime_matrix(ds).rows
     for g in ps.groups:
-        idx = [i for i, w in enumerate(ds.workloads) if w.id in set(g.member_ids)]
+        idx = [i for i, wid in enumerate(ds.ids.tolist()) if wid in set(g.member_ids)]
         for j, f in enumerate(ds.schema_runtime):
             values = raw[idx, j].tolist()
             for p, got in g.stats[f].percentiles.items():
@@ -83,7 +83,7 @@ def test_centroid_and_medoid_in_transformed_space(tiny_dataset):
     # medoid minimizes summed distance to members (brute force)
     member_rows = transformed.rows[idx0]
     sums = [np.linalg.norm(member_rows - member_rows[i], axis=1).sum() for i in range(3)]
-    expected = tiny_dataset.ids()[idx0[int(np.argmin(sums))]]
+    expected = tiny_dataset.ids[idx0[int(np.argmin(sums))]]
     assert ps.groups[0].medoid_id == expected
 
 
@@ -104,7 +104,7 @@ def test_partition_property():
         members = set(g.member_ids)
         assert not members & covered  # disjoint
         covered |= members
-    assert covered == set(ds.ids())  # union is the whole dataset
+    assert covered == set(ds.ids.tolist())  # union is the whole dataset
 
 
 def test_nearest_group_and_outlier_rule():
@@ -113,7 +113,7 @@ def test_nearest_group_and_outlier_rule():
     ps = build_profiles(ds, labels, config(), spec, now=0)
     assert ps.distance_threshold > 0
     # a member's own runtime lands in its profile, inside tau
-    w = ds.workloads[0]
+    w = rows_of(ds)[0]
     label, dist = ps.nearest_group(w.runtime)
     assert label in ps.labels()
     # a far-away point is an outlier

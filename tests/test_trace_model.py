@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from oracles import slow_load_trace
 
 from workload_profiler.errors import (
     DuplicateIdError,
@@ -6,10 +8,12 @@ from workload_profiler.errors import (
     SchemaError,
     TraceReadError,
 )
+from rows import dataset_of, rows_of
+from workload_profiler.encoding import build_vocabulary
 from workload_profiler.trace_model import (
     Dataset,
+    MetadataBlock,
     TraceSchema,
-    Workload,
     load_trace,
     runtime_matrix,
     schema_for,
@@ -38,9 +42,9 @@ def test_load_all_valid(tmp_path):
     )
     ds, dropped = load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
     assert len(ds) == 3 and dropped == 0
-    assert ds.workloads[1].runtime == {"cpu": 3.5, "mem": 4.5}
+    assert rows_of(ds)[1].runtime == {"cpu": 3.5, "mem": 4.5}
     # no timestamp column: submission order is row order
-    assert [w.submitted_at for w in ds.workloads] == [0, 1, 2]
+    assert ds.submitted_at.tolist() == [0, 1, 2]
 
 
 def test_load_drops_empty_cell(tmp_path):
@@ -50,7 +54,7 @@ def test_load_drops_empty_cell(tmp_path):
     )
     ds, dropped = load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
     assert len(ds) == 2 and dropped == 1
-    assert ds.ids() == ("j1", "j3")
+    assert ds.ids.tolist() == ["j1", "j3"]
 
 
 def test_load_drops_non_finite(tmp_path):
@@ -100,27 +104,20 @@ def test_runtime_matrix_order(tiny_dataset):
     m = runtime_matrix(tiny_dataset)
     assert m.rows.shape == (5, 2)
     assert m.transform_applied == "none"
-    for i, w in enumerate(tiny_dataset.workloads):
+    for i, w in enumerate(rows_of(tiny_dataset)):
         assert m.rows[i, 0] == w.runtime["cpu"]
         assert m.rows[i, 1] == w.runtime["mem"]
 
 
 def test_single_workload_matrix():
-    ds = Dataset(
-        schema_runtime=("cpu", "mem"),
-        schema_metadata=("u",),
-        workloads=(Workload("w", {"u": "x"}, {"cpu": 1.0, "mem": 2.0}),),
-    )
+    ds = dataset_of([("w", {"u": "x"}, {"cpu": 1.0, "mem": 2.0})])
     assert runtime_matrix(ds).rows.tolist() == [[1.0, 2.0]]
+    assert runtime_matrix(ds).rows is ds.runtime  # wrapped, not copied
 
 
 def test_empty_runtime_schema_rejected():
     with pytest.raises(SchemaError):
-        Dataset(
-            schema_runtime=(),
-            schema_metadata=("u",),
-            workloads=(Workload("w", {"u": "x"}, {}),),
-        )
+        Dataset.from_columns(ids=["w"], runtime={}, metadata={"u": ["x"]})
 
 
 def test_round_trip(tmp_path, tiny_dataset):
@@ -128,8 +125,8 @@ def test_round_trip(tmp_path, tiny_dataset):
     write_trace(tiny_dataset, out)
     reloaded, dropped = load_trace(out, schema_for(tiny_dataset))
     assert dropped == 0
-    assert reloaded.ids() == tiny_dataset.ids()
-    for a, b in zip(reloaded.workloads, tiny_dataset.workloads):
+    assert reloaded.ids.tolist() == tiny_dataset.ids.tolist()
+    for a, b in zip(rows_of(reloaded), rows_of(tiny_dataset)):
         assert a.runtime == b.runtime  # numeric fields reproduce bit-exactly
         assert a.metadata == b.metadata
         assert a.submitted_at == b.submitted_at
@@ -137,18 +134,11 @@ def test_round_trip(tmp_path, tiny_dataset):
 
 def test_round_trip_awkward_floats(tmp_path):
     values = [0.1, 1e-17, 123456789.123456, 2.0**-40, 7.0]
-    ds = Dataset(
-        schema_runtime=("v",),
-        schema_metadata=("m",),
-        workloads=tuple(
-            Workload(f"w{i}", {"m": "x"}, {"v": v}) for i, v in enumerate(values)
-        ),
-    )
+    ds = dataset_of((f"w{i}", {"m": "x"}, {"v": v}) for i, v in enumerate(values))
     out = tmp_path / "o.csv"
     write_trace(ds, out)
     reloaded, _ = load_trace(out, schema_for(ds))
-    for a, b in zip(reloaded.workloads, ds.workloads):
-        assert a.runtime["v"] == b.runtime["v"]
+    assert reloaded.runtime.tolist() == ds.runtime.tolist()
 
 
 def test_bucketize_quartiles(tmp_path):
@@ -161,12 +151,12 @@ def test_bucketize_quartiles(tmp_path):
         bucketize=("gpu_req",),
     )
     ds, _ = load_trace(trace, schema)
-    buckets = [w.metadata["gpu_req"] for w in ds.workloads]
+    buckets = [w.metadata["gpu_req"] for w in rows_of(ds)]
     assert buckets == ["q1", "q1", "q2", "q2", "q3", "q3", "q4", "q4"]
     assert set(ds.bucket_bounds) == {"gpu_req"}
     # reusing bounds reproduces the same labels
     ds2, _ = load_trace(trace, schema, bucket_bounds=ds.bucket_bounds)
-    assert [w.metadata["gpu_req"] for w in ds2.workloads] == buckets
+    assert [w.metadata["gpu_req"] for w in rows_of(ds2)] == buckets
 
 
 def test_timestamp_column(tmp_path):
@@ -178,4 +168,109 @@ def test_timestamp_column(tmp_path):
         columns={"job": "id", "user": "metadata", "cpu": "runtime", "ts": "timestamp"}
     )
     ds, _ = load_trace(trace, schema)
-    assert [w.submitted_at for w in ds.workloads] == [100, 200]
+    assert ds.submitted_at.tolist() == [100, 200]
+
+
+# ------------------------------------------------- columnar loader oracle
+
+MESSY = (
+    "job,user,cpu,mem,ts,gpu_req,junk,user\n"
+    "j1,ignored, 1.5 ,2.0,10,4,x,alice\n"      # padded runtime cell; the last 'user' is read
+    "j2,b,1_000,2.0,11,8,x,bob \n"             # underscored float, padded metadata
+    "j3,b,inf,2.0,12,8,x,bob\n"                # non-finite runtime: dropped
+    "j4,b,1.0,nan,13,8,x,bob\n"                # nan: dropped
+    "j5,b,1.0,abc,14,8,x,bob\n"                # unparsable: dropped
+    "\n"                                       # blank line: skipped, not dropped
+    "j6,b,1.0,2.0,,8,x,bob\n"                  # empty timestamp: dropped
+    "j7,b,1.0,2.0,1.9e2,big,x,bob\n"           # unparsable bucketized cell: dropped
+    "j8,b,1.0,2.0,-3.7,1e1,,carol\n"           # empty ignored cell is fine; ts truncates
+    "j9,b,1.0\n"                               # short row: dropped
+    " ,b,1.0,2.0,15,8,x,bob\n"                 # blank id: dropped
+    "j10,b,-0.0,2.0,16, 16 ,x,a\x00\n"         # a trailing NUL is its own value
+    "j11,b,3.0,4.0,17,2,x,a,extra,cells\n"     # long row: extra cells ignored
+    "j12,b,2.5,1e-300,18,32,x,a\n"
+)
+
+MESSY_COLUMNS = {"job": "id", "user": "metadata", "gpu_req": "metadata", "cpu": "runtime",
+                 "mem": "runtime", "junk": "ignore"}
+
+
+def loaded(ds, dropped):
+    rows = rows_of(ds)
+    return {
+        "ids": [w.id for w in rows],
+        "metadata": [w.metadata for w in rows],
+        "runtime_bits": [[np.float64(v).tobytes() for v in w.runtime.values()] for w in rows],
+        "ts": ds.submitted_at.tolist(),
+        "dropped": dropped,
+        "bounds": ds.bucket_bounds,
+    }
+
+
+@pytest.mark.parametrize("timestamp", [True, False])
+@pytest.mark.parametrize("bounds", [None, {"gpu_req": (3.0, 8.0, 9.5)}])
+def test_loader_equals_row_at_a_time_oracle(tmp_path, timestamp, bounds):
+    trace = write_csv(tmp_path / "t.csv", MESSY)
+    columns = dict(MESSY_COLUMNS, ts="timestamp" if timestamp else "ignore")
+    schema = TraceSchema(columns=columns, bucketize=("gpu_req",))
+    want = slow_load_trace(trace, schema, bounds)
+    assert loaded(*load_trace(trace, schema, bucket_bounds=bounds)) == want
+    if timestamp:
+        assert want["dropped"] == 7 and want["ts"] == [10, 11, -3, 16, 17, 18]
+    else:  # j6's empty timestamp cell is not read
+        assert want["dropped"] == 6 and want["ts"] == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_value_tables_follow_python_string_order(tmp_path):
+    # numpy's fixed-width 'U' strings drop trailing NULs, merging "a" and "a\0"
+    ds, _ = load_trace(write_csv(tmp_path / "t.csv", MESSY), TraceSchema(columns=MESSY_COLUMNS))
+    j = ds.schema_metadata.index("user")
+    assert ds.metadata.tables[j] == ("a", "a\x00", "alice", "bob", "carol")
+    assert ds.metadata.values(j) == [w.metadata["user"] for w in rows_of(ds)]
+    assert ds.metadata.values(j)[-3:] == ["a\x00", "a", "a"]
+    block = MetadataBlock.from_rows(("u",), [["b"], ["a\x00"], ["a"], ["a\x00"]])
+    assert block.tables == (("a", "a\x00", "b"),)
+    assert block.codes[:, 0].tolist() == [2, 1, 0, 1]
+
+
+def test_select_and_concat_are_index_operations(tiny_dataset):
+    picked = tiny_dataset.select([4, 0, 2])
+    assert picked.ids.tolist() == ["j5", "j1", "j3"]
+    assert picked.runtime.tolist() == [[11.0, 105.0], [10.0, 100.0], [50.0, 20.0]]
+    assert picked.submitted_at.tolist() == [4, 0, 2]
+    # the tables are shared; a vocabulary holds only the values the rows hold
+    assert picked.metadata.tables is tiny_dataset.metadata.tables
+    assert build_vocabulary(tiny_dataset.select([1, 0]).metadata).categories == {
+        "user": ("alice",), "task": ("train",)
+    }
+    one = dataset_of([("x", {"user": "zed", "task": "train"}, {"cpu": 1.0, "mem": 1.0})])
+    both = tiny_dataset.select([0, 1]).concat(tiny_dataset.select([3])).concat(one)
+    assert both.metadata.tables == (("alice", "bob", "carol", "zed"), ("infer", "train"))
+    assert [w.metadata for w in rows_of(both)] == [
+        {"user": "alice", "task": "train"},
+        {"user": "alice", "task": "train"},
+        {"user": "bob", "task": "infer"},
+        {"user": "zed", "task": "train"},
+    ]
+    with pytest.raises(ValueError, match="different schemas"):
+        tiny_dataset.concat(dataset_of([("x", {"user": "a"}, {"cpu": 1.0, "mem": 1.0})]))
+
+
+def test_first_offending_row_is_named(tiny_dataset):
+    with pytest.raises(DuplicateIdError, match="'j3'"):
+        tiny_dataset.select([0, 2, 1, 2, 0])
+    with pytest.raises(DuplicateIdError, match="'j2'"):
+        tiny_dataset.select([1, 2]).concat(tiny_dataset.select([0, 1]))
+    rows = [(f"w{i}", {"m": "x"}, {"a": 1.0, "b": 1.0}) for i in range(4)]
+    rows[2] = ("w2", {"m": "x"}, {"a": 1.0, "b": np.inf})
+    rows[3] = ("w1", {"m": "x"}, {"a": np.nan, "b": 1.0})
+    with pytest.raises(SchemaError, match="workload 'w2' has non-finite 'b'"):
+        dataset_of(rows)
+    rows[2] = ("w0", {"m": "x"}, {"a": 1.0, "b": np.inf})  # in one row, the repeat comes first
+    with pytest.raises(DuplicateIdError, match="'w0'"):
+        dataset_of(rows)
+    rows[1] = ("w2", {"m": "x"}, {"a": 1.0, "b": 1.0})  # a row with a bad value, then a repeat
+    rows[2] = ("w2", {"m": "x"}, {"a": 1.0, "b": 1.0})
+    rows[0] = ("w9", {"m": "x"}, {"a": -np.inf, "b": 1.0})
+    with pytest.raises(SchemaError, match="workload 'w9' has non-finite 'a'"):
+        dataset_of(rows)
