@@ -15,7 +15,11 @@ tree:
                  holdout, once with ``alt_normalization``; ``sample`` and
                  ``hopkins`` on the same trace;
   criterion-8    build with the config of acceptance criterion 8;
-  drift          build and ``feedback`` over a ``make_drift_pair`` stream.
+  drift          build and ``feedback`` over a ``make_drift_pair`` stream;
+  drift-seconds  ``feedback`` on the drift build over the same stream with
+                 jittered, non-monotone and repeated timestamps, a window in
+                 seconds, no cooldown, and thresholds at which the outlier
+                 and freshness clauses fire as well as the violation clause.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -33,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 GENERATE = r"""
-import csv, json, sys
+import csv, dataclasses, json, sys
 from pathlib import Path
 import numpy as np
 from workload_profiler import artifacts
@@ -118,6 +122,18 @@ save("drift", train, {
                  "window_mode": "events", "tau_quality": 0.5,
                  "min_events_between_triggers": 500},
 })
+
+rng = np.random.default_rng(seed)
+t = stream.submitted_at + rng.integers(-40, 41, size=len(stream))
+t[::97] -= 300
+write_trace(dataclasses.replace(stream, submitted_at=t), root / "drift-seconds-stream.csv")
+artifacts.write_json(root / "drift-seconds.json", {
+    **artifacts.read_json(root / "drift.json"),
+    "feedback": {"delta": {"mode": "relative", "default": 0.5}, "tau_v": 0.3,
+                 "tau_o": 0.08, "tau_f": 0.1, "decay": 1e-3, "window": 300,
+                 "window_mode": "seconds", "tau_quality": 0.5,
+                 "min_events_between_triggers": 0},
+})
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -142,6 +158,12 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
         run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
     run(src, CLI, ["feedback", "--config", inputs / "drift.json",
                    "--stream", inputs / "drift-stream.csv", "--out", out / "drift"])
+    seconds = out / "drift-seconds"
+    seconds.mkdir(parents=True, exist_ok=True)
+    for artifact in ("model.json", "profiles.json"):
+        shutil.copyfile(out / "drift" / artifact, seconds / artifact)
+    run(src, CLI, ["feedback", "--config", inputs / "drift-seconds.json",
+                   "--stream", inputs / "drift-seconds-stream.csv", "--out", seconds])
     grid = out / "default-grid"
     with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
         run(src, CLI, ["classify", "--model", grid / "model.json",

@@ -18,13 +18,10 @@ from .encoding import EncoderVocabulary, build_vocabulary
 from .feedback import (
     DeltaSpec,
     FeedbackConfig,
-    FeedbackState,
     ReclusterSpec,
-    detect_violation,
-    freshness,
+    next_trigger,
     run_feedback,
-    update_trigger,
-    violation_rate,
+    window_fronts,
 )
 from .gridsearch import GridSpec, grid_search
 from .hdbscan import hdbscan
@@ -35,7 +32,6 @@ from .predictor import (
     RmseReport,
     evaluate_holdout,
     predict,
-    rmse_perc,
 )
 from .preprocess import (
     HopkinsResult,

@@ -50,7 +50,7 @@ class DegenerateDataError(ProfilerError):
 
 
 class MissingArtifactError(ProfilerError):
-    """A command needs build artifacts that are not on disk."""
+    """A command needs build artifacts that are not on disk or not valid JSON."""
 
     exit_code = 10
 
@@ -70,6 +70,3 @@ class ConfigError(ProfilerError):
 class UndefinedSkewnessError(ProfilerError):
     """Skewness is undefined: fewer than 3 values or zero variance."""
 
-
-class EmptyWindowError(ProfilerError):
-    """Violation rate requested on an empty monitoring window."""

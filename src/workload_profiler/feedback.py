@@ -1,11 +1,15 @@
 """Feedback loop: violation monitoring, staleness, and triggered re-clustering.
 
-Events are applied strictly in stream order (single writer); labels,
-violation checks and the outlier rule are prefetched in batches purely as an
-optimization and are discarded whenever the model and profiles are replaced.
-A fired trigger re-clusters over all data seen so far and the result is
-adopted only when its composite quality score clears tau_quality; otherwise
-the old profiles stay and a rejected update is logged.
+Between two model swaps the stream is evaluated as columns: each event's
+label, violation flag and outlier flag are filled a chunk at a time, and the
+trigger scan (``next_trigger``) reads window counts, the outlier ratio and
+freshness off those columns by cumulative sums. Events still take effect in
+stream order (single writer): the first event at which a clause holds
+outside the cooldown fires. A fired trigger re-clusters over all data seen
+so far and the result is adopted only when its composite quality score
+clears tau_quality; an adoption restarts the window and the outlier count,
+and the columns after it are evaluated with the new model. Otherwise the old
+profiles stay and a rejected update is logged.
 
 A minimum number of events between fired triggers (default: the window size)
 keeps the update frequency balanced; without it a tripped threshold would
@@ -15,9 +19,8 @@ re-cluster on every subsequent event.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,13 +30,12 @@ from .errors import (
     DegenerateDataError,
     DuplicateIdError,
     EmptyProfileSetError,
-    EmptyWindowError,
     NoViableConfigError,
 )
 from .gridsearch import GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS
-from .predictor import BehaviorPrediction, PredictionPolicy, predict
-from .profiles import ProfileGroup, ProfileSet
+from .predictor import PredictionPolicy, predict
+from .profiles import ProfileSet
 from .trace_model import Dataset, FeatureMatrix
 
 
@@ -118,7 +120,7 @@ class FeedbackConfig:
             tau_v=float(doc.get("tau_v", 0.1)),
             tau_o=float(doc.get("tau_o", 0.2)),
             tau_f=float(doc.get("tau_f", 0.5)),
-            decay=float(doc.get("decay", doc.get("lambda", 1e-4))),
+            decay=float(doc.get("decay", 1e-4)),
             window=int(doc.get("window", 10_000)),
             window_mode=doc.get("window_mode", "events"),
             tau_quality=float(doc.get("tau_quality", 0.5)),
@@ -127,53 +129,6 @@ class FeedbackConfig:
                 else int(doc["min_events_between_triggers"])
             ),
         )
-
-
-@dataclass
-class WindowEvent:
-    workload_id: str
-    violated: bool
-    t: int
-
-
-@dataclass
-class FeedbackState:
-    """Single-writer monitoring state; events enter in stream order."""
-
-    cfg: FeedbackConfig
-    window: deque = field(default_factory=deque)
-    window_violations: int = 0
-    outliers_seen: int = 0
-    total_seen: int = 0
-
-    def push(self, workload_id: str, violated: bool, t: int, outlier: bool = False) -> None:
-        self.window.append(WindowEvent(workload_id, violated, t))
-        if violated:
-            self.window_violations += 1
-        if outlier:
-            self.outliers_seen += 1
-        self.total_seen += 1
-        self._evict(t)
-
-    def _evict(self, t: int) -> None:
-        if self.cfg.window_mode == "events":
-            while len(self.window) > self.cfg.window:
-                gone = self.window.popleft()
-                if gone.violated:
-                    self.window_violations -= 1
-        else:
-            horizon = t - self.cfg.window
-            while self.window and self.window[0].t <= horizon:
-                gone = self.window.popleft()
-                if gone.violated:
-                    self.window_violations -= 1
-
-    def reset_window(self) -> None:
-        self.window.clear()
-        self.window_violations = 0
-
-    def outlier_ratio(self) -> float:
-        return self.outliers_seen / self.total_seen if self.total_seen else 0.0
 
 
 def _violated(
@@ -186,53 +141,73 @@ def _violated(
     return deviation > np.array([delta.threshold(f) for f in features])
 
 
-def detect_violation(
-    prediction: BehaviorPrediction,
-    actual: Mapping[str, float],
-    delta: DeltaSpec,
-) -> tuple[bool, dict[str, bool]]:
-    """Flag features whose actual value strays beyond delta from expectation."""
-    if set(prediction.values) != set(actual):
-        raise ValueError("prediction and actual feature sets differ")
-    names = list(prediction.values)
-    expected = np.array([prediction.values[f] for f in names])
-    flags = _violated(expected, np.array([actual[f] for f in names]), delta, names).tolist()
-    return any(flags), dict(zip(names, flags))
+def window_fronts(times: np.ndarray, cfg: FeedbackConfig, reset: int) -> np.ndarray:
+    """For each event i >= reset, the index of the oldest event still in the
+    monitoring window once i has entered it; the window starts empty at
+    ``reset``. Entries before ``reset`` are unused.
+
+    'events' keeps the last cfg.window events. 'seconds' drops events from
+    the front while the oldest one was submitted at or before t_i - window.
+    Timestamps are not sorted, so an early stamp behind a later one stays
+    until it reaches the front: the scan follows stream order.
+    """
+    fronts = np.arange(len(times))
+    if cfg.window_mode == "events":
+        return np.maximum(fronts - (cfg.window - 1), reset)
+    stamps = times.tolist()
+    front = reset
+    for i in range(reset, len(stamps)):
+        horizon = stamps[i] - cfg.window
+        while stamps[front] <= horizon:
+            front += 1
+        fronts[i] = front
+    return fronts
 
 
-def violation_rate(state: FeedbackState, t: int) -> float:
-    """Fraction of violated events in the window at time t."""
-    state._evict(t)
-    if not state.window:
-        raise EmptyWindowError("no events in the monitoring window")
-    return state.window_violations / len(state.window)
+def next_trigger(
+    violated: np.ndarray,
+    outlier: np.ndarray,
+    times: np.ndarray,
+    fronts: np.ndarray,
+    stalest_update: int,
+    cfg: FeedbackConfig,
+    reset: int,
+    last_fire: int | None,
+    start: int,
+) -> tuple[int, list[str], float] | None:
+    """The first event i in [start, len(violated)) at which a trigger fires,
+    with its sorted causes and its window violation rate; None if none does.
 
-
-def freshness(profile: ProfileGroup, t: int, decay: float) -> float:
-    """exp(-decay * (t - last_update)); 1 at the moment of the update."""
-    if t < profile.last_update:
-        raise ValueError("t precedes the profile's last update")
-    return math.exp(-decay * (t - profile.last_update))
-
-
-def update_trigger(
-    state: FeedbackState, profiles: ProfileSet, cfg: FeedbackConfig, t: int
-) -> tuple[bool, set[str]]:
-    """Evaluate the three trigger clauses; all satisfied causes are reported."""
-    causes: set[str] = set()
-    try:
-        if violation_rate(state, t) > cfg.tau_v:
-            causes.add("violation")
-    except EmptyWindowError:
-        pass
-    stalest = min(
-        freshness(g, max(t, g.last_update), cfg.decay) for g in profiles.groups
-    )
-    if stalest < cfg.tau_f:
-        causes.add("freshness")
-    if state.total_seen and state.outlier_ratio() > cfg.tau_o:
-        causes.add("outlier")
-    return bool(causes), causes
+    ``violated`` and ``outlier`` hold the events evaluated so far; ``times``
+    and ``fronts`` (from ``window_fronts``) are indexed alike and may run
+    further. The clauses at event i: the violation rate over the window
+    ``fronts[i]..i`` exceeds tau_v; the outliers since ``reset`` (the last
+    adoption) over all i + 1 events seen exceed tau_o; the freshness
+    exp(-decay * age) of the profile updated at ``stalest_update`` is below
+    tau_f. A clause fires once ``cooldown`` events have passed since
+    ``last_fire``.
+    """
+    stop = len(violated)
+    index = np.arange(start, stop)
+    front = fronts[start:stop]
+    violations = np.concatenate(([0], np.cumsum(violated)))
+    outliers = np.concatenate(([0], np.cumsum(outlier)))
+    rate = (violations[index + 1] - violations[front]) / (index + 1 - front)
+    ratio = (outliers[index + 1] - outliers[reset]) / (index + 1)
+    ages = np.maximum(times[start:stop] - stalest_update, 0).tolist()
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    fresh = np.array([math.exp(-cfg.decay * age) for age in ages])
+    clauses = np.stack([fresh < cfg.tau_f, ratio > cfg.tau_o, rate > cfg.tau_v])
+    ready = clauses.any(axis=0)
+    if last_fire is not None:
+        ready &= index - last_fire >= cfg.cooldown
+    hits = np.flatnonzero(ready)
+    if not hits.size:
+        return None
+    k = hits[0]
+    causes = [name for name, held in zip(("freshness", "outlier", "violation"), clauses[:, k])
+              if held]
+    return int(index[k]), causes, float(rate[k])
 
 
 @dataclass(frozen=True)
@@ -254,7 +229,7 @@ class TriggerRecord:
     t: int
     causes: list[str]
     acquires_before: float | None
-    window_rate_before: float | None
+    window_rate_before: float
     acquires_total: float | None = None
     adopted: bool = False
     n_clusters: int | None = None
@@ -278,16 +253,43 @@ class TriggerRecord:
         }
 
 
+EVENT_FIELDS = ("event_index", "t", "id", "label", "violated", "outlier")
+
+
 @dataclass
 class FeedbackRunReport:
-    events_total: int
-    violations_total: int
-    outliers_total: int
+    """Fired triggers plus one column per stream event: the label it was
+    classified into and its violation and outlier flags, each under the
+    model and profiles live when it arrived."""
+
     triggers: list[TriggerRecord]
-    adopted_count: int
-    timeline: list[dict]
+    labels: np.ndarray
+    violated: np.ndarray
+    outliers: np.ndarray
     final_profiles: ProfileSet | None = None
     final_model: ClassifierModel | None = None
+
+    @property
+    def events_total(self) -> int:
+        return len(self.labels)
+
+    @property
+    def violations_total(self) -> int:
+        return int(np.count_nonzero(self.violated))
+
+    @property
+    def outliers_total(self) -> int:
+        return int(np.count_nonzero(self.outliers))
+
+    @property
+    def adopted_count(self) -> int:
+        return sum(tr.adopted for tr in self.triggers)
+
+    def event_rows(self, stream: Dataset) -> Iterator[dict]:
+        """One ``EVENT_FIELDS`` row of Python scalars per stream event."""
+        columns = zip(range(len(stream)), stream.submitted_at.tolist(), stream.ids.tolist(),
+                      self.labels.tolist(), self.violated.tolist(), self.outliers.tolist())
+        return (dict(zip(EVENT_FIELDS, row)) for row in columns)
 
     def to_json(self) -> dict:
         return {
@@ -317,36 +319,39 @@ def _recluster(
     return profile_set, model, float(selected.acquires_total), selected.n_clusters
 
 
-class _Prefetch:
-    """(label, outlier, violated) of stream events, computed a chunk ahead of
-    the single writer; flushed whenever the model and profiles are swapped."""
+class _Columns:
+    """Stream-length label, violation and outlier columns, filled a chunk at a
+    time with the live model and profiles; a swap refills from its event on."""
 
     def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
                  delta: DeltaSpec, chunk: int = 512):
         self.stream, self.policy, self.delta, self.chunk = stream, policy, delta, chunk
         self.features = tuple(dict.fromkeys(features))  # a repeated feature is checked once
         self.actual = stream.runtime[:, [stream.schema_runtime.index(f) for f in self.features]]
+        self.labels = np.zeros(len(stream), dtype=np.int64)
+        self.violated = np.zeros(len(stream), dtype=bool)
+        self.outliers = np.zeros(len(stream), dtype=bool)
 
-    def swap(self, model: ClassifierModel, profiles: ProfileSet) -> None:
-        self.model, self.profiles = model, profiles
+    def swap(self, model: ClassifierModel, profiles: ProfileSet, start: int) -> None:
+        self.model, self.profiles, self.filled = model, profiles, start
         self.rows = encode_block(model, self.stream.metadata)
         self.expected: dict[int, list[float]] = {}
-        self.start, self.events = 0, []
 
-    def __getitem__(self, index: int) -> tuple[int, bool, bool]:
-        if not 0 <= index - self.start < len(self.events):
-            self.start, span = index, slice(index, index + self.chunk)
-            labels = classify_encoded(self.model, self.rows[span])[0].tolist()
-            for label in set(labels) - self.expected.keys():
-                values = predict(self.profiles.group(label), self.features, self.policy).values
-                self.expected[label] = [values[f] for f in self.features]
-            expected = np.array([self.expected[label] for label in labels])
-            violated = _violated(expected, self.actual[span], self.delta, self.features)
-            outliers = self.profiles.outlier_flags(
-                FeatureMatrix(self.stream.runtime[span], self.stream.schema_runtime)
-            )
-            self.events = list(zip(labels, outliers.tolist(), violated.any(axis=1).tolist()))
-        return self.events[index - self.start]
+    def fill(self) -> None:
+        span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))
+        labels = classify_encoded(self.model, self.rows[span])[0]
+        for label in set(labels.tolist()) - self.expected.keys():
+            values = predict(self.profiles.group(label), self.features, self.policy).values
+            self.expected[label] = [values[f] for f in self.features]
+        expected = np.array([self.expected[label] for label in labels.tolist()])
+        self.labels[span] = labels
+        self.violated[span] = _violated(
+            expected, self.actual[span], self.delta, self.features
+        ).any(axis=1)
+        self.outliers[span] = self.profiles.outlier_flags(
+            FeatureMatrix(self.stream.runtime[span], self.stream.schema_runtime)
+        )
+        self.filled = span.stop
 
 
 def run_feedback(
@@ -361,47 +366,36 @@ def run_feedback(
 ) -> FeedbackRunReport:
     """Process a stream of completed workloads against the live profiles.
 
-    Per event: classify from metadata, predict behavior, compare with the
-    actual usage, update the monitoring window and outlier ledger, and
-    evaluate the trigger. On a fired trigger the profiles are rebuilt over
-    original training data plus everything streamed so far.
+    Each event is classified from metadata, its behavior predicted and
+    compared with the actual usage, and checked against the outlier rule;
+    the trigger scan then finds the first event that fires. On a fired
+    trigger the profiles are rebuilt over the original training data plus
+    everything streamed up to it.
     """
-    feats = tuple(features) if features else stream.schema_runtime
-
-    state = FeedbackState(cfg=cfg)
-    prefetch = _Prefetch(stream, feats, policy, cfg.delta)
-    prefetch.swap(model, profiles)
-    ids = stream.ids.tolist()
-    times = stream.submitted_at.tolist()
+    columns = _Columns(stream, features or stream.schema_runtime, policy, cfg.delta)
+    columns.swap(model, profiles, 0)
+    times = stream.submitted_at
+    fronts = window_fronts(times, cfg, 0)
+    stalest = min(g.last_update for g in profiles.groups)
 
     triggers: list[TriggerRecord] = []
-    timeline: list[dict] = []
-    violations_total = 0
-    adopted_count = 0
-    last_fire_index: int | None = None
-
-    for index, (wid, t) in enumerate(zip(ids, times)):
-        label, outlier, violated = prefetch[index]
-        state.push(wid, violated, t, outlier=outlier)
-        violations_total += int(violated)
-        timeline.append({"event_index": index, "t": t, "id": wid, "label": label,
-                         "violated": violated, "outlier": outlier})
-
-        fire, causes = update_trigger(state, profiles, cfg, t)
-        in_cooldown = last_fire_index is not None and index - last_fire_index < cfg.cooldown
-        if not fire or in_cooldown:
+    reset, last_fire, index = 0, None, 0
+    while index < len(stream):
+        if index == columns.filled:
+            columns.fill()
+        hit = next_trigger(columns.violated[:columns.filled], columns.outliers[:columns.filled],
+                           times, fronts, stalest, cfg, reset, last_fire, index)
+        if hit is None:
+            index = columns.filled
             continue
-
-        last_fire_index = index
-        try:
-            rate_before = violation_rate(state, t)
-        except EmptyWindowError:
-            rate_before = None
-        record = TriggerRecord(index, t, sorted(causes), profiles.quality, rate_before)
+        last_fire, causes, rate = hit
+        index = last_fire + 1
+        t = int(times[last_fire])
+        record = TriggerRecord(last_fire, t, causes, profiles.quality, rate)
         triggers.append(record)
 
         try:
-            data_t = training_data.concat(stream.select(np.arange(index + 1)))
+            data_t = training_data.concat(stream.select(np.arange(index)))
             new_profiles, new_model, score_total, n_clusters = _recluster(
                 data_t, regen, t
             )
@@ -413,29 +407,24 @@ def run_feedback(
         record.n_clusters = n_clusters
         if score_total > cfg.tau_quality:
             record.adopted = True
-            adopted_count += 1
-            profiles = new_profiles
-            model = new_model
-            prefetch.swap(new_model, profiles)
-            state.reset_window()
-            state.outliers_seen = 0
+            profiles, model = new_profiles, new_model
+            columns.swap(model, profiles, index)
+            reset = index
+            fronts = window_fronts(times, cfg, reset)
+            stalest = min(g.last_update for g in profiles.groups)
         else:
             record.reason = "quality below tau_quality"
 
-    # Fill the after-the-fact violation counts for each adopted update.
     for record in triggers:
         if record.adopted:
-            tail = timeline[record.event_index + 1 :]
-            record.events_after = len(tail)
-            record.violations_after = sum(1 for e in tail if e["violated"])
+            record.events_after = len(stream) - record.event_index - 1
+            record.violations_after = int(np.count_nonzero(columns.violated[record.event_index + 1:]))
 
     return FeedbackRunReport(
-        events_total=len(stream),
-        violations_total=violations_total,
-        outliers_total=sum(1 for e in timeline if e["outlier"]),
         triggers=triggers,
-        adopted_count=adopted_count,
-        timeline=timeline,
+        labels=columns.labels,
+        violated=columns.violated,
+        outliers=columns.outliers,
         final_profiles=profiles,
         final_model=model,
     )

@@ -29,7 +29,7 @@ from .errors import (
     MissingArtifactError,
     NoValidRowsError,
 )
-from .feedback import FeedbackConfig, ReclusterSpec, run_feedback
+from .feedback import EVENT_FIELDS, FeedbackConfig, ReclusterSpec, run_feedback
 from .gridsearch import GRID_REPORT_FIELDS, GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS, check_acquires_params, class_report
 from .predictor import PredictionPolicy, evaluate_holdout
@@ -248,11 +248,17 @@ def run_build(config: RunConfig) -> BuildResult:
 
 
 def read_artifacts(*paths: Path) -> list:
-    """Build artifacts' JSON documents, once every path is known to exist."""
+    """Build artifacts' JSON documents; a missing or unreadable file is a
+    MissingArtifactError that names it."""
+    docs = []
     for p in paths:
-        if not Path(p).exists():
-            raise MissingArtifactError(f"missing build artifact: {p}")
-    return [artifacts.read_json(p) for p in paths]
+        try:
+            docs.append(artifacts.read_json(p))
+        except FileNotFoundError as exc:
+            raise MissingArtifactError(f"missing build artifact: {p}") from exc
+        except (OSError, ValueError) as exc:
+            raise MissingArtifactError(f"unreadable build artifact {p}: {exc}") from exc
+    return docs
 
 
 def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
@@ -313,11 +319,7 @@ def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
     )
     out = config.output_dir
     artifacts.write_json(out / FEEDBACK_REPORT_FILE, report.to_json())
-    artifacts.write_csv(
-        out / VIOLATIONS_FILE,
-        ("event_index", "t", "id", "label", "violated", "outlier"),
-        report.timeline,
-    )
+    artifacts.write_csv(out / VIOLATIONS_FILE, EVENT_FIELDS, report.event_rows(stream))
     if report.adopted_count and report.final_profiles and report.final_model:
         artifacts.write_json(
             out / PROFILES_POST_FILE, report.final_profiles.to_json(config.include_member_ids)

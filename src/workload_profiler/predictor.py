@@ -102,18 +102,6 @@ def _errors(predicted: np.ndarray, actual: np.ndarray, scale: np.ndarray) -> tup
     return errors, np.sqrt(squares / errors.shape[1])
 
 
-def rmse_perc(
-    predicted: Mapping[str, float], actual: Mapping[str, float]
-) -> tuple[dict[str, float], float]:
-    """(per-feature error %, combined %). Zero iff prediction is exact."""
-    if set(predicted) != set(actual):
-        raise ValueError("predicted and actual feature sets differ")
-    names = list(predicted)
-    a = np.array([[actual[f] for f in names]], dtype=np.float64)
-    errors, combined = _errors(np.array([[predicted[f] for f in names]], dtype=np.float64), a, a)
-    return dict(zip(names, errors[0].tolist())), combined[0].item()
-
-
 @dataclass
 class RmseReport:
     features: tuple[str, ...]

@@ -168,7 +168,7 @@ def apply_transform(spec: TransformSpec, matrix: FeatureMatrix) -> FeatureMatrix
         T = (T - spec.params["mean"]) / spec.params["scale"]
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
-    return FeatureMatrix(rows=T, feature_names=matrix.feature_names, transform_applied=kind)
+    return FeatureMatrix(rows=T, feature_names=matrix.feature_names)
 
 
 def hopkins(matrix: FeatureMatrix, sample_fraction: float = 0.1, seed: int = 0) -> HopkinsResult:

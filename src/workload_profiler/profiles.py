@@ -175,25 +175,10 @@ class ProfileSet:
         rows = np.asfortranarray(apply_transform(self.transform_spec, raw).rows)
         return np.stack([point_to_rows(g.centroid, rows, self.config.distance) for g in self.groups])
 
-    def _one(self, runtime: Mapping[str, float]) -> FeatureMatrix:
-        names = self.transform_spec.feature_names
-        return FeatureMatrix(rows=np.array([[runtime[f] for f in names]], dtype=np.float64),
-                             feature_names=names)
-
-    def nearest_group(self, runtime: Mapping[str, float]) -> tuple[int, float]:
-        """Nearest centroid (transformed space) for a raw runtime record."""
-        d = self._centroid_distances(self._one(runtime))[:, 0]
-        i = int(np.argmin(d))
-        return self.groups[i].label, float(d[i])
-
     def outlier_flags(self, matrix: FeatureMatrix) -> np.ndarray:
         """Post-hoc outlier rule for new arrivals, one flag per raw runtime
         row: beyond tau of every centroid."""
         return self._centroid_distances(matrix).min(axis=0) > self.distance_threshold
-
-    def is_outlier(self, runtime: Mapping[str, float]) -> bool:
-        """``outlier_flags`` for a single record."""
-        return bool(self.outlier_flags(self._one(runtime))[0])
 
     def to_json(self, include_members: bool = False) -> dict:
         return {

@@ -244,7 +244,6 @@ class FeatureMatrix:
 
     rows: np.ndarray
     feature_names: tuple[str, ...]
-    transform_applied: str = "none"
 
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.feature_names):

@@ -475,3 +475,53 @@ def slow_load_trace(path, schema, bucket_bounds=None) -> dict:
         "dropped": dropped,
         "bounds": bounds or None,
     }
+
+
+def slow_trigger_scan(violated, outlier, times, last_updates, cfg, adopt):
+    """The event-at-a-time feedback trigger loop: a deque window with
+    front-only eviction, an outlier ledger, every group's freshness and the
+    cooldown check, re-evaluated after each event enters.
+
+    ``adopt(k)`` says whether the k-th fired trigger is adopted; an adoption
+    clears the window and the outlier count and moves every group's last
+    update to the firing event's time. Returns the fires as
+    ``(index, sorted causes, window rate)`` and, per event, the window's
+    ``(events, violations)`` after it entered.
+    """
+    from collections import deque
+
+    window = deque()  # (violated, t), oldest first
+    window_violations = outliers_seen = 0
+    fires, counts = [], []
+    last_fire = None
+    for i, (v, o, t) in enumerate(zip(violated, outlier, times)):
+        window.append((v, t))
+        if v:
+            window_violations += 1
+        if o:
+            outliers_seen += 1
+        if cfg.window_mode == "events":
+            while len(window) > cfg.window:
+                window_violations -= window.popleft()[0]
+        else:
+            while window and window[0][1] <= t - cfg.window:
+                window_violations -= window.popleft()[0]
+        counts.append((len(window), window_violations))
+
+        causes = set()
+        rate = window_violations / len(window) if window else None
+        if rate is not None and rate > cfg.tau_v:
+            causes.add("violation")
+        if min(math.exp(-cfg.decay * (max(t, lu) - lu)) for lu in last_updates) < cfg.tau_f:
+            causes.add("freshness")
+        if outliers_seen / (i + 1) > cfg.tau_o:
+            causes.add("outlier")
+        if not causes or (last_fire is not None and i - last_fire < cfg.cooldown):
+            continue
+        last_fire = i
+        fires.append((i, sorted(causes), rate))
+        if adopt(len(fires) - 1):
+            window.clear()
+            window_violations = outliers_seen = 0
+            last_updates = [t] * len(last_updates)
+    return fires, counts

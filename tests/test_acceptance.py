@@ -24,10 +24,10 @@ from workload_profiler.dbscan import dbscan
 from workload_profiler.feedback import (
     DeltaSpec,
     FeedbackConfig,
-    FeedbackState,
     ReclusterSpec,
+    next_trigger,
     run_feedback,
-    update_trigger,
+    window_fronts,
 )
 from workload_profiler.gridsearch import GridSpec, grid_search
 from workload_profiler.hdbscan import hdbscan
@@ -305,18 +305,20 @@ def test_criterion_6_feedback_loop():
     )
 
     # trigger monotonicity: a new violated event never turns fire off
+    # (each random event is followed by a violated one at the same time)
     mono_cfg = FeedbackConfig(tau_v=0.3, tau_o=1.0, tau_f=1e-9, decay=1e-12, window=100)
-    state = FeedbackState(cfg=mono_cfg)
-    monotone_ok = True
-    fired_prev = False
     rng = np.random.default_rng(0)
-    for i in range(300):
-        state.push(f"w{i}", bool(rng.random() < 0.5), t=i)
-        fired, _ = update_trigger(state, small_profiles, mono_cfg, t=i)
-        state.push(f"v{i}", True, t=i)
-        fired_plus, _ = update_trigger(state, small_profiles, mono_cfg, t=i)
-        if fired and not fired_plus:
-            monotone_ok = False
+    violated = np.ones(600, dtype=bool)
+    violated[::2] = rng.random(300) < 0.5
+    times = np.repeat(np.arange(300), 2)
+    fronts = window_fronts(times, mono_cfg, 0)
+    stalest = min(g.last_update for g in small_profiles.groups)
+
+    def fires(i):
+        return next_trigger(violated[: i + 1], np.zeros(i + 1, dtype=bool), times, fronts,
+                            stalest, mono_cfg, 0, None, i) is not None
+
+    monotone_ok = all(fires(i + 1) for i in range(0, 600, 2) if fires(i))
     report(
         6,
         "feedback-loop",

@@ -435,6 +435,25 @@ def test_classify_artifact_and_policy_errors_exit_with_their_codes(tmp_path, cap
         assert capsys.readouterr().out == ""
 
 
+
+def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, trace, descriptor, out)
+    assert main(["build", "--config", str(config)]) == 0
+    inp = tmp_path / "one.jsonl"
+    w = rows_of(ds)[0]
+    inp.write_text(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n", encoding="utf-8")
+    broken = tmp_path / "broken-model.json"
+    broken.write_text('{"broken', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--model", str(broken), "--input", str(inp)]) == 10
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(broken) in captured.err
+    (out / "profiles.json").write_text('{"broken', encoding="utf-8")
+    assert main(["feedback", "--config", str(config), "--stream", str(trace)]) == 10
+    assert str(out / "profiles.json") in capsys.readouterr().err
+
 def test_classify_record_missing_a_feature_fails_alone(tmp_path, capsys):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"

@@ -8,22 +8,22 @@ import pytest
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import build_training_set, train
 from workload_profiler.distances import point_to_rows
-from workload_profiler.errors import EmptyWindowError
 from workload_profiler.feedback import (
+    EVENT_FIELDS,
     DeltaSpec,
     FeedbackConfig,
-    FeedbackState,
     ReclusterSpec,
-    detect_violation,
-    freshness,
+    _Columns,
+    _violated,
+    next_trigger,
     run_feedback,
-    update_trigger,
-    violation_rate,
+    window_fronts,
 )
 from workload_profiler.gridsearch import GridSpec, grid_search
-from workload_profiler.predictor import BehaviorPrediction, PredictionPolicy
+from workload_profiler.predictor import PredictionPolicy
 from workload_profiler.preprocess import apply_transform
-from workload_profiler.synth import make_blob_trace, make_drift_pair
+from workload_profiler.synth import make_drift_pair
+from oracles import slow_trigger_scan
 from rows import reordered, rows_of
 from workload_profiler.artifacts import write_csv
 from workload_profiler.trace_model import FeatureMatrix
@@ -31,193 +31,242 @@ from workload_profiler.trace_model import FeatureMatrix
 FAST_BOOST = BoostingParams(rounds=25)
 
 
-def prediction(values):
-    return BehaviorPrediction(
-        workload_id="w", profile_label=0, values=values, policy=PredictionPolicy()
-    )
+NEVER = {"tau_o": 1.0, "tau_f": 1e-300, "decay": 1e-300}  # these clauses cannot hold
 
 
-# ------------------------------------------------------- detect_violation
+def scan(violated, times, cfg, outlier=None, stalest_update=0, start=None, reset=0,
+         last_fire=None):
+    """next_trigger over one stream whose window starts empty at ``reset``;
+    by default only the last event is asked."""
+    violated = np.asarray(violated, dtype=bool)
+    times = np.asarray(times, dtype=np.int64)
+    outlier = np.zeros_like(violated) if outlier is None else np.asarray(outlier, dtype=bool)
+    start = len(violated) - 1 if start is None else start
+    return next_trigger(violated, outlier, times, window_fronts(times, cfg, reset),
+                        stalest_update, cfg, reset, last_fire, start)
+
+
+def rate_at(flags, times=None, mode="events", window=10):
+    """The window violation rate at the last event: with tau_v = 0 the
+    violation clause holds, and reports the rate, iff the window holds a
+    violation."""
+    cfg = FeedbackConfig(tau_v=0.0, window=window, window_mode=mode, **NEVER)
+    hit = scan(flags, np.arange(len(flags)) if times is None else times, cfg)
+    return 0.0 if hit is None else hit[2]
+
+
+# ------------------------------------------------------------ violation flags
 
 def test_no_violation_when_exact():
     delta = DeltaSpec(mode="absolute", default=1.0)
-    violated, flags = detect_violation(
-        prediction({"cpu": 100.0}), {"cpu": 100.0}, delta
-    )
-    assert not violated and flags == {"cpu": False}
+    flags = _violated(np.array([[100.0]]), np.array([[100.0]]), delta, ["cpu"])
+    assert flags.tolist() == [[False]]
 
 
 def test_absolute_violation_on_single_feature():
     delta = DeltaSpec(mode="absolute", thresholds={"cpu": 50.0}, default=math.inf)
-    violated, flags = detect_violation(
-        prediction({"cpu": 100.0, "mem": 10.0}),
-        {"cpu": 160.0, "mem": 500.0},
-        delta,
-    )
-    assert violated
-    assert flags == {"cpu": True, "mem": False}  # mem threshold is +inf
+    flags = _violated(np.array([[100.0, 10.0]]), np.array([[160.0, 500.0]]), delta, ["cpu", "mem"])
+    assert flags.tolist() == [[True, False]]  # mem threshold is +inf
 
 
 def test_infinite_thresholds_never_violate():
     delta = DeltaSpec(mode="relative", default=math.inf)
-    violated, _ = detect_violation(
-        prediction({"cpu": 1.0}), {"cpu": 1e12}, delta
-    )
-    assert not violated
+    assert not _violated(np.array([[1.0]]), np.array([[1e12]]), delta, ["cpu"]).any()
 
 
 def test_relative_mode():
     delta = DeltaSpec(mode="relative", default=0.5)
-    assert detect_violation(prediction({"cpu": 100.0}), {"cpu": 149.0}, delta)[0] is False
-    assert detect_violation(prediction({"cpu": 100.0}), {"cpu": 151.0}, delta)[0] is True
+    flags = _violated(np.array([[100.0], [100.0]]), np.array([[149.0], [151.0]]), delta, ["cpu"])
+    assert flags.tolist() == [[False], [True]]
 
 
-def test_feature_mismatch_errors():
+def test_feature_mismatch_errors(tiny_dataset):
     with pytest.raises(ValueError):
-        detect_violation(prediction({"cpu": 1.0}), {"mem": 1.0}, DeltaSpec())
+        _Columns(tiny_dataset, ("gpu",), PredictionPolicy(), DeltaSpec())
 
 
-# -------------------------------------------------------- violation_rate
-
-def make_state(flags, mode="events", window=10):
-    cfg = FeedbackConfig(window=window, window_mode=mode)
-    state = FeedbackState(cfg=cfg)
-    for i, v in enumerate(flags):
-        state.push(f"w{i}", v, t=i)
-    return state
-
+# --------------------------------------------------------------- window counts
 
 def test_violation_rate_fraction():
-    state = make_state([True] * 3 + [False] * 7)
-    assert violation_rate(state, t=9) == pytest.approx(0.3)
+    assert rate_at([True] * 3 + [False] * 7) == pytest.approx(0.3)
 
 
 def test_violation_rate_all_violated():
-    state = make_state([True] * 5)
-    assert violation_rate(state, t=4) == 1.0
+    assert rate_at([True] * 5) == 1.0
 
 
 def test_violation_rate_paper_shape():
     # 1013 violations among 10000 windowed events -> 0.1013
-    state = make_state([True] * 1013 + [False] * 8987, window=10_000)
-    assert violation_rate(state, t=9999) == pytest.approx(0.1013)
+    assert rate_at([True] * 1013 + [False] * 8987, window=10_000) == pytest.approx(0.1013)
 
 
-def test_violation_rate_empty_window():
-    cfg = FeedbackConfig(window=5)
-    with pytest.raises(EmptyWindowError):
-        violation_rate(FeedbackState(cfg=cfg), t=0)
+def test_window_is_never_empty_once_an_event_entered():
+    times = np.array([5, 5, 0, 9, 9, 30, 2, 31], dtype=np.int64)
+    for mode, window in (("events", 1), ("events", 3), ("seconds", 1), ("seconds", 4)):
+        cfg = FeedbackConfig(window=window, window_mode=mode)
+        for reset in range(len(times)):
+            fronts = window_fronts(times, cfg, reset)[reset:]
+            assert (fronts >= reset).all() and (fronts <= np.arange(reset, len(times))).all()
+    assert scan([], [], FeedbackConfig(tau_v=0.0), start=0) is None
 
 
 def test_event_window_eviction_matches_recount():
     rng = np.random.default_rng(0)
-    cfg = FeedbackConfig(window=16, window_mode="events")
-    state = FeedbackState(cfg=cfg)
-    flags = []
+    flags = (rng.random(200) < 0.3).tolist()
     for i in range(200):
-        v = bool(rng.random() < 0.3)
-        flags.append(v)
-        state.push(f"w{i}", v, t=i)
-        expected = sum(flags[-16:]) / min(len(flags), 16)
-        assert violation_rate(state, t=i) == pytest.approx(expected)
+        expected = sum(flags[: i + 1][-16:]) / min(i + 1, 16)
+        assert rate_at(flags[: i + 1], window=16) == pytest.approx(expected)
 
 
 def test_time_window_eviction():
+    # the t=0 event is outside (11-10, 11] once the t=11 event enters
+    assert rate_at([True, False, False], times=[0, 5, 11], mode="seconds") == 0.0
     cfg = FeedbackConfig(window=10, window_mode="seconds")
-    state = FeedbackState(cfg=cfg)
-    state.push("a", True, t=0)
-    state.push("b", False, t=5)
-    state.push("c", False, t=11)  # t=0 event now outside (11-10, 11]
-    assert violation_rate(state, t=11) == 0.0
+    assert window_fronts(np.array([0, 5, 11]), cfg, 0).tolist() == [0, 0, 1]
+    # front-only eviction: the t=1 event behind t=20 waits until it is oldest
+    assert window_fronts(np.array([0, 20, 1, 21, 31]), cfg, 0).tolist() == [0, 1, 1, 1, 4]
 
 
-# ------------------------------------------------------------- freshness
+# ------------------------------------------------------------------- freshness
 
-def test_freshness_at_update_is_one(tiny_dataset):
-    from workload_profiler.preprocess import fit_transform
-    from workload_profiler.profiles import ClusteringConfig, build_profiles
-    from workload_profiler.trace_model import runtime_matrix
+def test_freshness_at_update_is_one():
+    def fires(t, tau_f, decay):
+        cfg = FeedbackConfig(tau_v=1.0, tau_o=1.0, tau_f=tau_f, decay=decay)
+        return scan([False], [t], cfg, stalest_update=100) is not None
 
-    spec, _ = fit_transform(runtime_matrix(tiny_dataset), "standard")
-    ps = build_profiles(
-        tiny_dataset, [0, 0, 0, 0, 0],
-        ClusteringConfig("hdbscan", "standard", "euclidean", 2), spec, now=100,
-    )
-    g = ps.groups[0]
-    assert freshness(g, 100, 0.5) == 1.0
-    assert freshness(g, 101, math.log(2)) == pytest.approx(0.5)
-    assert freshness(g, 103, math.log(2)) == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        freshness(g, 99, 0.5)
-    # strictly decreasing, always in (0, 1]
-    values = [freshness(g, 100 + k, 0.3) for k in range(6)]
-    assert all(0 < v <= 1 for v in values)
-    assert all(a > b for a, b in zip(values, values[1:]))
+    assert not fires(100, 1.0, 0.5)  # freshness 1 at the update
+    assert not fires(99, 1.0, 0.5) and not fires(0, 1.0, 10.0)  # and before it
+    assert fires(101, 0.5 + 1e-9, math.log(2)) and not fires(101, 0.5 - 1e-9, math.log(2))
+    assert fires(103, 0.125 + 1e-9, math.log(2)) and not fires(103, 0.125 - 1e-9, math.log(2))
+    # strictly decreasing: once stale, a later event is stale too
+    assert all(fires(100 + k, math.exp(-0.3 * (k - 1)), 0.3) for k in range(2, 8))
 
 
-# ---------------------------------------------------------- update_trigger
-
-def profiles_with_update_time(now):
-    ds, labels, _ = make_blob_trace(100, 2, seed=1)
-    from workload_profiler.preprocess import fit_transform
-    from workload_profiler.profiles import ClusteringConfig, build_profiles
-    from workload_profiler.trace_model import runtime_matrix
-
-    spec, _ = fit_transform(runtime_matrix(ds), "standard")
-    return build_profiles(
-        ds, labels, ClusteringConfig("hdbscan", "standard", "euclidean", 2), spec, now=now
-    )
-
+# ---------------------------------------------------------------- next_trigger
 
 def test_no_clause_no_fire():
-    profiles = profiles_with_update_time(0)
     cfg = FeedbackConfig(tau_v=0.5, tau_o=0.5, tau_f=0.5, decay=1e-9, window=10)
-    state = FeedbackState(cfg=cfg)
-    state.push("a", False, t=1)
-    fire, causes = update_trigger(state, profiles, cfg, t=1)
-    assert not fire and causes == set()
+    assert scan([False], [1], cfg) is None
 
 
 def test_violation_clause_fires():
-    profiles = profiles_with_update_time(0)
     cfg = FeedbackConfig(tau_v=0.1, tau_o=1.0, tau_f=0.01, decay=1e-9, window=10_000)
-    state = FeedbackState(cfg=cfg)
-    for i in range(10_000):
-        state.push(f"w{i}", i < 1001, t=i)
-    fire, causes = update_trigger(state, profiles, cfg, t=9999)
-    assert fire and causes == {"violation"}
+    flags = [i < 1001 for i in range(10_000)]
+    index, causes, rate = scan(flags, np.arange(10_000), cfg)
+    assert (index, causes, rate) == (9999, ["violation"], 1001 / 10_000)
 
 
 def test_freshness_clause_fires():
-    profiles = profiles_with_update_time(0)
     cfg = FeedbackConfig(tau_v=1.0, tau_o=1.0, tau_f=0.5, decay=math.log(2), window=10)
-    state = FeedbackState(cfg=cfg)
-    state.push("a", False, t=2)
-    fire, causes = update_trigger(state, profiles, cfg, t=2)  # freshness 0.25 < 0.5
-    assert fire and causes == {"freshness"}
+    assert scan([False], [2], cfg)[:2] == (0, ["freshness"])  # freshness 0.25 < 0.5
 
 
 def test_outlier_clause_fires():
-    profiles = profiles_with_update_time(0)
     cfg = FeedbackConfig(tau_v=1.0, tau_o=0.2, tau_f=0.01, decay=1e-9, window=100)
-    state = FeedbackState(cfg=cfg)
-    for i in range(10):
-        state.push(f"w{i}", False, t=i, outlier=i < 3)
-    fire, causes = update_trigger(state, profiles, cfg, t=9)
-    assert fire and causes == {"outlier"}
+    hit = scan([False] * 10, np.arange(10), cfg, outlier=[i < 3 for i in range(10)])
+    assert hit[:2] == (9, ["outlier"])
 
 
 def test_trigger_monotone_in_violations():
-    profiles = profiles_with_update_time(0)
     cfg = FeedbackConfig(tau_v=0.3, tau_o=1.0, tau_f=0.01, decay=1e-9, window=1000)
-    state = FeedbackState(cfg=cfg)
-    for i in range(10):
-        state.push(f"w{i}", i < 4, t=i)
-    fired_before, _ = update_trigger(state, profiles, cfg, t=9)
-    assert fired_before
-    state.push("extra", True, t=10)
-    fired_after, _ = update_trigger(state, profiles, cfg, t=10)
-    assert fired_after  # adding a violated event never turns fire off
+    flags = [i < 4 for i in range(10)]
+    assert scan(flags, np.arange(10), cfg) is not None
+    # adding a violated event never turns fire off
+    assert scan(flags + [True], np.arange(11), cfg) is not None
+
+
+def test_scan_returns_the_first_firing_event_after_the_cooldown():
+    cfg = FeedbackConfig(tau_v=0.5, window=4, min_events_between_triggers=3, **NEVER)
+    flags = [False, True, True, True, True, True, False, False]
+    assert scan(flags, np.arange(8), cfg, start=0) == (2, ["violation"], 2 / 3)
+    assert scan(flags, np.arange(8), cfg, start=3, last_fire=2) == (5, ["violation"], 1.0)
+    # after an adoption at 5 the window restarts empty at 6
+    assert scan(flags, np.arange(8), cfg, start=6, reset=6, last_fire=5) is None
+
+
+def _array_trigger_scan(violated, outlier, times, last_updates, cfg, adopt, chunk):
+    """next_trigger driven as run_feedback drives it: columns known a chunk
+    at a time, the window and outlier count restarting after an adoption."""
+    violated, outlier = np.array(violated, dtype=bool), np.array(outlier, dtype=bool)
+    times = np.array(times, dtype=np.int64)
+    fires, counts = [], []
+    reset, last_fire, index, filled = 0, None, 0, 0
+    fronts, stalest = window_fronts(times, cfg, 0), min(last_updates)
+    cumulative = np.concatenate(([0], np.cumsum(violated)))
+
+    def close_epoch(stop):
+        for i in range(reset, stop):
+            counts.append((i + 1 - int(fronts[i]), int(cumulative[i + 1] - cumulative[fronts[i]])))
+
+    while index < len(times):
+        if index == filled:
+            filled = min(index + chunk, len(times))
+        hit = next_trigger(violated[:filled], outlier[:filled], times, fronts, stalest, cfg,
+                           reset, last_fire, index)
+        if hit is None:
+            index = filled
+            continue
+        fires.append(hit)
+        last_fire = hit[0]
+        index = last_fire + 1
+        if adopt(len(fires) - 1):
+            close_epoch(index)
+            reset, filled = index, index
+            fronts, stalest = window_fronts(times, cfg, reset), int(times[last_fire])
+    close_epoch(len(times))
+    return fires, counts
+
+
+def _random_stream(rng, n):
+    t = np.cumsum(rng.integers(0, 4, size=n)) + int(rng.integers(0, 60))
+    t = t + rng.integers(-6, 7, size=n)  # non-monotone
+    t[rng.random(n) < 0.05] -= int(rng.integers(20, 80))  # late arrivals
+    repeat = np.flatnonzero(rng.random(n - 1) < 0.1) + 1
+    t[repeat] = t[repeat - 1]
+    return t
+
+
+@pytest.mark.parametrize("mode", ["events", "seconds"])
+def test_array_scan_equals_the_event_loop_on_random_streams(mode):
+    rng = np.random.default_rng({"events": 7, "seconds": 8}[mode])
+    alone: set[str] = set()  # causes seen where they were the one clause that can hold
+    cooled = restarted = 0
+    for case in range(80):
+        n = int(rng.integers(1, 400))
+        times = _random_stream(rng, n)
+        tau_f = float(rng.uniform(0.05, 0.9))
+        decay = -math.log(tau_f) / float(rng.uniform(20, 300))
+        tau_v, tau_o = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.02, 0.4))
+        only = case % 4  # 0: every clause, else the one clause that can hold
+        if only not in (0, 1):
+            tau_v = 1.0
+        if only not in (0, 2):
+            tau_o = 1.0
+        if only not in (0, 3):
+            tau_f, decay = 1e-300, 1e-300
+        cfg = FeedbackConfig(
+            tau_v=tau_v, tau_o=tau_o, tau_f=tau_f, decay=decay,
+            window=int(rng.integers(1, 40)), window_mode=mode,
+            min_events_between_triggers=[0, None, int(rng.integers(1, 30))][case % 3],
+        )
+        violated = (rng.random(n) < rng.uniform(0, 0.5)).tolist()
+        outlier = (rng.random(n) < rng.uniform(0, 0.3)).tolist()
+        last_updates = rng.integers(0, 80, size=int(rng.integers(1, 4))).tolist()
+        adoptions = (rng.random(n) < 0.6).tolist()
+
+        def adopt(k):
+            return adoptions[k]
+
+        want = slow_trigger_scan(violated, outlier, times.tolist(), last_updates, cfg, adopt)
+        for chunk in (1, 7, 512):
+            got = _array_trigger_scan(violated, outlier, times, last_updates, cfg, adopt, chunk)
+            assert got == want, (case, chunk)
+        fires = want[0]
+        if only:
+            alone.update(cause for _, causes, _ in fires for cause in causes)
+        cooled += cfg.cooldown > 0 and len(fires) > 1
+        restarted += any(adopt(k) for k, (i, _, _) in enumerate(fires) if i < n - 1)
+    assert alone == {"freshness", "outlier", "violation"} and cooled and restarted
 
 
 # ------------------------------------------------------------ run_feedback
@@ -298,11 +347,11 @@ def test_prefetched_outlier_flags_equal_the_per_event_rule_across_a_swap():
         centroids = np.stack([g.centroid for g in ps.groups])
         return bool(point_to_rows(x, centroids, ps.config.distance).min() > ps.distance_threshold)
 
-    flags = [e["outlier"] for e in report.timeline]
+    flags = report.outliers.tolist()
     assert any(flags[: swap + 1]) and not all(flags)
     for i, w in enumerate(rows_of(stream)):
         live = profiles if i <= swap else report.final_profiles
-        assert flags[i] == one_event(live, w.runtime) == live.is_outlier(w.runtime)
+        assert flags[i] == one_event(live, w.runtime)
 
 
 def test_infinite_quality_threshold_never_adopts():
@@ -333,7 +382,7 @@ def test_degenerate_thresholds_pure_evaluation():
     )
     assert report.triggers == [] and report.violations_total == 0
     assert report.events_total == len(stream)
-    assert len(report.timeline) == len(stream)
+    assert len(report.labels) == len(report.violated) == len(report.outliers) == len(stream)
 
 
 def test_stream_id_colliding_with_training_id_is_a_recorded_trigger():
@@ -351,7 +400,7 @@ def test_stream_id_colliding_with_training_id_is_a_recorded_trigger():
     report = run_feedback(
         colliding, model, profiles, cfg, regen, PredictionPolicy(), train_ds
     )
-    assert report.events_total == len(colliding) == len(report.timeline)
+    assert report.events_total == len(colliding) == len(report.labels)
     assert report.triggers and report.adopted_count == 0
     for record in report.triggers:
         assert not record.adopted
@@ -425,9 +474,11 @@ def test_stream_columns_meet_the_model_by_name_and_leave_as_python_scalars(tmp_p
     assert flipped.schema_runtime == tuple(reversed(stream.schema_runtime))
     other = run_feedback(flipped, model, profiles, cfg, regen, PredictionPolicy(), train_ds,
                          features=feats)
-    assert other.timeline == report.timeline
-    assert json.dumps(report.timeline)  # numpy scalars would not serialize
-    assert {type(v) for e in report.timeline for v in e.values()} == {int, str, bool}
+    rows = list(report.event_rows(stream))
+    assert tuple(rows[0]) == EVENT_FIELDS
+    assert list(other.event_rows(flipped)) == rows
+    assert json.dumps(rows)  # numpy scalars would not serialize
+    assert {type(v) for e in rows for v in e.values()} == {int, str, bool}
     path = tmp_path / "violations.csv"
-    write_csv(path, ("id", "violated", "outlier"), report.timeline)
+    write_csv(path, ("id", "violated", "outlier"), report.event_rows(stream))
     assert set(path.read_text().split("\n")[1].split(",")[1:]) <= {"true", "false"}

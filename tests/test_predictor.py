@@ -12,9 +12,9 @@ from workload_profiler.classifier import build_training_set, train
 from workload_profiler.errors import EmptyHoldoutError
 from workload_profiler.predictor import (
     PredictionPolicy,
+    _errors,
     evaluate_holdout,
     predict,
-    rmse_perc,
 )
 from workload_profiler.preprocess import fit_transform
 from workload_profiler.profiles import ClusteringConfig, build_profiles
@@ -89,7 +89,16 @@ def test_unknown_feature_errors():
         predict(profile, ["gpu"], PredictionPolicy())
 
 
-# ------------------------------------------------------------- rmse_perc
+# ---------------------------------------------------------------- _errors
+
+def rmse_perc(predicted, actual):
+    """_errors for one record given as {feature: value} mappings:
+    (per-feature error %, combined %), normalized by the actual value."""
+    names = list(actual)
+    a = np.array([[actual[f] for f in names]])
+    errors, combined = _errors(np.array([[predicted[f] for f in names]]), a, a)
+    return dict(zip(names, errors[0].tolist())), combined[0].item()
+
 
 def test_rmse_exact_match_zero():
     errors, combined = rmse_perc({"a": 5.0, "b": 2.0}, {"a": 5.0, "b": 2.0})
@@ -115,8 +124,8 @@ def test_rmse_hand_values():
 
 
 def test_rmse_feature_mismatch():
-    with pytest.raises(ValueError):
-        rmse_perc({"a": 1.0}, {"b": 1.0})
+    with pytest.raises(ValueError):  # predicted and actual hold different feature columns
+        _errors(np.ones((1, 2)), np.ones((1, 3)), np.ones((1, 3)))
 
 
 @given(

@@ -12,8 +12,8 @@ from workload_profiler.profiles import (
     build_profiles,
 )
 from workload_profiler.synth import make_blob_trace
-from rows import dataset_of, rows_of
-from workload_profiler.trace_model import runtime_matrix
+from rows import dataset_of
+from workload_profiler.trace_model import FeatureMatrix, runtime_matrix
 
 
 def config(**kw):
@@ -107,18 +107,18 @@ def test_partition_property():
     assert covered == set(ds.ids.tolist())  # union is the whole dataset
 
 
-def test_nearest_group_and_outlier_rule():
+def test_outlier_rule_flags_far_points_not_members():
     ds, labels, _ = make_blob_trace(300, 3, seed=4)
     spec, _ = fit_transform(runtime_matrix(ds), "standard")
     ps = build_profiles(ds, labels, config(), spec, now=0)
     assert ps.distance_threshold > 0
-    # a member's own runtime lands in its profile, inside tau
-    w = rows_of(ds)[0]
-    label, dist = ps.nearest_group(w.runtime)
-    assert label in ps.labels()
-    # a far-away point is an outlier
-    far = {f: 1e9 for f in ds.schema_runtime}
-    assert ps.is_outlier(far)
+    # tau is the 95th percentile of member-to-own-centroid distances
+    members = np.flatnonzero(np.asarray(labels) >= 0)
+    flags = ps.outlier_flags(FeatureMatrix(ds.runtime[members], ds.schema_runtime))
+    assert flags.shape == (members.size,) and flags.mean() <= 0.05
+    # a far-away point is an outlier, whichever column order the rows use
+    far = FeatureMatrix(np.full((1, len(ds.schema_runtime)), 1e9), tuple(reversed(ds.schema_runtime)))
+    assert ps.outlier_flags(far).tolist() == [True]
 
 
 def test_profile_set_round_trip():

@@ -103,7 +103,6 @@ def test_descriptor_validation():
 def test_runtime_matrix_order(tiny_dataset):
     m = runtime_matrix(tiny_dataset)
     assert m.rows.shape == (5, 2)
-    assert m.transform_applied == "none"
     for i, w in enumerate(rows_of(tiny_dataset)):
         assert m.rows[i, 0] == w.runtime["cpu"]
         assert m.rows[i, 1] == w.runtime["mem"]
