@@ -19,7 +19,12 @@ tree:
   drift-seconds  ``feedback`` on the drift build over the same stream with
                  jittered, non-monotone and repeated timestamps, a window in
                  seconds, no cooldown, and thresholds at which the outlier
-                 and freshness clauses fire as well as the violation clause.
+                 and freshness clauses fire as well as the violation clause;
+  wide           build on a 1500-row trace with a metadata column of several
+                 hundred rare values (a vocabulary of about 600 columns) and
+                 ``classify`` of 400 JSONL records written from its rows;
+  wide-deep      the same on that trace with ``min_child_weight`` 0 and
+                 ``max_depth`` 9, so rare columns split and trees grow deep.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -134,6 +139,36 @@ artifacts.write_json(root / "drift-seconds.json", {
                  "window_mode": "seconds", "tau_quality": 0.5,
                  "min_events_between_triggers": 0},
 })
+
+# A metadata column of several hundred rare values: each row's tag names its
+# blob and a Zipf draw, so a few tags cover many rows of one blob and most
+# cover one or two.
+ds, truth, _ = make_blob_trace(1500, 4, seed=seed + 200, metadata_noise=0.05)
+wide = {"seed": seed,
+        "grid": {"algorithms": ["hdbscan"], "transforms": ["power"],
+                 "distances": ["euclidean"], "min_points": [25, 50]},
+        "acquires": {"optimal_cluster_count": 4}}
+descriptor = schema_for(ds).to_json()
+descriptor["columns"]["tag"] = "metadata"
+save("wide", ds, wide, descriptor)
+save("wide-deep", ds, {**wide, "classifier": {"rounds": 40, "learning_rate": 0.3, "max_depth": 9,
+                                                  "min_child_weight": 0, "l2": 1.0}}, descriptor)
+rng = np.random.default_rng(seed + 200)
+with open(root / "wide.csv", encoding="utf-8", newline="") as fh:
+    rows = list(csv.reader(fh))
+rows[0].insert(4, "tag")
+for row, blob in zip(rows[1:], truth.tolist()):
+    row.insert(4, f"b{blob}-{int(rng.zipf(1.2)) % 300}")
+for name in ("wide", "wide-deep"):
+    with open(root / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+with open(root / "wide.jsonl", "w", encoding="utf-8") as fh:
+    for n, row in enumerate(rows[1:401]):
+        cells = dict(zip(rows[0], row))
+        metadata = {c: cells[c] for c in ("app", "owner", "zone", "tag")}
+        if n % 9 == 4:
+            metadata["tag"] = "never-seen"
+        fh.write(json.dumps({"id": cells["id"], "metadata": metadata}, sort_keys=True) + "\n")
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -164,6 +199,12 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
         shutil.copyfile(out / "drift" / artifact, seconds / artifact)
     run(src, CLI, ["feedback", "--config", inputs / "drift-seconds.json",
                    "--stream", inputs / "drift-seconds-stream.csv", "--out", seconds])
+    for name in ("wide", "wide-deep"):
+        run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
+        with open(out / f"classify-{name}.jsonl", "w", encoding="utf-8") as fh:
+            run(src, CLI, ["classify", "--model", out / name / "model.json",
+                           "--profiles", out / name / "profiles.json",
+                           "--input", inputs / "wide.jsonl"], stdout=fh)
     grid = out / "default-grid"
     with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
         run(src, CLI, ["classify", "--model", grid / "model.json",

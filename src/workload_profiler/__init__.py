@@ -27,7 +27,6 @@ from .gridsearch import GridSpec, grid_search
 from .hdbscan import hdbscan
 from .metrics import AcquiresScore, ClassReport, acquires, class_report, davies_bouldin, silhouette_mean
 from .predictor import (
-    BehaviorPrediction,
     PredictionPolicy,
     RmseReport,
     evaluate_holdout,

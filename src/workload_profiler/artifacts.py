@@ -42,6 +42,15 @@ def read_json(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON document: an int, an integral float or a
+    string that ``int`` parses. A fraction, a bool or a non-finite number is
+    a ValueError, never truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""

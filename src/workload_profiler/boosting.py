@@ -14,10 +14,17 @@ first, so the fitted model is invariant to input row permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .artifacts import json_int
+
+# Forest.empty allocates rounds x classes x (2^(max_depth+1) - 1) nodes, and
+# a level's split histograms hold up to 2^max_depth x dim floats.
+MAX_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,17 @@ class BoostingParams:
     max_depth: int = 6
     min_child_weight: float = 1.0
     l2: float = 1.0
+
+    def __post_init__(self):
+        if self.rounds < 0:
+            raise ValueError("rounds must be >= 0")
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}]")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be a finite number > 0")
+        for name in ("min_child_weight", "l2"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -40,9 +58,9 @@ class BoostingParams:
     @classmethod
     def from_json(cls, doc: Mapping) -> "BoostingParams":
         return cls(
-            rounds=int(doc["rounds"]),
+            rounds=json_int(doc["rounds"]),
             learning_rate=float(doc["learning_rate"]),
-            max_depth=int(doc["max_depth"]),
+            max_depth=json_int(doc["max_depth"]),
             min_child_weight=float(doc["min_child_weight"]),
             l2=float(doc["l2"]),
         )
@@ -78,80 +96,58 @@ def _build_tree(
     gain_arr: np.ndarray,
 ) -> np.ndarray:
     """Grow one regression tree into the given node arrays (views into the
-    forest's); returns the per-row predictions."""
-    n = g.shape[0]
-    pred = np.zeros(n, dtype=np.float64)
+    forest's), a level at a time; returns each row's leaf.
 
-    node_of = np.zeros(n, dtype=np.int64)  # -1 once a row reaches a leaf
-    level_nodes = np.array([0], dtype=np.int64)
+    A row at a leaf keeps its node, numbered below every node of a later
+    level, so a level's rows are those numbered at or past its first node.
+    """
+    n = g.shape[0]
+    l2 = params.l2
+    node_of = np.zeros(n, dtype=np.int64)
+    level = np.array([0], dtype=np.int64)  # this level's nodes, ascending
 
     for depth in range(params.max_depth + 1):
-        if level_nodes.size == 0:
+        base = level[0]
+        width = int(level[-1] - base + 1)
+
+        live = node_of >= base
+        rel = node_of[live] - base
+        G = np.bincount(rel, weights=g[live], minlength=width)
+        H = np.bincount(rel, weights=h[live], minlength=width)
+        value[level] = (-G / (H + l2))[level - base]
+        if depth == params.max_depth:
             break
-        base = level_nodes.min()
-        width = int(level_nodes.max() - base + 1)
 
-        live = node_of >= 0
-        rel = np.full(n, -1, dtype=np.int64)
-        rel[live] = node_of[live] - base
-
-        G = np.bincount(rel[live], weights=g[live], minlength=width)
-        H = np.bincount(rel[live], weights=h[live], minlength=width)
-
-        live_entries = rel[rows_flat] >= 0
-        rf = rows_flat[live_entries]
-        cf = cols_flat[live_entries]
-        keys = rel[rf] * dim + cf
+        entries = live[rows_flat]
+        rf = rows_flat[entries]
+        cf = cols_flat[entries]
+        keys = (node_of[rf] - base) * dim + cf
         G1 = np.bincount(keys, weights=g[rf], minlength=width * dim).reshape(width, dim)
         H1 = np.bincount(keys, weights=h[rf], minlength=width * dim).reshape(width, dim)
         G0 = G[:, None] - G1
         H0 = H[:, None] - H1
-
-        node_values = -G / (H + params.l2)
-        for node in level_nodes:
-            value[node] = node_values[node - base]
-
-        if depth == params.max_depth:
-            for node in level_nodes:
-                sel = node_of == node
-                pred[sel] = value[node]
-                node_of[sel] = -1
-            break
-
-        l2 = params.l2
         score_parent = G**2 / (H + l2)
         gains = 0.5 * (G1**2 / (H1 + l2) + G0**2 / (H0 + l2) - score_parent[:, None])
         ok = (H1 >= params.min_child_weight) & (H0 >= params.min_child_weight)
-        gains = np.where(ok, gains, -np.inf)
+        gains = np.where(ok, gains, -np.inf)[level - base]
 
-        next_nodes: list[int] = []
-        for node in level_nodes:
-            r = node - base
-            col = int(np.argmax(gains[r]))
-            best_gain = gains[r, col]
-            if not np.isfinite(best_gain) or best_gain <= _MIN_GAIN:
-                sel = node_of == node
-                pred[sel] = value[node]
-                node_of[sel] = -1
-                continue
-            feature[node] = col
-            gain_arr[node] = best_gain
-            next_nodes.extend((2 * node + 1, 2 * node + 2))
-
-        if not next_nodes:
+        col = gains.argmax(axis=1)  # the first maximum; a NaN counts as one
+        best = gains[np.arange(level.size), col]
+        split = np.isfinite(best) & (best > _MIN_GAIN)
+        if not split.any():
             break
+        parents = level[split]
+        feature[parents] = col[split]
+        gain_arr[parents] = best[split]
 
-        # Move surviving rows to a child: right iff the split column is active.
-        live = node_of >= 0
-        splitting = live & (feature[np.where(live, node_of, 0)] >= 0)
+        # Rows of a split node move to a child: right iff the split column is active.
+        column = feature[node_of]  # -1 at a leaf
         goes_right = np.zeros(n, dtype=bool)
-        entry_live = splitting[rows_flat]
-        match = entry_live & (cols_flat == feature[np.where(splitting, node_of, 0)[rows_flat]])
-        goes_right[rows_flat[match]] = True
-        node_of[splitting] = 2 * node_of[splitting] + 1 + goes_right[splitting]
-        level_nodes = np.unique(np.asarray(next_nodes, dtype=np.int64))
+        goes_right[rows_flat[cols_flat == column[rows_flat]]] = True
+        node_of = np.where(column >= 0, 2 * node_of + 1 + goes_right, node_of)
+        level = np.stack((2 * parents + 1, 2 * parents + 2), axis=1).ravel()
 
-    return pred
+    return node_of
 
 
 @dataclass
@@ -273,11 +269,11 @@ def fit_forest(
         for c in range(n_classes):
             g = P[:, c] - onehot[:, c]
             h = P[:, c] * (1.0 - P[:, c])
-            pred = _build_tree(
+            leaf = _build_tree(
                 rows_flat, cols_flat, g, h, dim, params,
                 forest.feature[r, c], forest.value[r, c], forest.gain[r, c],
             )
-            F[:, c] += params.learning_rate * pred
+            F[:, c] += params.learning_rate * forest.value[r, c, leaf]
     return forest
 
 

@@ -148,7 +148,13 @@ def record_values(model: ClassifierModel, metadata: Mapping) -> list[str]:
     for f in model.vocabulary.feature_names:
         if f not in metadata:
             raise SchemaError(f"metadata record is missing feature {f!r}")
-        values.append(str(_bucketized(metadata[f], bounds[f]) if f in bounds else metadata[f]))
+        value = metadata[f]
+        if f in bounds:
+            try:
+                value = bucketize_value(float(value), bounds[f])
+            except (TypeError, ValueError):
+                pass  # already a quartile label
+        values.append(str(value))
     return values
 
 
@@ -156,17 +162,6 @@ def encode_records(model: ClassifierModel, records: Sequence[Mapping]) -> np.nda
     """Encoded rows of metadata records."""
     values = [record_values(model, rec) for rec in records]
     return model.vocabulary.encode(MetadataBlock.from_rows(model.vocabulary.feature_names, values))
-
-
-def encode_block(model: ClassifierModel, block: MetadataBlock) -> np.ndarray:
-    """Encoded rows of a metadata block, its values bucketized as at training
-    (a value that does not parse as a number is kept)."""
-    bounds = model.bucket_bounds or {}
-    tables = tuple(
-        tuple(_bucketized(v, bounds[f]) for v in table) if f in bounds else table
-        for f, table in zip(block.names, block.tables)
-    )
-    return model.vocabulary.encode(MetadataBlock(block.names, block.codes, tables))
 
 
 def classify_encoded(
@@ -191,13 +186,6 @@ def classify(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, 
     return int(labels[0]), dict(zip(model.class_labels, probs[0].tolist()))
 
 
-def _bucketized(value, bounds: tuple[float, float, float]):
-    try:
-        return str(bucketize_value(float(value), bounds))
-    except (TypeError, ValueError):
-        return value  # already a quartile label
-
-
 def feature_importance(model: ClassifierModel, top_n: int = 20) -> list[tuple[str, float]]:
     """Encoded features ranked by split-gain share (sums to 1 over all)."""
     gains = total_gain_by_column(model.forest)
@@ -212,24 +200,3 @@ def feature_importance(model: ClassifierModel, top_n: int = 20) -> list[tuple[st
         if share[i] > 0.0
     ]
 
-
-def path_attribution(model: ClassifierModel, metadata: Mapping[str, str]) -> dict[str, float]:
-    """Per-prediction attribution: leaf-value deltas along each tree path,
-    summed per encoded feature across all trees and classes."""
-    forest = model.forest
-    leaf = forest.leaves(encode_records(model, [metadata]))[0]
-    # The path of each tree as child nodes, root side first and 0 before the
-    # root, so the sums below add up in path order.
-    child = np.zeros(leaf.shape + (forest.params.max_depth,), dtype=np.int64)
-    node = leaf
-    for k in reversed(range(forest.params.max_depth)):
-        child[..., k] = node
-        node = np.maximum(node - 1, 0) // 2
-    parent = np.maximum(child - 1, 0) // 2
-    r, c = (i[..., None] for i in np.indices(leaf.shape))
-    on_path = child > 0
-    feats = forest.feature[r, c, parent][on_path]
-    deltas = (forest.value[r, c, child] - forest.value[r, c, parent])[on_path]
-    out = np.zeros(forest.dim, dtype=np.float64)
-    np.add.at(out, feats, forest.params.learning_rate * deltas)
-    return {model.vocabulary.column_name(int(f)): float(out[f]) for f in np.unique(feats)}

@@ -64,7 +64,7 @@ def _label_predictions(model, profiles, policy) -> dict[int, dict | Exception]:
     for label in model.class_labels:
         try:
             group = profiles.group(label)
-            out[label] = artifacts.jsonable(predict(group, tuple(group.stats), policy).values)
+            out[label] = artifacts.jsonable(predict(group, tuple(group.stats), policy))
         except (KeyError, ValueError, ProfilerError) as exc:
             out[label] = exc
     return out

@@ -1,15 +1,16 @@
 """Feedback loop: violation monitoring, staleness, and triggered re-clustering.
 
 Between two model swaps the stream is evaluated as columns: each event's
-label, violation flag and outlier flag are filled a chunk at a time, and the
-trigger scan (``next_trigger``) reads window counts, the outlier ratio and
-freshness off those columns by cumulative sums. Events still take effect in
-stream order (single writer): the first event at which a clause holds
-outside the cooldown fires. A fired trigger re-clusters over all data seen
-so far and the result is adopted only when its composite quality score
-clears tau_quality; an adoption restarts the window and the outlier count,
-and the columns after it are evaluated with the new model. Otherwise the old
-profiles stay and a rejected update is logged.
+label, violation flag and outlier flag are filled a chunk at a time, along
+with running counts of the flags, and the trigger scan (``next_trigger``)
+reads window counts, the outlier ratio and freshness off those columns.
+Events still take effect in stream order (single writer): the first event
+at which a clause holds outside the cooldown fires. A fired trigger
+re-clusters over all data seen so far and the result is adopted only when
+its composite quality score clears tau_quality; an adoption restarts the
+window and the outlier count, and the columns after it are evaluated with
+the new model. Otherwise the old profiles stay and a rejected update is
+logged.
 
 A minimum number of events between fired triggers (default: the window size)
 keeps the update frequency balanced; without it a tripped threshold would
@@ -24,8 +25,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import json_int
 from .boosting import BoostingParams, DEFAULT_PARAMS
-from .classifier import ClassifierModel, build_training_set, classify_encoded, encode_block, train
+from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
     DegenerateDataError,
     DuplicateIdError,
@@ -54,9 +56,6 @@ class DeltaSpec:
 
     def threshold(self, feature: str) -> float:
         return self.thresholds.get(feature, self.default)
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "thresholds": dict(self.thresholds), "default": self.default}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "DeltaSpec":
@@ -87,8 +86,10 @@ class FeedbackConfig:
             raise ValueError("tau_o must be in [0, 1]")
         if not 0.0 < self.tau_f <= 1.0:
             raise ValueError("tau_f must be in (0, 1]")
-        if self.decay <= 0.0:
+        if not self.decay > 0.0:
             raise ValueError("decay rate must be positive")
+        if math.isnan(self.tau_quality):
+            raise ValueError("tau_quality must be a number")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.window_mode not in ("events", "seconds"):
@@ -100,19 +101,6 @@ class FeedbackConfig:
     def cooldown(self) -> int:
         return self.window if self.min_events_between_triggers is None else self.min_events_between_triggers
 
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta.to_json(),
-            "tau_v": self.tau_v,
-            "tau_o": self.tau_o,
-            "tau_f": self.tau_f,
-            "decay": self.decay,
-            "window": self.window,
-            "window_mode": self.window_mode,
-            "tau_quality": self.tau_quality,
-            "min_events_between_triggers": self.min_events_between_triggers,
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "FeedbackConfig":
         return cls(
@@ -121,12 +109,12 @@ class FeedbackConfig:
             tau_o=float(doc.get("tau_o", 0.2)),
             tau_f=float(doc.get("tau_f", 0.5)),
             decay=float(doc.get("decay", 1e-4)),
-            window=int(doc.get("window", 10_000)),
+            window=json_int(doc.get("window", 10_000)),
             window_mode=doc.get("window_mode", "events"),
             tau_quality=float(doc.get("tau_quality", 0.5)),
             min_events_between_triggers=(
                 None if doc.get("min_events_between_triggers") is None
-                else int(doc["min_events_between_triggers"])
+                else json_int(doc["min_events_between_triggers"])
             ),
         )
 
@@ -165,8 +153,8 @@ def window_fronts(times: np.ndarray, cfg: FeedbackConfig, reset: int) -> np.ndar
 
 
 def next_trigger(
-    violated: np.ndarray,
-    outlier: np.ndarray,
+    violations: np.ndarray,
+    outliers: np.ndarray,
     times: np.ndarray,
     fronts: np.ndarray,
     stalest_update: int,
@@ -175,23 +163,24 @@ def next_trigger(
     last_fire: int | None,
     start: int,
 ) -> tuple[int, list[str], float] | None:
-    """The first event i in [start, len(violated)) at which a trigger fires,
-    with its sorted causes and its window violation rate; None if none does.
+    """The first event i in [start, len(violations) - 1) at which a trigger
+    fires, with its sorted causes and its window violation rate; None if none
+    does.
 
-    ``violated`` and ``outlier`` hold the events evaluated so far; ``times``
-    and ``fronts`` (from ``window_fronts``) are indexed alike and may run
-    further. The clauses at event i: the violation rate over the window
+    ``violations`` and ``outliers`` are running counts over the events
+    evaluated so far: entry i counts the flagged events before event i, and
+    one more entry ends them. ``times`` and ``fronts`` (from
+    ``window_fronts``) are indexed by event and may run further. The clauses
+    at event i: the violation rate over the window
     ``fronts[i]..i`` exceeds tau_v; the outliers since ``reset`` (the last
     adoption) over all i + 1 events seen exceed tau_o; the freshness
     exp(-decay * age) of the profile updated at ``stalest_update`` is below
     tau_f. A clause fires once ``cooldown`` events have passed since
     ``last_fire``.
     """
-    stop = len(violated)
+    stop = len(violations) - 1
     index = np.arange(start, stop)
     front = fronts[start:stop]
-    violations = np.concatenate(([0], np.cumsum(violated)))
-    outliers = np.concatenate(([0], np.cumsum(outlier)))
     rate = (violations[index + 1] - violations[front]) / (index + 1 - front)
     ratio = (outliers[index + 1] - outliers[reset]) / (index + 1)
     ages = np.maximum(times[start:stop] - stalest_update, 0).tolist()
@@ -321,7 +310,9 @@ def _recluster(
 
 class _Columns:
     """Stream-length label, violation and outlier columns, filled a chunk at a
-    time with the live model and profiles; a swap refills from its event on."""
+    time with the live model and profiles; a swap refills from its event on.
+    The running counts of the two flags grow with each chunk, so the counts
+    before a swap's event stay valid."""
 
     def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
                  delta: DeltaSpec, chunk: int = 512):
@@ -331,17 +322,19 @@ class _Columns:
         self.labels = np.zeros(len(stream), dtype=np.int64)
         self.violated = np.zeros(len(stream), dtype=bool)
         self.outliers = np.zeros(len(stream), dtype=bool)
+        self.violation_counts = np.zeros(len(stream) + 1, dtype=np.int64)  # flags before event i
+        self.outlier_counts = np.zeros(len(stream) + 1, dtype=np.int64)
 
     def swap(self, model: ClassifierModel, profiles: ProfileSet, start: int) -> None:
         self.model, self.profiles, self.filled = model, profiles, start
-        self.rows = encode_block(model, self.stream.metadata)
+        self.rows = model.vocabulary.encode(self.stream.metadata)
         self.expected: dict[int, list[float]] = {}
 
     def fill(self) -> None:
         span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))
         labels = classify_encoded(self.model, self.rows[span])[0]
         for label in set(labels.tolist()) - self.expected.keys():
-            values = predict(self.profiles.group(label), self.features, self.policy).values
+            values = predict(self.profiles.group(label), self.features, self.policy)
             self.expected[label] = [values[f] for f in self.features]
         expected = np.array([self.expected[label] for label in labels.tolist()])
         self.labels[span] = labels
@@ -351,6 +344,9 @@ class _Columns:
         self.outliers[span] = self.profiles.outlier_flags(
             FeatureMatrix(self.stream.runtime[span], self.stream.schema_runtime)
         )
+        for flags, counts in ((self.violated, self.violation_counts),
+                              (self.outliers, self.outlier_counts)):
+            counts[span.start + 1:span.stop + 1] = counts[span.start] + np.cumsum(flags[span])
         self.filled = span.stop
 
 
@@ -383,7 +379,8 @@ def run_feedback(
     while index < len(stream):
         if index == columns.filled:
             columns.fill()
-        hit = next_trigger(columns.violated[:columns.filled], columns.outliers[:columns.filled],
+        counted = slice(columns.filled + 1)
+        hit = next_trigger(columns.violation_counts[counted], columns.outlier_counts[counted],
                            times, fronts, stalest, cfg, reset, last_fire, index)
         if hit is None:
             index = columns.filled

@@ -9,6 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import json_int
 from .dbscan import dbscan
 from .errors import DegenerateDataError, NoViableConfigError
 from .hdbscan import hdbscan
@@ -36,6 +37,8 @@ class GridSpec:
 
         if not (self.algorithms and self.transforms and self.distances and self.min_points):
             raise ValueError("grid axes must be nonempty")
+        if any(mp < 2 for mp in self.min_points):
+            raise ValueError("min_points must be >= 2")
         for algorithm in self.algorithms:
             if algorithm not in ("hdbscan", "dbscan"):
                 raise ValueError(f"unknown clustering algorithm {algorithm!r}")
@@ -53,7 +56,7 @@ class GridSpec:
         kwargs = {}
         for key in ("algorithms", "transforms", "distances", "min_points", "eps"):
             if key in doc:
-                kwargs[key] = tuple(doc[key])
+                kwargs[key] = tuple(map(json_int, doc[key]) if key == "min_points" else doc[key])
         return cls(**kwargs)
 
     @classmethod

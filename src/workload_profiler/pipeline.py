@@ -34,7 +34,7 @@ from .gridsearch import GRID_REPORT_FIELDS, GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS, check_acquires_params, class_report
 from .predictor import PredictionPolicy, evaluate_holdout
 from .preprocess import hopkins
-from .profiles import ClusteringConfig, ProfileSet
+from .profiles import ClusteringConfig, ProfileSet, stored_percentile
 from .trace_model import Dataset, TraceSchema, load_trace, runtime_matrix
 
 PROFILES_FILE = "profiles.json"
@@ -89,9 +89,9 @@ class RunConfig:
                 trace=resolve(doc["trace"]),
                 descriptor=resolve(doc["descriptor"]),
                 output_dir=resolve(doc.get("output_dir", "out")),
-                seed=int(doc["seed"]),
+                seed=artifacts.json_int(doc["seed"]),
                 grid=GridSpec.from_json(doc.get("grid", {})),
-                optimal_cluster_count=int(acq.get("optimal_cluster_count", 10)),
+                optimal_cluster_count=artifacts.json_int(acq.get("optimal_cluster_count", 10)),
                 acquires_weights=weights,
                 classifier_params=(
                     BoostingParams.from_json(doc["classifier"])
@@ -107,7 +107,7 @@ class RunConfig:
                 predict_features=(
                     tuple(doc["predict_features"]) if "predict_features" in doc else None
                 ),
-                build_timestamp=int(doc.get("build_timestamp", 0)),
+                build_timestamp=artifacts.json_int(doc.get("build_timestamp", 0)),
                 hopkins_fraction=float(doc.get("hopkins_fraction", 0.1)),
                 include_member_ids=bool(doc.get("include_member_ids", False)),
                 alt_normalization=bool(doc.get("alt_normalization", False)),
@@ -124,9 +124,7 @@ class RunConfig:
         check_acquires_params(self.optimal_cluster_count, self.acquires_weights)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1)")
-        # the prediction quantile must be one of the stored profile percentiles
-        key = round(self.prediction.quantile * 100.0, 6)
-        if not any(abs(p - key) < 1e-9 for p in self.stats_percentiles):
+        if stored_percentile(self.stats_percentiles, self.prediction.quantile) is None:
             raise ConfigError(
                 f"prediction quantile {self.prediction.quantile} is not among "
                 f"stats_percentiles {sorted(self.stats_percentiles)}"

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import ClassifierModel, classify_encoded, encode_block
+from .classifier import ClassifierModel, classify_encoded
 from .errors import EmptyHoldoutError
 from .profiles import ProfileGroup, ProfileSet
 from .trace_model import Dataset
@@ -59,21 +59,13 @@ class PredictionPolicy:
         )
 
 
-@dataclass(frozen=True)
-class BehaviorPrediction:
-    workload_id: str
-    profile_label: int
-    values: dict[str, float]  # native units
-    policy: PredictionPolicy
-
-
 def predict(
     profile: ProfileGroup,
     features: Sequence[str],
     policy: PredictionPolicy,
-    workload_id: str = "",
-) -> BehaviorPrediction:
-    """Predict the requested runtime features from one profile's statistics."""
+) -> dict[str, float]:
+    """Predict the requested runtime features, in native units, from one
+    profile's statistics."""
     values: dict[str, float] = {}
     for f in features:
         if f not in profile.stats:
@@ -87,9 +79,7 @@ def predict(
                 values[f] = stats.quantile(policy.quantile)
             else:
                 values[f] = stats.median
-    return BehaviorPrediction(
-        workload_id=workload_id, profile_label=profile.label, values=values, policy=policy
-    )
+    return values
 
 
 def _errors(predicted: np.ndarray, actual: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +146,7 @@ def evaluate_holdout(
     the same build, but guards stale artifact mixes).
     """
     feats = tuple(features) if features else dataset.schema_runtime
-    labels, _ = classify_encoded(model, encode_block(model, dataset.metadata))
+    labels, _ = classify_encoded(model, model.vocabulary.encode(dataset.metadata))
     scored = np.isin(labels, profiles.labels())
     if not scored.any():
         raise EmptyHoldoutError("no workload could be scored against the profiles")
@@ -165,7 +155,7 @@ def evaluate_holdout(
     order = order.tolist()
     group_of = {g.label: g for g in profiles.groups}
     names = tuple(dict.fromkeys(feats))  # a repeated feature is scored once
-    predictions = [predict(group_of[label], names, policy).values for label in order]
+    predictions = [predict(group_of[label], names, policy) for label in order]
     predicted = np.array([[p[f] for f in names] for p in predictions])[which]
     actual = dataset.runtime[scored][:, [dataset.schema_runtime.index(f) for f in names]]
     errors, combined = _errors(predicted, actual, actual)

@@ -8,10 +8,11 @@ transformed space used for clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import json_int
 from .distances import block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TransformSpec, apply_transform, skewness
@@ -55,10 +56,17 @@ class ClusteringConfig:
             algorithm=doc["algorithm"],
             transform=doc["transform"],
             distance=doc["distance"],
-            min_points=int(doc["min_points"]),
+            min_points=json_int(doc["min_points"]),
             eps=doc.get("eps"),
-            seed=int(doc.get("seed", 0)),
+            seed=json_int(doc.get("seed", 0)),
         )
+
+
+def stored_percentile(percentiles: Iterable[float], q: float) -> float | None:
+    """The first stored percentile that quantile q names (q * 100 rounded to
+    6 places, within 1e-9), or None."""
+    key = round(q * 100.0, 6)
+    return next((p for p in percentiles if abs(p - key) < 1e-9), None)
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,10 @@ class FeatureStats:
     skewness: float | None
 
     def quantile(self, q: float) -> float:
-        key = round(q * 100.0, 6)
-        for p, v in self.percentiles.items():
-            if abs(p - key) < 1e-9:
-                return v
-        raise KeyError(f"quantile {q} not among stored percentiles {sorted(self.percentiles)}")
+        p = stored_percentile(self.percentiles, q)
+        if p is None:
+            raise KeyError(f"quantile {q} not among stored percentiles {sorted(self.percentiles)}")
+        return self.percentiles[p]
 
     def to_json(self) -> dict:
         return {

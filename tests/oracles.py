@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from workload_profiler import boosting
 from workload_profiler.distances import distance, point_to_rows
 from workload_profiler.preprocess import proportional_allocation
 
@@ -525,3 +526,113 @@ def slow_trigger_scan(violated, outlier, times, last_updates, cfg, adopt):
             window_violations = outliers_seen = 0
             last_updates = [t] * len(last_updates)
     return fires, counts
+
+
+def _slow_build_tree(rows_flat, cols_flat, g, h, dim, params, feature, value, gain_arr):
+    """Tree growth with a Python loop per node and a row mask per leaf;
+    returns the per-row predictions."""
+    n = g.shape[0]
+    pred = np.zeros(n, dtype=np.float64)
+
+    node_of = np.zeros(n, dtype=np.int64)  # -1 once a row reaches a leaf
+    level_nodes = np.array([0], dtype=np.int64)
+
+    for depth in range(params.max_depth + 1):
+        if level_nodes.size == 0:
+            break
+        base = level_nodes.min()
+        width = int(level_nodes.max() - base + 1)
+
+        live = node_of >= 0
+        rel = np.full(n, -1, dtype=np.int64)
+        rel[live] = node_of[live] - base
+
+        G = np.bincount(rel[live], weights=g[live], minlength=width)
+        H = np.bincount(rel[live], weights=h[live], minlength=width)
+
+        live_entries = rel[rows_flat] >= 0
+        rf = rows_flat[live_entries]
+        cf = cols_flat[live_entries]
+        keys = rel[rf] * dim + cf
+        G1 = np.bincount(keys, weights=g[rf], minlength=width * dim).reshape(width, dim)
+        H1 = np.bincount(keys, weights=h[rf], minlength=width * dim).reshape(width, dim)
+        G0 = G[:, None] - G1
+        H0 = H[:, None] - H1
+
+        node_values = -G / (H + params.l2)
+        for node in level_nodes:
+            value[node] = node_values[node - base]
+
+        if depth == params.max_depth:
+            for node in level_nodes:
+                sel = node_of == node
+                pred[sel] = value[node]
+                node_of[sel] = -1
+            break
+
+        l2 = params.l2
+        score_parent = G**2 / (H + l2)
+        gains = 0.5 * (G1**2 / (H1 + l2) + G0**2 / (H0 + l2) - score_parent[:, None])
+        ok = (H1 >= params.min_child_weight) & (H0 >= params.min_child_weight)
+        gains = np.where(ok, gains, -np.inf)
+
+        next_nodes = []
+        for node in level_nodes:
+            r = node - base
+            col = int(np.argmax(gains[r]))
+            best_gain = gains[r, col]
+            if not np.isfinite(best_gain) or best_gain <= boosting._MIN_GAIN:
+                sel = node_of == node
+                pred[sel] = value[node]
+                node_of[sel] = -1
+                continue
+            feature[node] = col
+            gain_arr[node] = best_gain
+            next_nodes.extend((2 * node + 1, 2 * node + 2))
+
+        if not next_nodes:
+            break
+
+        # Move surviving rows to a child: right iff the split column is active.
+        live = node_of >= 0
+        splitting = live & (feature[np.where(live, node_of, 0)] >= 0)
+        goes_right = np.zeros(n, dtype=bool)
+        entry_live = splitting[rows_flat]
+        match = entry_live & (cols_flat == feature[np.where(splitting, node_of, 0)[rows_flat]])
+        goes_right[rows_flat[match]] = True
+        node_of[splitting] = 2 * node_of[splitting] + 1 + goes_right[splitting]
+        level_nodes = np.unique(np.asarray(next_nodes, dtype=np.int64))
+
+    return pred
+
+
+def slow_fit_forest(rows, labels, n_classes, dim, params):
+    """Softmax boosting with per-node tree growth, as ``fit_forest`` must
+    reproduce bit for bit; the split threshold is read from
+    ``boosting._MIN_GAIN`` at call time."""
+    labels = np.asarray(labels, dtype=np.int64)
+    order = boosting.canonical_order(rows, labels)
+    rows = rows[order]
+    y = labels[order]
+    n = len(rows)
+
+    active = rows >= 0
+    rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order
+    cols_flat = rows[active]
+
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+
+    forest = boosting.Forest.empty(n_classes, dim, params)
+    F = np.zeros((n, n_classes), dtype=np.float64)
+    for r in range(params.rounds):
+        P = boosting._softmax(F)
+        for c in range(n_classes):
+            g = P[:, c] - onehot[:, c]
+            h = P[:, c] * (1.0 - P[:, c])
+            pred = _slow_build_tree(
+                rows_flat, cols_flat, g, h, dim, params,
+                forest.feature[r, c], forest.value[r, c], forest.gain[r, c],
+            )
+            F[:, c] += params.learning_rate * pred
+    return forest

@@ -314,8 +314,10 @@ def test_criterion_6_feedback_loop():
     fronts = window_fronts(times, mono_cfg, 0)
     stalest = min(g.last_update for g in small_profiles.groups)
 
+    violations = np.concatenate(([0], np.cumsum(violated)))
+
     def fires(i):
-        return next_trigger(violated[: i + 1], np.zeros(i + 1, dtype=bool), times, fronts,
+        return next_trigger(violations[: i + 2], np.zeros(i + 2, dtype=np.int64), times, fronts,
                             stalest, mono_cfg, 0, None, i) is not None
 
     monotone_ok = all(fires(i + 1) for i in range(0, 600, 2) if fires(i))

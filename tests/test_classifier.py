@@ -12,9 +12,7 @@ from workload_profiler.classifier import (
     build_training_set,
     classify,
     classify_batch,
-    encode_records,
     feature_importance,
-    path_attribution,
     train,
 )
 from workload_profiler.errors import DegenerateDataError, SchemaError
@@ -200,14 +198,6 @@ def test_feature_importance_zero_trees():
     assert feature_importance(model, top_n=5) == []
 
 
-def test_path_attribution_names_determining_feature():
-    ts, vocab, records, _ = bijective_training(500, 3, seed=12)
-    model = train(ts, vocab, FAST, seed=0)
-    attribution = path_attribution(model, records[0])
-    heavy = max(attribution.items(), key=lambda kv: abs(kv[1]))
-    assert heavy[0].startswith("g=")
-
-
 # ------------------------------------------------- exact routing oracle
 
 def _bucketized_model():
@@ -265,28 +255,6 @@ def test_routing_equals_slow_oracle_exactly(name):
             assert dict(zip(m.class_labels, row)) == w
             assert classify(m, q) == (max(w, key=w.get), w)
             assert label == max(w, key=w.get)
-
-
-def test_path_attribution_sums_leaf_deltas_along_the_routed_paths():
-    model, queries = _blob_model()
-    doc = model.to_json()
-    lr = doc["hyperparams"]["learning_rate"]
-    leaves = model.forest.leaves(encode_records(model, queries))
-    assert leaves.max() > 6  # some paths are three or more splits deep
-    for q in queries[::5]:
-        active = set(encode_records(model, [q])[0].tolist())
-        want: dict[int, float] = {}
-        for per_class in doc["trees"]:
-            for node in per_class:
-                while "feature" in node:
-                    child = node["present"] if node["feature"] in active else node["absent"]
-                    want[node["feature"]] = (
-                        want.get(node["feature"], 0.0) + lr * (child["value"] - node["value"])
-                    )
-                    node = child
-        assert path_attribution(model, q) == {
-            model.vocabulary.column_name(f): v for f, v in sorted(want.items())
-        }
 
 
 # ---------------------------------------------------------- persistence

@@ -1,4 +1,5 @@
 import json
+import math
 
 from oracles import slow_forest_probabilities
 from rows import rows_of
@@ -327,6 +328,49 @@ def test_config_rejects_unstored_prediction_quantile(tmp_path, monkeypatch):
         assert main(["build", "--config", str(config)]) == 12, extra
 
 
+def test_config_rejects_fractional_counts_and_bad_classifier_params(tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid_search ran on a bad config")
+
+    monkeypatch.setattr(pipeline, "grid_search", no_grid)
+    _, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    base = artifacts.read_json(write_config(tmp_path, trace, descriptor, tmp_path / "out"))
+    grid = {**base["grid"], "min_points": [20.5]}
+    pinned = {"algorithm": "hdbscan", "transform": "power", "distance": "euclidean"}
+    bad = [
+        {"seed": 1.7}, {"seed": True}, {"build_timestamp": 0.5},
+        {"acquires": {"optimal_cluster_count": 3.5}},
+        {"feedback": {"window": 250.9}}, {"feedback": {"min_events_between_triggers": 2.5}},
+        {"feedback": {"decay": math.nan}}, {"feedback": {"tau_quality": math.nan}},
+        {"grid": grid}, {"grid": {**grid, "min_points": [1]}},
+        {"recluster_config": {**pinned, "min_points": 20.5}},
+    ]
+    # each rejected value allocates nothing: a forest is sized only after parsing
+    for key, value in (("rounds", -2), ("rounds", 2.5), ("max_depth", -1), ("max_depth", 11),
+                       ("max_depth", 6.5), ("learning_rate", math.nan), ("learning_rate", 0.0),
+                       ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.nan),
+                       ("min_child_weight", -1.0), ("min_child_weight", math.inf)):
+        bad.append({"classifier": {**base["classifier"], key: value}})
+    config = tmp_path / "bad.json"
+    for extra in bad:
+        config.write_text(json.dumps({**base, **extra}), encoding="utf-8")  # NaN stays NaN
+        assert main(["build", "--config", str(config)]) == 12, extra
+
+
+def test_config_integral_values_parse_as_ints(tmp_path):
+    doc = {"trace": "t.csv", "descriptor": "d.json", "seed": "7", "build_timestamp": 3.0,
+           "grid": {"min_points": [20.0, "30"]}, "acquires": {"optimal_cluster_count": 4.0},
+           "classifier": {**BOOST, "rounds": "5", "max_depth": 10.0},
+           "feedback": {"window": "250", "min_events_between_triggers": 0.0}}
+    config = pipeline.RunConfig.from_json(doc)
+    values = (config.seed, config.build_timestamp, *config.grid.min_points,
+              config.optimal_cluster_count, config.classifier_params.rounds,
+              config.classifier_params.max_depth, config.feedback.window,
+              config.feedback.min_events_between_triggers)
+    assert values == (7, 3, 20, 30, 4, 5, 10, 250, 0)
+    assert all(type(v) is int for v in values)
+
+
 def test_custom_stats_percentiles(tmp_path):
     _, _, trace, descriptor = write_inputs(tmp_path)
     out = tmp_path / "out"
@@ -399,7 +443,7 @@ def test_classify_output_is_strict_json_and_reports_labels_without_a_profile(tmp
     for i, row in enumerate(rows):
         assert row["id"] == expected_ids[i % 3]
         group = profiles.group(row["label"])
-        assert row["predicted"] == predict(group, tuple(group.stats), PredictionPolicy()).values
+        assert row["predicted"] == predict(group, tuple(group.stats), PredictionPolicy())
 
     # Drop the most common label's profile: its lines become inline errors.
     dropped = max({r["label"] for r in rows}, key=[r["label"] for r in rows].count)

@@ -42,8 +42,14 @@ def scan(violated, times, cfg, outlier=None, stalest_update=0, start=None, reset
     times = np.asarray(times, dtype=np.int64)
     outlier = np.zeros_like(violated) if outlier is None else np.asarray(outlier, dtype=bool)
     start = len(violated) - 1 if start is None else start
-    return next_trigger(violated, outlier, times, window_fronts(times, cfg, reset),
-                        stalest_update, cfg, reset, last_fire, start)
+    return next_trigger(running(violated), running(outlier), times,
+                        window_fronts(times, cfg, reset), stalest_update, cfg, reset, last_fire,
+                        start)
+
+
+def running(flags):
+    """Running counts of flags, as next_trigger reads them."""
+    return np.concatenate(([0], np.cumsum(flags)))
 
 
 def rate_at(flags, times=None, mode="events", window=10):
@@ -192,7 +198,7 @@ def _array_trigger_scan(violated, outlier, times, last_updates, cfg, adopt, chun
     fires, counts = [], []
     reset, last_fire, index, filled = 0, None, 0, 0
     fronts, stalest = window_fronts(times, cfg, 0), min(last_updates)
-    cumulative = np.concatenate(([0], np.cumsum(violated)))
+    cumulative, outliers = running(violated), running(outlier)
 
     def close_epoch(stop):
         for i in range(reset, stop):
@@ -201,8 +207,8 @@ def _array_trigger_scan(violated, outlier, times, last_updates, cfg, adopt, chun
     while index < len(times):
         if index == filled:
             filled = min(index + chunk, len(times))
-        hit = next_trigger(violated[:filled], outlier[:filled], times, fronts, stalest, cfg,
-                           reset, last_fire, index)
+        hit = next_trigger(cumulative[:filled + 1], outliers[:filled + 1], times, fronts,
+                           stalest, cfg, reset, last_fire, index)
         if hit is None:
             index = filled
             continue
@@ -352,6 +358,38 @@ def test_prefetched_outlier_flags_equal_the_per_event_rule_across_a_swap():
     for i, w in enumerate(rows_of(stream)):
         live = profiles if i <= swap else report.final_profiles
         assert flags[i] == one_event(live, w.runtime)
+
+
+@pytest.mark.parametrize("case", ["events", "seconds", "stale"])
+def test_run_feedback_fires_where_the_event_loop_does_over_its_own_columns(case):
+    # The stream spans three 512-event fill chunks. In events mode triggers
+    # are adopted and the columns after each refill under the new model; in
+    # stale mode freshness holds throughout and the cooldown puts a fire on
+    # the last event of the first chunk.
+    train_ds, stream, profiles, model, grid, regen = drift_setup(seed=3)
+    if case == "seconds":
+        rng = np.random.default_rng(3)
+        t = stream.submitted_at + rng.integers(-30, 31, size=len(stream))
+        stream = dataclasses.replace(stream, submitted_at=t)
+    cfg = FeedbackConfig(
+        delta=DeltaSpec(mode="relative", default=0.5),
+        tau_v=0.2, tau_o=0.05, tau_f=0.5, decay=1e-12, window=250,
+        window_mode="seconds" if case == "seconds" else "events",
+        tau_quality=0.5 if case == "events" else math.inf, min_events_between_triggers=250,
+    )
+    if case == "stale":
+        cfg = dataclasses.replace(cfg, tau_v=1.0, tau_o=1.0, decay=1.0,
+                                  min_events_between_triggers=511)
+    report = run_feedback(stream, model, profiles, cfg, regen, PredictionPolicy(), train_ds)
+    fires, _ = slow_trigger_scan(
+        report.violated.tolist(), report.outliers.tolist(), stream.submitted_at.tolist(),
+        [g.last_update for g in profiles.groups], cfg, lambda k: report.triggers[k].adopted,
+    )
+    assert fires == [(tr.event_index, tr.causes, tr.window_rate_before) for tr in report.triggers]
+    assert len(fires) >= 2 and fires[-1][0] >= 512
+    assert (report.adopted_count > 0) == (case == "events")
+    if case == "stale":
+        assert [i for i, _, _ in fires] == [0, 511, 1022]
 
 
 def test_infinite_quality_threshold_never_adopts():

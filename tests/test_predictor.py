@@ -41,24 +41,24 @@ def test_policy_validation():
 def test_fixed_quantile_hand_example():
     profile = profile_from_values([10, 20, 30, 40])
     pred = predict(profile, ["cpu"], PredictionPolicy(kind="fixed_quantile", quantile=0.05))
-    assert pred.values["cpu"] == pytest.approx(11.5)
+    assert pred["cpu"] == pytest.approx(11.5)
 
 
 def test_skew_conditional_switches_on_threshold():
     skewed = profile_from_values([1, 1, 1, 1, 1, 1, 1, 1, 1, 50])  # skewness >> 1
     policy = PredictionPolicy(kind="skew_conditional", quantile=0.05, skew_threshold=1.0)
-    assert predict(skewed, ["cpu"], policy).values["cpu"] == skewed.stats["cpu"].quantile(0.05)
+    assert predict(skewed, ["cpu"], policy)["cpu"] == skewed.stats["cpu"].quantile(0.05)
     flat = profile_from_values([10, 11, 12, 13, 14])  # skewness ~ 0
-    assert predict(flat, ["cpu"], policy).values["cpu"] == flat.stats["cpu"].median
+    assert predict(flat, ["cpu"], policy)["cpu"] == flat.stats["cpu"].median
 
 
 def test_skew_threshold_extremes():
     profile = profile_from_values([1, 1, 1, 1, 1, 1, 1, 1, 1, 50])
     always_median = PredictionPolicy(kind="skew_conditional", skew_threshold=math.inf)
-    assert predict(profile, ["cpu"], always_median).values["cpu"] == profile.stats["cpu"].median
+    assert predict(profile, ["cpu"], always_median)["cpu"] == profile.stats["cpu"].median
     always_quantile = PredictionPolicy(kind="skew_conditional", skew_threshold=-math.inf)
     assert (
-        predict(profile, ["cpu"], always_quantile).values["cpu"]
+        predict(profile, ["cpu"], always_quantile)["cpu"]
         == profile.stats["cpu"].quantile(0.05)
     )
 
@@ -69,7 +69,7 @@ def test_constant_feature_any_policy():
         PredictionPolicy(kind="fixed_quantile", quantile=0.25),
         PredictionPolicy(kind="skew_conditional"),
     ):
-        assert predict(profile, ["cpu"], policy).values["cpu"] == 7.0
+        assert predict(profile, ["cpu"], policy)["cpu"] == 7.0
 
 
 def test_predict_monotone_in_quantile():
@@ -77,7 +77,7 @@ def test_predict_monotone_in_quantile():
     values = [
         predict(
             profile, ["cpu"], PredictionPolicy(kind="fixed_quantile", quantile=q)
-        ).values["cpu"]
+        )["cpu"]
         for q in (0.05, 0.25, 0.5, 0.75, 0.95)
     ]
     assert values == sorted(values)
@@ -227,7 +227,7 @@ def test_exact_quantile_holdout_scores_zero():
     label = profiles.labels()[0]
     group = profiles.group(label)
     policy = PredictionPolicy(kind="fixed_quantile", quantile=0.5)
-    target = predict(group, train_ds.schema_runtime, policy).values
+    target = predict(group, train_ds.schema_runtime, policy)
     donor = next(w for w in rows_of(train_ds) if w.id in set(group.member_ids))
     holdout = dataset_of([("exact", donor.metadata, dict(target))], train_ds.schema_runtime)
     report = evaluate_holdout(holdout, model, profiles, policy)
@@ -248,7 +248,7 @@ def test_holdout_scores_equal_scalar_arithmetic_and_meet_columns_by_name():
     actual_of = {w.id: w.runtime for w in rows_of(holdout)}
     for row, alt in zip(report.rows, report.alt_rows):
         group = profiles.group(row["profile"])
-        pred = predict(group, holdout.schema_runtime, policy).values
+        pred = predict(group, holdout.schema_runtime, policy)
         actual = actual_of[row["id"]]
         errors = {f: 100.0 * abs(pred[f] - actual[f]) / max(abs(actual[f]), 1e-9) for f in pred}
         alt_errors = {f: 100.0 * abs(pred[f] - actual[f]) / max(abs(group.stats[f].mean), 1e-9)
