@@ -11,7 +11,9 @@ tree:
                  grid and a numeric metadata column that the descriptor
                  bucketizes; ``classify`` of 300 JSONL records written from
                  the CSV rows (raw numbers, unseen values and a record
-                 missing a feature included); ``evaluate`` on a seeded
+                 missing a feature included), then every record again
+                 and a run of six identical records of unseen values;
+                 ``evaluate`` on a seeded
                  holdout, once with ``alt_normalization``; ``sample`` and
                  ``hopkins`` on the same trace;
   criterion-8    build with the config of acceptance criterion 8;
@@ -83,19 +85,25 @@ rng = np.random.default_rng(seed)
 save("default-grid", ds, config, descriptor)
 rows = add_numeric_column(root / "default-grid.csv", rng)
 header = rows[0]
+lines = []
+for n, row in enumerate(rows[1:301]):
+    cells = dict(zip(header, row))
+    metadata = {c: cells[c] for c in ("app", "owner", "zone")}
+    try:
+        metadata["gpu_req"] = float(cells["gpu_req"])  # the raw number
+    except ValueError:
+        metadata["gpu_req"] = cells["gpu_req"]
+    if n % 7 == 3:
+        metadata["zone"] = "never-seen"
+    if n % 50 == 11:
+        del metadata["owner"]
+    lines.append(json.dumps({"id": cells["id"], "metadata": metadata}, sort_keys=True) + "\n")
+# Repeated records: each line again, 300 lines after its first copy, then a
+# run of identical lines whose every value is unseen.
+unseen = {"app": "never-seen", "owner": "never-seen", "zone": "never-seen", "gpu_req": "never-seen"}
+lines += lines + [json.dumps({"id": "u", "metadata": unseen}, sort_keys=True) + "\n"] * 6
 with open(root / "classify.jsonl", "w", encoding="utf-8") as fh:
-    for n, row in enumerate(rows[1:301]):
-        cells = dict(zip(header, row))
-        metadata = {c: cells[c] for c in ("app", "owner", "zone")}
-        try:
-            metadata["gpu_req"] = float(cells["gpu_req"])  # the raw number
-        except ValueError:
-            metadata["gpu_req"] = cells["gpu_req"]
-        if n % 7 == 3:
-            metadata["zone"] = "never-seen"
-        if n % 50 == 11:
-            del metadata["owner"]
-        fh.write(json.dumps({"id": cells["id"], "metadata": metadata}, sort_keys=True) + "\n")
+    fh.writelines(lines)
 
 holdout, _, _ = make_blob_trace(400, 4, seed=seed + 100, centers=centers, id_prefix="h",
                                 metadata_noise=0.03)

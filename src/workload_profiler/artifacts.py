@@ -10,7 +10,9 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 
 def jsonable(obj):
@@ -51,19 +53,35 @@ def json_int(value) -> int:
     return int(value)
 
 
+_FLAGS = ("false", "true")
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _FLAGS[value]
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[Mapping]) -> None:
+def _cells(column: Sequence) -> list[str]:
+    """A column's CSV cells; a numpy flag or integer column is formatted whole."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
+        return list(map(_FLAGS.__getitem__ if column.dtype == bool else str, column.tolist()))
+    return [_cell(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+
+
+def record_columns(fieldnames: Sequence[str], records: Sequence[Mapping]) -> list[list]:
+    """The columns of mapping records, a missing field as None."""
+    return [[record.get(f) for record in records] for f in fieldnames]
+
+
+def write_csv(path: str | Path, fieldnames: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """A header row, then row i of the equal-length ``columns``, one per field."""
+    cells = [_cells(column) for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(fieldnames))
-        for row in rows:
-            writer.writerow([_cell(row.get(f)) for f in fieldnames])
+        writer.writerows(zip(*cells))

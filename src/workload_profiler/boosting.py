@@ -70,6 +70,8 @@ DEFAULT_PARAMS = BoostingParams()
 
 _MIN_GAIN = 1e-12  # a split must strictly reduce loss
 
+ROUTE_BLOCK = 512  # distinct rows routed together: routing memory stays block x trees
+
 
 def canonical_order(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Permutation sorting rows by (one-hot columns, label), ties in input
@@ -192,13 +194,23 @@ class Forest:
         return node.reshape(len(rows), *self.feature.shape[:2])
 
     def raw_scores(self, rows: np.ndarray) -> np.ndarray:
-        node = self.leaves(rows)
+        """Summed leaf values, (rows, n_classes): each distinct row is routed
+        once, ROUTE_BLOCK at a time, and every copy takes its scores."""
+        order = np.lexsort(rows.T)  # equal rows end up adjacent
+        ordered = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(len(rows), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        distinct = ordered[first]
         classes = np.arange(self.feature.shape[1])
-        F = np.zeros((len(rows), classes.size), dtype=np.float64)
-        lr = self.params.learning_rate
-        for r in range(self.params.rounds):  # round order keeps every bit
-            F += lr * self.value[r, classes, node[:, r]]
-        return F
+        F = np.zeros((len(distinct), classes.size), dtype=np.float64)
+        for start in range(0, len(distinct), ROUTE_BLOCK):
+            scores = F[start:start + ROUTE_BLOCK]  # a view: the adds land in F
+            node = self.leaves(distinct[start:start + ROUTE_BLOCK])
+            for r in range(self.params.rounds):  # round order keeps every bit
+                scores += self.params.learning_rate * self.value[r, classes, node[:, r]]
+        return F[inverse]
 
     def probabilities(self, rows: np.ndarray) -> np.ndarray:
         return _softmax(self.raw_scores(rows))

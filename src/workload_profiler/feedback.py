@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class DeltaSpec:
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
             raise ValueError(f"unknown delta mode {self.mode!r}")
+        if not all(t >= 0.0 for t in (self.default, *self.thresholds.values())):  # NaN fails
+            raise ValueError("delta thresholds must be numbers >= 0 (inf is allowed)")
 
     def threshold(self, feature: str) -> float:
         return self.thresholds.get(feature, self.default)
@@ -274,11 +276,10 @@ class FeedbackRunReport:
     def adopted_count(self) -> int:
         return sum(tr.adopted for tr in self.triggers)
 
-    def event_rows(self, stream: Dataset) -> Iterator[dict]:
-        """One ``EVENT_FIELDS`` row of Python scalars per stream event."""
-        columns = zip(range(len(stream)), stream.submitted_at.tolist(), stream.ids.tolist(),
-                      self.labels.tolist(), self.violated.tolist(), self.outliers.tolist())
-        return (dict(zip(EVENT_FIELDS, row)) for row in columns)
+    def event_columns(self, stream: Dataset) -> tuple[np.ndarray, ...]:
+        """The ``EVENT_FIELDS`` columns, one entry per stream event."""
+        return (np.arange(len(stream)), stream.submitted_at, stream.ids,
+                self.labels, self.violated, self.outliers)
 
     def to_json(self) -> dict:
         return {
@@ -309,10 +310,10 @@ def _recluster(
 
 
 class _Columns:
-    """Stream-length label, violation and outlier columns, filled a chunk at a
-    time with the live model and profiles; a swap refills from its event on.
-    The running counts of the two flags grow with each chunk, so the counts
-    before a swap's event stay valid."""
+    """Stream-length label, violation and outlier columns. A swap labels the
+    stream from its event on in one classify call, so each distinct row is
+    routed once per model; the flags follow a chunk at a time. The running
+    flag counts grow with each chunk, so those before a swap stay valid."""
 
     def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
                  delta: DeltaSpec, chunk: int = 512):
@@ -326,18 +327,18 @@ class _Columns:
         self.outlier_counts = np.zeros(len(stream) + 1, dtype=np.int64)
 
     def swap(self, model: ClassifierModel, profiles: ProfileSet, start: int) -> None:
-        self.model, self.profiles, self.filled = model, profiles, start
-        self.rows = model.vocabulary.encode(self.stream.metadata)
+        self.profiles, self.filled = profiles, start
+        rows = model.vocabulary.encode(self.stream.metadata)[start:]
+        self.labels[start:] = classify_encoded(model, rows)[0]
         self.expected: dict[int, list[float]] = {}
 
     def fill(self) -> None:
         span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))
-        labels = classify_encoded(self.model, self.rows[span])[0]
-        for label in set(labels.tolist()) - self.expected.keys():
+        present, inverse = np.unique(self.labels[span], return_inverse=True)
+        for label in set(present.tolist()) - self.expected.keys():
             values = predict(self.profiles.group(label), self.features, self.policy)
             self.expected[label] = [values[f] for f in self.features]
-        expected = np.array([self.expected[label] for label in labels.tolist()])
-        self.labels[span] = labels
+        expected = np.array([self.expected[label] for label in present.tolist()])[inverse]
         self.violated[span] = _violated(
             expected, self.actual[span], self.delta, self.features
         ).any(axis=1)

@@ -240,7 +240,8 @@ def run_build(config: RunConfig) -> BuildResult:
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_json(out / PROFILES_FILE, profiles.to_json(config.include_member_ids))
     artifacts.write_json(out / MODEL_FILE, model.to_json())
-    artifacts.write_csv(out / GRID_FILE, GRID_REPORT_FIELDS, [r.to_record() for r in rows])
+    artifacts.write_csv(out / GRID_FILE, GRID_REPORT_FIELDS, artifacts.record_columns(
+        GRID_REPORT_FIELDS, [r.to_record() for r in rows]))
     artifacts.write_json(out / BUILD_REPORT_FILE, build_report)
     return BuildResult(dataset=dataset, profiles=profiles, model=model, report=build_report)
 
@@ -282,12 +283,10 @@ def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
     )
     out = config.output_dir
     artifacts.write_json(out / RMSE_REPORT_FILE, report.to_json())
-    artifacts.write_csv(out / RMSE_ECDF_FILE, ("feature", "error"), report.ecdf_records())
-    artifacts.write_csv(
-        out / RMSE_BOXPLOT_FILE,
-        ("profile", "q1", "median", "q3", "count"),
-        report.boxplot_records(),
-    )
+    ecdf, box = ("feature", "error"), ("profile", "q1", "median", "q3", "count")
+    for path, fields, records in ((RMSE_ECDF_FILE, ecdf, report.ecdf_records()),
+                                  (RMSE_BOXPLOT_FILE, box, report.boxplot_records())):
+        artifacts.write_csv(out / path, fields, artifacts.record_columns(fields, records))
     return report.to_json()
 
 
@@ -317,7 +316,7 @@ def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
     )
     out = config.output_dir
     artifacts.write_json(out / FEEDBACK_REPORT_FILE, report.to_json())
-    artifacts.write_csv(out / VIOLATIONS_FILE, EVENT_FIELDS, report.event_rows(stream))
+    artifacts.write_csv(out / VIOLATIONS_FILE, EVENT_FIELDS, report.event_columns(stream))
     if report.adopted_count and report.final_profiles and report.final_model:
         artifacts.write_json(
             out / PROFILES_POST_FILE, report.final_profiles.to_json(config.include_member_ids)

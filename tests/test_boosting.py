@@ -77,3 +77,66 @@ def test_a_gain_equal_to_the_threshold_does_not_split(monkeypatch):
     fast, slow = fit_both(rows, labels, 3, dim, params)
     assert fast.feature[0, 0, 0] == -1
     assert_same_forest(fast, slow)
+
+
+# ------------------------------------------------------------------ routing
+
+def per_row_scores(forest, rows):
+    """Raw scores and probabilities of each row routed alone through
+    ``Forest.leaves``, adding the rounds in order."""
+    classes = np.arange(forest.feature.shape[1])
+    scores, probs = [], []
+    for row in rows:
+        node = forest.leaves(row[None, :])[0]
+        F = np.zeros(classes.size, dtype=np.float64)
+        for r in range(forest.params.rounds):
+            F += forest.params.learning_rate * forest.value[r, classes, node[r]]
+        scores.append(F)
+        probs.append(boosting._softmax(F[None, :])[0])
+    shape = (len(rows), classes.size)
+    return np.array(scores).reshape(shape), np.array(probs).reshape(shape)
+
+
+def assert_routes_like_each_row_alone(forest, rows):
+    want_scores, want_probs = per_row_scores(forest, rows)
+    scores, probs = forest.raw_scores(rows), forest.probabilities(rows)
+    assert scores.shape == probs.shape == want_scores.shape
+    assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
+    assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def routing_case():
+    rows, labels, dim = encoded_case(11, 3000, [24, 20, 9], 5, missing=0.05)
+    params = BoostingParams(rounds=6, max_depth=5, min_child_weight=0.0)
+    forest = fit_forest(rows, labels, 5, dim, params)
+    assert (forest.feature >= 0).sum() > 50  # the trees do grow
+    return forest, rows
+
+
+def test_routing_equals_each_row_alone_over_duplicates_and_missing_rows(routing_case):
+    forest, rows = routing_case
+    rng = np.random.default_rng(0)
+    batch = rows[rng.integers(0, 40, size=300)].copy()  # few distinct rows, each many times
+    batch[::17] = -1  # rows with no active column at all
+    assert len(np.unique(batch, axis=0)) < 45
+    assert_routes_like_each_row_alone(forest, batch)
+
+
+def test_routing_equals_each_row_alone_on_degenerate_batches(routing_case):
+    forest, rows = routing_case
+    assert_routes_like_each_row_alone(forest, rows[:0])  # an empty (0, f) batch
+    assert_routes_like_each_row_alone(forest, np.repeat(rows[5:6], 700, axis=0))  # all equal
+    assert_routes_like_each_row_alone(forest, np.full((3, rows.shape[1]), -1))
+    distinct = rows[np.unique(rows, axis=0, return_index=True)[1][:200]]
+    assert_routes_like_each_row_alone(forest, distinct)  # every row distinct
+
+
+def test_routing_equals_each_row_alone_past_one_block_of_distinct_rows(routing_case):
+    # more than 512 distinct rows, with copies of one row far apart, so a
+    # blocked router meets equal rows in different blocks
+    forest, rows = routing_case
+    rng = np.random.default_rng(1)
+    batch = np.concatenate([rows, rows[rng.permutation(len(rows))[:1500]]])
+    assert len(np.unique(batch, axis=0)) > 3 * 512
+    assert_routes_like_each_row_alone(forest, batch)

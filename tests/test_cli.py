@@ -357,6 +357,19 @@ def test_config_rejects_fractional_counts_and_bad_classifier_params(tmp_path, mo
         assert main(["build", "--config", str(config)]) == 12, extra
 
 
+def test_config_rejects_nan_and_negative_delta_thresholds(tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid_search ran on a bad config")
+
+    monkeypatch.setattr(pipeline, "grid_search", no_grid)
+    _, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    base = artifacts.read_json(write_config(tmp_path, trace, descriptor, tmp_path / "out"))
+    config = tmp_path / "bad.json"
+    for delta in ({"default": "nan"}, {"default": -0.5}, {"thresholds": {"cpu_usage": math.nan}}):
+        config.write_text(json.dumps({**base, "feedback": {"delta": delta}}), encoding="utf-8")
+        assert main(["build", "--config", str(config)]) == 12, delta
+
+
 def test_config_integral_values_parse_as_ints(tmp_path):
     doc = {"trace": "t.csv", "descriptor": "d.json", "seed": "7", "build_timestamp": 3.0,
            "grid": {"min_points": [20.0, "30"]}, "acquires": {"optimal_cluster_count": 4.0},

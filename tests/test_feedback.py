@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from workload_profiler.boosting import BoostingParams
-from workload_profiler.classifier import build_training_set, train
+from workload_profiler.classifier import build_training_set, classify_encoded, train
 from workload_profiler.distances import point_to_rows
 from workload_profiler.feedback import (
     EVENT_FIELDS,
@@ -392,6 +392,23 @@ def test_run_feedback_fires_where_the_event_loop_does_over_its_own_columns(case)
         assert [i for i, _, _ in fires] == [0, 511, 1022]
 
 
+def test_labels_after_the_last_adoption_are_the_final_models_labels():
+    train_ds, stream, profiles, model, grid, regen = drift_setup(seed=3)
+    cfg = FeedbackConfig(
+        delta=DeltaSpec(mode="relative", default=0.5),
+        tau_v=0.2, tau_o=0.05, tau_f=0.5, decay=1e-12, window=250,
+        tau_quality=0.5, min_events_between_triggers=250,
+    )
+    report = run_feedback(stream, model, profiles, cfg, regen, PredictionPolicy(), train_ds)
+    assert report.adopted_count >= 2
+    first = next(tr.event_index for tr in report.triggers if tr.adopted) + 1
+    last = [tr.event_index for tr in report.triggers if tr.adopted][-1] + 1
+    rows = report.final_model.vocabulary.encode(stream.metadata)
+    assert np.array_equal(report.labels[last:], classify_encoded(report.final_model, rows[last:])[0])
+    assert np.array_equal(report.labels[:first], classify_encoded(model, model.vocabulary.encode(
+        stream.metadata)[:first])[0])
+
+
 def test_infinite_quality_threshold_never_adopts():
     train_ds, stream, profiles, model, grid, regen = drift_setup(seed=4)
     cfg = FeedbackConfig(
@@ -489,6 +506,19 @@ def test_config_validation():
     assert ReclusterSpec(optimal_cluster_count=3).grid == GridSpec()
 
 
+def test_delta_thresholds_must_be_numbers_at_least_zero():
+    # NaN would switch a feature's check off; a negative threshold flags every event
+    for delta in ({"default": "nan"}, {"default": -0.5}, {"thresholds": {"cpu_usage": math.nan}},
+                  {"thresholds": {"cpu_usage": 1.0, "mem_usage": -1e-9}}):
+        with pytest.raises(ValueError):
+            FeedbackConfig.from_json({"delta": delta})
+    for delta in ({"default": 0}, {"default": "inf"}, {"default": None},
+                  {"thresholds": {"cpu_usage": 0.0, "mem_usage": math.inf}}):
+        FeedbackConfig.from_json({"delta": delta})
+    with pytest.raises(ValueError):
+        DeltaSpec(thresholds={"cpu_usage": math.nan})
+
+
 def test_min_events_between_triggers_is_parsed_as_an_int():
     cfg = FeedbackConfig.from_json({"window": 50, "min_events_between_triggers": "100"})
     assert cfg.min_events_between_triggers == 100 and cfg.cooldown == 100
@@ -512,11 +542,16 @@ def test_stream_columns_meet_the_model_by_name_and_leave_as_python_scalars(tmp_p
     assert flipped.schema_runtime == tuple(reversed(stream.schema_runtime))
     other = run_feedback(flipped, model, profiles, cfg, regen, PredictionPolicy(), train_ds,
                          features=feats)
-    rows = list(report.event_rows(stream))
-    assert tuple(rows[0]) == EVENT_FIELDS
-    assert list(other.event_rows(flipped)) == rows
-    assert json.dumps(rows)  # numpy scalars would not serialize
-    assert {type(v) for e in rows for v in e.values()} == {int, str, bool}
+    columns = [column.tolist() for column in report.event_columns(stream)]
+    assert len(columns) == len(EVENT_FIELDS)
+    assert [column.tolist() for column in other.event_columns(flipped)] == columns
+    assert json.dumps(columns)  # numpy scalars would not serialize
+    assert [{type(v) for v in column} for column in columns] == [{int}, {int}, {str}, {int},
+                                                                  {bool}, {bool}]
     path = tmp_path / "violations.csv"
-    write_csv(path, ("id", "violated", "outlier"), report.event_rows(stream))
-    assert set(path.read_text().split("\n")[1].split(",")[1:]) <= {"true", "false"}
+    write_csv(path, EVENT_FIELDS, report.event_columns(stream))
+    lines = path.read_text().split("\n")
+    assert lines[0] == ",".join(EVENT_FIELDS) and lines[-1] == ""
+    flag = {False: "false", True: "true"}
+    want = [f"{i},{t},{wid},{label},{flag[v]},{flag[o]}" for i, t, wid, label, v, o in zip(*columns)]
+    assert lines[1:-1] == want
