@@ -26,7 +26,13 @@ tree:
                  hundred rare values (a vocabulary of about 600 columns) and
                  ``classify`` of 400 JSONL records written from its rows;
   wide-deep      the same on that trace with ``min_child_weight`` 0 and
-                 ``max_depth`` 9, so rare columns split and trees grow deep.
+                 ``max_depth`` 9, so rare columns split and trees grow deep;
+  classify-edge  build on a 1300-row trace of 13 blobs, so the probs keys
+                 "10".."12" sort before "2"; ``classify`` of 300 JSONL
+                 records whose ids take every JSON type (NaN, +-Infinity,
+                 objects with unsorted keys, non-ASCII text, numbers, null,
+                 no id at all), with the profile set, without it, and with
+                 label 10's profile dropped, so its lines are inline errors.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -177,6 +183,26 @@ with open(root / "wide.jsonl", "w", encoding="utf-8") as fh:
         if n % 9 == 4:
             metadata["tag"] = "never-seen"
         fh.write(json.dumps({"id": cells["id"], "metadata": metadata}, sort_keys=True) + "\n")
+
+# 13 profiles: the classify output's probs keys sort as strings, "10" < "2".
+ds, _, _ = make_blob_trace(1300, 13, seed=seed + 300, metadata_noise=0.02)
+save("edge", ds, {"seed": seed,
+                  "grid": {"algorithms": ["hdbscan"], "transforms": ["power"],
+                           "distances": ["euclidean"], "min_points": [20]},
+                  "acquires": {"optimal_cluster_count": 13},
+                  "classifier": {"rounds": 10, "learning_rate": 0.3, "max_depth": 4,
+                                 "min_child_weight": 1.0, "l2": 1.0}})
+ids = [float("nan"), float("inf"), float("-inf"), 7, -0.0, 1.5e300, 10**20, True, None,
+       "pl\u00e4in \u540d", "\ud83d", [3, {"b": float("nan"), "a": 1}],
+       {"z": [1, "\u00fc"], "a": {"y": None, "b": float("-inf")}, "m": "x"}]
+with open(root / "edge.jsonl", "w", encoding="utf-8") as fh:
+    columns = [ds.metadata.values(j) for j in range(len(ds.metadata.names))]
+    for n in range(300):
+        metadata = {f: column[n] for f, column in zip(ds.metadata.names, columns)}
+        if n % 11 == 5:
+            metadata["zone"] = "never-seen"
+        record = {"metadata": metadata} if n % 14 == 13 else {"id": ids[n % 14], "metadata": metadata}
+        fh.write(json.dumps(record, ensure_ascii=n % 2 == 0) + "\n")
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -213,6 +239,16 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
             run(src, CLI, ["classify", "--model", out / name / "model.json",
                            "--profiles", out / name / "profiles.json",
                            "--input", inputs / "wide.jsonl"], stdout=fh)
+    edge = out / "classify-edge"
+    run(src, CLI, ["build", "--config", inputs / "edge.json", "--out", edge])
+    doc = json.loads((edge / "profiles.json").read_text(encoding="utf-8"))
+    doc["groups"] = [g for g in doc["groups"] if g["label"] != 10]
+    (edge / "profiles-partial.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    for name, profiles in (("profiles", ["--profiles", edge / "profiles.json"]), ("none", []),
+                           ("partial", ["--profiles", edge / "profiles-partial.json"])):
+        with open(out / f"classify-edge-{name}.jsonl", "w", encoding="utf-8") as fh:
+            run(src, CLI, ["classify", "--model", edge / "model.json", *profiles,
+                           "--input", inputs / "edge.jsonl"], stdout=fh)
     grid = out / "default-grid"
     with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
         run(src, CLI, ["classify", "--model", grid / "model.json",

@@ -71,6 +71,9 @@ DEFAULT_PARAMS = BoostingParams()
 _MIN_GAIN = 1e-12  # a split must strictly reduce loss
 
 ROUTE_BLOCK = 512  # distinct rows routed together: routing memory stays block x trees
+# Routing indexes the flattened node arrays with int32; with at most 2^30 nodes
+# every index and every step between them stays below 2^31.
+MAX_NODES = 2 ** 30
 
 
 def canonical_order(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -166,6 +169,9 @@ class Forest:
     @classmethod
     def empty(cls, n_classes: int, dim: int, params: BoostingParams) -> "Forest":
         shape = (params.rounds, n_classes, 2 ** (params.max_depth + 1) - 1)
+        if math.prod(shape) >= MAX_NODES:  # checked before anything is allocated
+            raise ValueError(f"a forest of {math.prod(shape)} nodes {shape} exceeds the "
+                             f"{MAX_NODES - 1} that int32 routing indexes")
         return cls(
             feature=np.full(shape, -1, dtype=np.int32),
             value=np.zeros(shape, dtype=np.float64),
@@ -174,24 +180,34 @@ class Forest:
             params=params,
         )
 
-    def leaves(self, rows: np.ndarray) -> np.ndarray:
-        """Leaf node of every row in every tree, shape (rows, rounds, n_classes).
+    def _route(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(leaf of every row in every tree as an int32 index into the
+        flattened node arrays, (rows, trees); each tree's root index).
 
         Rows are encoded metadata, (n, features) one-hot columns with -1 for
         an unseen value. The batch descends all trees at once, one level per
         step: a row goes right where the split column is one of its columns.
         """
-        feature = self.feature.reshape(-1, self.feature.shape[-1])
+        feature = self.feature.reshape(-1)
+        root = np.arange(0, feature.size, self.feature.shape[-1], dtype=np.int32)
         active = rows.astype(feature.dtype)  # compared without a cast per level
-        trees = np.arange(feature.shape[0])
-        node = np.zeros((len(rows), trees.size), dtype=np.int32)
+        at = np.repeat(root[None, :], len(rows), axis=0)
+        step_base = 1 - root  # at + step_base is k + 1 for tree node k = at - root
         for _ in range(self.params.max_depth):
-            split = feature[trees, node]
+            split = feature.take(at)
             present = np.zeros(split.shape, dtype=bool)
             for j in range(active.shape[1]):  # in place: memory stays rows x trees
                 present |= split == active[:, j, None]
-            node = np.where(split >= 0, 2 * node + 1 + present, node)
-        return node.reshape(len(rows), *self.feature.shape[:2])
+            # Node k moves to its child root + 2k + 1 + present, a step of
+            # k + 1 + present; a leaf (split -1) keeps its node. Multiplying the
+            # step by the split flag selects without np.where's branches.
+            at += (split >= 0) * (at + step_base + present)
+        return at, root
+
+    def leaves(self, rows: np.ndarray) -> np.ndarray:
+        """Leaf node of every row in every tree, shape (rows, rounds, n_classes)."""
+        at, root = self._route(rows)
+        return (at - root).reshape(len(rows), *self.feature.shape[:2])
 
     def raw_scores(self, rows: np.ndarray) -> np.ndarray:
         """Summed leaf values, (rows, n_classes): each distinct row is routed
@@ -203,13 +219,15 @@ class Forest:
         inverse = np.empty(len(rows), dtype=np.int64)
         inverse[order] = np.cumsum(first) - 1
         distinct = ordered[first]
-        classes = np.arange(self.feature.shape[1])
-        F = np.zeros((len(distinct), classes.size), dtype=np.float64)
+        rounds, n_classes = self.feature.shape[:2]
+        value = self.value.reshape(-1)
+        F = np.zeros((len(distinct), n_classes), dtype=np.float64)
         for start in range(0, len(distinct), ROUTE_BLOCK):
             scores = F[start:start + ROUTE_BLOCK]  # a view: the adds land in F
-            node = self.leaves(distinct[start:start + ROUTE_BLOCK])
-            for r in range(self.params.rounds):  # round order keeps every bit
-                scores += self.params.learning_rate * self.value[r, classes, node[:, r]]
+            at, _ = self._route(distinct[start:start + ROUTE_BLOCK])
+            leaf = value.take(at).reshape(len(at), rounds, n_classes)
+            for r in range(rounds):  # round order keeps every bit
+                scores += self.params.learning_rate * leaf[:, r]
         return F[inverse]
 
     def probabilities(self, rows: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ and safe to run concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -142,7 +142,9 @@ def train(
 
 def record_values(model: ClassifierModel, metadata: Mapping) -> list[str]:
     """One record's metadata values in vocabulary order, bucketized as at
-    training; a missing feature is an error."""
+    training; a missing feature, or metadata that is not a mapping, is an error."""
+    if not isinstance(metadata, Mapping):
+        raise SchemaError("metadata record is not an object")
     bounds = model.bucket_bounds or {}
     values = []
     for f in model.vocabulary.feature_names:

@@ -15,9 +15,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import artifacts
 from .classifier import ClassifierModel, classify_encoded, record_values
-from .errors import ConfigError, ProfilerError
+from .errors import ConfigError, ProfilerError, SchemaError
 from .pipeline import RunConfig, read_artifacts, run_build, run_evaluate, run_feedback_command
 from .predictor import PredictionPolicy, predict
 from .preprocess import hopkins, stratified_sample
@@ -57,54 +59,76 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _label_predictions(model, profiles, policy) -> dict[int, dict | Exception]:
-    """Each class label's predicted values, coerced to strict JSON once per
-    command, or the error that predicting them raises."""
-    out: dict[int, dict | Exception] = {}
-    for label in model.class_labels:
-        try:
-            group = profiles.group(label)
-            out[label] = artifacts.jsonable(predict(group, tuple(group.stats), policy))
-        except (KeyError, ValueError, ProfilerError) as exc:
-            out[label] = exc
-    return out
+# json.dumps({"line": n, "error": text}, sort_keys=True), text given as JSON
+_ERROR_LINE = '{"error": %s, "line": %d}\n'
 
 
-def _classify_chunk(model, predictions, chunk: list[tuple[int, str]]) -> None:
+@dataclasses.dataclass(frozen=True)
+class _LineParts:
+    """The fixed text of `classify` output lines, built once per command so
+    that a line costs its id's json.dumps and its probabilities' reprs; the
+    lines equal json.dumps(doc, sort_keys=True) byte for byte."""
+
+    middles: dict[int, str]  # label -> the text between the id and the probs
+    errors: dict[int, str]   # label -> the error predicting it raised, as JSON text
+    order: list[int]         # class indices with their keys in sorted string order
+    probs: str               # the probs object and the line's end, a %s per class
+
+    @classmethod
+    def of(cls, model, profiles, policy) -> "_LineParts":
+        """The parts for `model`; with `profiles`, each label's values
+        predicted under `policy`, or the error predicting them raises."""
+        keys = [str(c) for c in model.class_labels]
+        order = sorted(range(len(keys)), key=keys.__getitem__)  # "10" < "2"
+        middles, errors = {}, {}
+        for label in model.class_labels:
+            middle = f', "label": {label}, '
+            if profiles is not None:
+                try:
+                    group = profiles.group(label)
+                    predicted = artifacts.jsonable(predict(group, tuple(group.stats), policy))
+                except (KeyError, ValueError, ProfilerError) as exc:
+                    errors[label] = json.dumps(str(exc))
+                    continue
+                middle += f'"predicted": {json.dumps(predicted, sort_keys=True)}, '
+            middles[label] = middle + '"probs": '
+        probs = "{" + ", ".join(f"{json.dumps(keys[i])}: %s" for i in order) + "}}\n"
+        return cls(middles, errors, order, probs)
+
+
+def _classify_chunk(model, parts: _LineParts, chunk: list[tuple[int, str]]) -> None:
     """Route a chunk's valid lines together; write one output line per input
     line, in input order, with malformed lines reported inline."""
-    docs: list[dict | None] = []
-    parsed: list[tuple[int, int, dict]] = []  # (output slot, line number, record)
+    out: list[str | None] = []
+    parsed: list[tuple[int, int, str]] = []  # (output slot, line number, id as JSON)
     values = []
     for line_no, line in chunk:
-        try:
+        try:  # a line nested past the recursion limit fails alone too
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise SchemaError("record is not a JSON object")
+            # json.loads accepts NaN and Infinity, so the echoed id is coerced.
+            wid = json.dumps(artifacts.jsonable(record.get("id")), sort_keys=True)
             values.append(record_values(model, record["metadata"]))
-        except (KeyError, ValueError, ProfilerError) as exc:
-            docs.append({"line": line_no, "error": str(exc)})
+        except (KeyError, ValueError, RecursionError, ProfilerError) as exc:
+            out.append(_ERROR_LINE % (json.dumps(str(exc)), line_no))
         else:
-            parsed.append((len(docs), line_no, record))
-            docs.append(None)
+            parsed.append((len(out), line_no, wid))
+            out.append(None)
     vocab = model.vocabulary
     rows = vocab.encode(MetadataBlock.from_rows(vocab.feature_names, values))
     labels, probs = classify_encoded(model, rows)
-    keys = [str(c) for c in model.class_labels]
-    for (at, line_no, record), label, p in zip(parsed, labels.tolist(), probs.tolist()):
-        predicted = None if predictions is None else predictions[label]
-        if isinstance(predicted, Exception):
-            docs[at] = {"line": line_no, "error": str(predicted)}
-            continue
-        # json.loads accepts NaN and Infinity, so the echoed id is coerced.
-        doc = {
-            "id": artifacts.jsonable(record.get("id")),
-            "label": label,
-            "probs": dict(zip(keys, p)),
-        }
-        if predicted is not None:
-            doc["predicted"] = predicted
-        docs[at] = doc
-    for doc in docs:
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    probs = probs[:, parts.order]
+    # float repr is json.dumps's text of a finite float; NaN and infinities
+    # (only from a model with non-finite leaf values) take json.dumps's own.
+    cells = probs.tolist() if np.isfinite(probs).all() else [
+        list(map(json.dumps, row)) for row in probs.tolist()]
+    for (at, line_no, wid), label, p in zip(parsed, labels.tolist(), cells):
+        if label in parts.errors:
+            out[at] = _ERROR_LINE % (parts.errors[label], line_no)
+        else:
+            out[at] = '{"id": ' + wid + parts.middles[label] + parts.probs % tuple(p)
+    sys.stdout.write("".join(out))
 
 
 def _cmd_classify(args) -> int:
@@ -117,14 +141,14 @@ def _cmd_classify(args) -> int:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
     profiles = ProfileSet.from_json(docs[1]) if args.profiles else None
-    predictions = None if profiles is None else _label_predictions(model, profiles, policy)
+    parts = _LineParts.of(model, profiles, policy)
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         numbered = ((n, line.strip()) for n, line in enumerate(source, start=1))
         lines = ((n, line) for n, line in numbered if line)
         while chunk := list(itertools.islice(lines, CLASSIFY_CHUNK)):
-            _classify_chunk(model, predictions, chunk)
+            _classify_chunk(model, parts, chunk)
     finally:
         if source is not sys.stdin:
             source.close()

@@ -1,11 +1,13 @@
 """fit_forest against the per-node growth oracle, bit for bit."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from oracles import slow_fit_forest
 
 from workload_profiler import boosting
-from workload_profiler.boosting import BoostingParams, fit_forest
+from workload_profiler.boosting import BoostingParams, Forest, fit_forest
 
 
 def encoded_case(seed: int, n_rows: int, cards: list[int], n_classes: int, missing: float):
@@ -140,3 +142,15 @@ def test_routing_equals_each_row_alone_past_one_block_of_distinct_rows(routing_c
     batch = np.concatenate([rows, rows[rng.permutation(len(rows))[:1500]]])
     assert len(np.unique(batch, axis=0)) > 3 * 512
     assert_routes_like_each_row_alone(forest, batch)
+
+
+def test_a_forest_past_the_int32_routing_bound_is_refused_before_allocating(monkeypatch):
+    # Without numpy in the module, any allocation fails with AttributeError,
+    # so the bound must be checked first.
+    monkeypatch.setattr(boosting, "np", SimpleNamespace())
+    assert boosting.MAX_NODES == 2 ** 30  # routing's int32 indices and steps stay below 2^31
+    for rounds, n_classes, depth in ((2 ** 10, 2 ** 20, 0), (1, 2 ** 20, 10), (2 ** 40, 2, 6)):
+        with pytest.raises(ValueError, match="exceeds"):
+            Forest.empty(n_classes, 1, BoostingParams(rounds=rounds, max_depth=depth))
+    with pytest.raises(AttributeError):  # one node fewer passes the bound
+        Forest.empty(boosting.MAX_NODES - 1, 1, BoostingParams(rounds=1, max_depth=0))

@@ -1,12 +1,14 @@
 import json
 import math
 
+import pytest
 from oracles import slow_forest_probabilities
 from rows import rows_of
 
 from workload_profiler import artifacts, pipeline
 from workload_profiler.classifier import ClassifierModel, classify_batch, encode_records
 from workload_profiler.cli import CLASSIFY_CHUNK, main
+from workload_profiler.errors import SchemaError
 from workload_profiler.predictor import PredictionPolicy, predict
 from workload_profiler.profiles import ProfileSet
 from workload_profiler.synth import make_blob_trace, make_drift_pair
@@ -533,3 +535,117 @@ def test_classify_record_missing_a_feature_fails_alone(tmp_path, capsys):
         {"id": i, "label": label, "probs": dict(zip(keys, p))}
         for i, label, p in zip([0, 1, 3, 4, 5], labels.tolist(), probs.tolist())
     ]
+
+
+def test_classify_lines_are_canonical_json_with_probs_keys_in_string_order(tmp_path, capsys):
+    # 13 profiles, so the probs keys "10".."12" sort before "2"
+    ds, _, _ = make_blob_trace(1300, 13, seed=301, metadata_noise=0.02)
+    trace, descriptor, out = tmp_path / "trace.csv", tmp_path / "descriptor.json", tmp_path / "out"
+    write_trace(ds, trace)
+    artifacts.write_json(descriptor, schema_for(ds).to_json())
+    config = write_config(tmp_path, trace, descriptor, out, k=13, extra={
+        "classifier": dict(BOOST, rounds=8, max_depth=4)})
+    assert main(["build", "--config", str(config)]) == 0
+    labels = artifacts.read_json(out / "model.json")["class_labels"]
+    assert labels == list(range(13))
+    keys = sorted(map(str, labels))
+    assert keys[:4] == ["0", "1", "10", "11"]
+
+    nested = '{"z": [1, NaN, "\u00fc"], "a": {"y": -Infinity, "b": "\u540d"}}'
+    ids = [nested, "NaN", '"pl\u00e4in"', "7", "-0.0", "null", "true", "[2, {\"b\": 1, \"a\": 0}]"]
+    lines = []
+    for n, w in enumerate(rows_of(ds)[:200]):
+        metadata = dict(w.metadata, zone="never-seen") if n % 6 == 1 else w.metadata
+        head = "" if n % 9 == 8 else f'"id": {ids[n % len(ids)]}, '  # every ninth has no id
+        lines.append("{" + head + f'"metadata": {json.dumps(metadata, ensure_ascii=n % 2 == 0)}}}')
+    lines[50] = '{"id": "short", "metadata": {"app": "app1"}}'  # an inline error
+    inp = tmp_path / "ids.jsonl"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = artifacts.read_json(out / "profiles.json")
+    doc["groups"] = [g for g in doc["groups"] if g["label"] != 10]
+    artifacts.write_json(tmp_path / "partial.json", doc)
+
+    for profiles, dropped in ((["--profiles", str(out / "profiles.json")], False), ([], False),
+                              (["--profiles", str(tmp_path / "partial.json")], True)):
+        capsys.readouterr()
+        assert main(["classify", "--model", str(out / "model.json"), *profiles,
+                     "--input", str(inp)]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert len(text) == len(lines)
+        rows = [json.loads(line) for line in text]
+        assert text == [json.dumps(row, sort_keys=True) for row in rows]
+        assert rows[50] == {"line": 51, "error": "metadata record is missing feature 'owner'"}
+        errors = [n for n, row in enumerate(rows) if n != 50 and "error" in row]
+        assert len(errors) > 0 if dropped else errors == []
+        assert all(rows[n]["error"] == "'no profile group with label 10'" for n in errors)
+        for n, (line, row) in enumerate(zip(text, rows)):
+            if "error" in row:
+                continue
+            assert list(row["probs"]) == keys
+            assert ("predicted" in row) == bool(profiles)
+            if n % 9 != 8 and n % len(ids) == 0:
+                assert row["id"] == {"a": {"b": "\u540d", "y": None}, "z": [1, None, "\u00fc"]}
+                assert line.startswith('{"id": {"a": {"b": "\\u540d", "y": null}, "z": [1, null, ')
+
+
+def test_classify_lines_that_are_not_objects_fail_alone(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    model = ClassifierModel.from_json(artifacts.read_json(out / "model.json"))
+    good = [w.metadata for w in rows_of(ds)[:2]]
+    bad = {
+        2: ("[1, 2]", "record is not a JSON object"),
+        3: ("7", "record is not a JSON object"),
+        4: ('"owner"', "record is not a JSON object"),
+        5: ("null", "record is not a JSON object"),
+        6: ('{"id": "a", "metadata": null}', "metadata record is not an object"),
+        7: ('{"id": "b", "metadata": "app owner zone"}', "metadata record is not an object"),
+        8: ('{"id": "c", "metadata": ["app", "owner", "zone"]}', "metadata record is not an object"),
+        9: ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        # json.loads takes this id, but its coercion to strict JSON recurses too deep
+        10: ('{"id": ' + "[" * 600 + "]" * 600 + f', "metadata": {json.dumps(good[0])}}}',
+             "maximum recursion depth exceeded"),
+    }
+    json.loads(bad[10][0])
+    lines = [json.dumps({"id": 0, "metadata": good[0]})]
+    lines += [line for line, _ in bad.values()]
+    lines += [json.dumps({"id": 1, "metadata": good[1]})]
+    inp = tmp_path / "batch.jsonl"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--model", str(out / "model.json"), "--input", str(inp)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == len(lines)
+    for row, (n, (_, error)) in zip(rows[1:-1], bad.items()):
+        assert set(row) == {"line", "error"} and row["line"] == n
+        assert row["error"].startswith(error)
+    labels, probs = classify_batch(model, good)
+    keys = [str(c) for c in model.class_labels]
+    assert [rows[0], rows[-1]] == [
+        {"id": i, "label": label, "probs": dict(zip(keys, p))}
+        for i, label, p in zip([0, 1], labels.tolist(), probs.tolist())
+    ]
+    with pytest.raises(SchemaError, match="not an object"):
+        classify_batch(model, [good[0], None])
+
+
+def test_classify_probs_of_a_model_with_a_null_leaf_are_written_as_json_dumps_writes_nan(
+        tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    model = ClassifierModel.from_json(artifacts.read_json(out / "model.json"))
+    model.forest.value[0, 0] = math.nan  # model.json stores it as null
+    artifacts.write_json(tmp_path / "nan-model.json", model.to_json())
+    inp = tmp_path / "batch.jsonl"
+    inp.write_text("".join(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n"
+                           for w in rows_of(ds)[:5]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--model", str(tmp_path / "nan-model.json"),
+                 "--profiles", str(out / "profiles.json"), "--input", str(inp)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        assert '"probs": {"0": NaN, ' in line
+        assert line == json.dumps(json.loads(line), sort_keys=True)
