@@ -219,15 +219,14 @@ class Forest:
         inverse = np.empty(len(rows), dtype=np.int64)
         inverse[order] = np.cumsum(first) - 1
         distinct = ordered[first]
-        rounds, n_classes = self.feature.shape[:2]
+        n_classes = self.feature.shape[1]
         value = self.value.reshape(-1)
         F = np.zeros((len(distinct), n_classes), dtype=np.float64)
         for start in range(0, len(distinct), ROUTE_BLOCK):
             scores = F[start:start + ROUTE_BLOCK]  # a view: the adds land in F
             at, _ = self._route(distinct[start:start + ROUTE_BLOCK])
-            leaf = value.take(at).reshape(len(at), rounds, n_classes)
-            for r in range(rounds):  # round order keeps every bit
-                scores += self.params.learning_rate * leaf[:, r]
+            for r in range(0, at.shape[1], n_classes):  # round order keeps every bit
+                scores += self.params.learning_rate * value.take(at[:, r:r + n_classes])
         return F[inverse]
 
     def probabilities(self, rows: np.ndarray) -> np.ndarray:

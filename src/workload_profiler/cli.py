@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts
 from .classifier import ClassifierModel, classify_encoded, record_values
 from .errors import ConfigError, ProfilerError, SchemaError
@@ -63,42 +61,30 @@ def _cmd_build(args) -> int:
 _ERROR_LINE = '{"error": %s, "line": %d}\n'
 
 
-@dataclasses.dataclass(frozen=True)
-class _LineParts:
-    """The fixed text of `classify` output lines, built once per command so
-    that a line costs its id's json.dumps and its probabilities' reprs; the
-    lines equal json.dumps(doc, sort_keys=True) byte for byte."""
-
-    middles: dict[int, str]  # label -> the text between the id and the probs
-    errors: dict[int, str]   # label -> the error predicting it raised, as JSON text
-    order: list[int]         # class indices with their keys in sorted string order
-    probs: str               # the probs object and the line's end, a %s per class
-
-    @classmethod
-    def of(cls, model, profiles, policy) -> "_LineParts":
-        """The parts for `model`; with `profiles`, each label's values
-        predicted under `policy`, or the error predicting them raises."""
-        keys = [str(c) for c in model.class_labels]
-        order = sorted(range(len(keys)), key=keys.__getitem__)  # "10" < "2"
-        middles, errors = {}, {}
-        for label in model.class_labels:
-            middle = f', "label": {label}, '
-            if profiles is not None:
-                try:
-                    group = profiles.group(label)
-                    predicted = artifacts.jsonable(predict(group, tuple(group.stats), policy))
-                except (KeyError, ValueError, ProfilerError) as exc:
-                    errors[label] = json.dumps(str(exc))
-                    continue
-                middle += f'"predicted": {json.dumps(predicted, sort_keys=True)}, '
-            middles[label] = middle + '"probs": '
-        probs = "{" + ", ".join(f"{json.dumps(keys[i])}: %s" for i in order) + "}}\n"
-        return cls(middles, errors, order, probs)
+def _line_fragments(model, profiles, policy) -> dict[int, str | Exception]:
+    """Each class label's text between a `classify` line's id and its probs,
+    with the values predicted under `policy` dumped once per command, or the
+    error that predicting them raises."""
+    out: dict[int, str | Exception] = {}
+    for label in model.class_labels:
+        middle = f', "label": {label}, '
+        if profiles is not None:
+            try:
+                group = profiles.group(label)
+                predicted = artifacts.jsonable(predict(group, tuple(group.stats), policy))
+            except (KeyError, ValueError, ProfilerError) as exc:
+                out[label] = exc
+                continue
+            middle += f'"predicted": {json.dumps(predicted, sort_keys=True)}, '
+        out[label] = middle + '"probs": '
+    return out
 
 
-def _classify_chunk(model, parts: _LineParts, chunk: list[tuple[int, str]]) -> None:
+def _classify_chunk(model, fragments, chunk: list[tuple[int, str]]) -> None:
     """Route a chunk's valid lines together; write one output line per input
-    line, in input order, with malformed lines reported inline."""
+    line, in input order, with malformed lines reported inline. A line is
+    its id's and its probs' json.dumps around its label's fragment, the
+    bytes json.dumps(doc, sort_keys=True) gives for the whole document."""
     out: list[str | None] = []
     parsed: list[tuple[int, int, str]] = []  # (output slot, line number, id as JSON)
     values = []
@@ -118,17 +104,15 @@ def _classify_chunk(model, parts: _LineParts, chunk: list[tuple[int, str]]) -> N
     vocab = model.vocabulary
     rows = vocab.encode(MetadataBlock.from_rows(vocab.feature_names, values))
     labels, probs = classify_encoded(model, rows)
-    probs = probs[:, parts.order]
-    # float repr is json.dumps's text of a finite float; NaN and infinities
-    # (only from a model with non-finite leaf values) take json.dumps's own.
-    cells = probs.tolist() if np.isfinite(probs).all() else [
-        list(map(json.dumps, row)) for row in probs.tolist()]
-    for (at, line_no, wid), label, p in zip(parsed, labels.tolist(), cells):
-        if label in parts.errors:
-            out[at] = _ERROR_LINE % (parts.errors[label], line_no)
+    keys = [str(c) for c in model.class_labels]
+    for (at, line_no, wid), label, p in zip(parsed, labels.tolist(), probs.tolist()):
+        middle = fragments[label]
+        if isinstance(middle, Exception):
+            out[at] = _ERROR_LINE % (json.dumps(str(middle)), line_no)
         else:
-            out[at] = '{"id": ' + wid + parts.middles[label] + parts.probs % tuple(p)
-    sys.stdout.write("".join(out))
+            probs_json = json.dumps(dict(zip(keys, p)), sort_keys=True)  # "10" before "2"
+            out[at] = '{"id": ' + wid + middle + probs_json + "}\n"
+    sys.stdout.writelines(out)  # a joined copy of the chunk showed in peak RSS
 
 
 def _cmd_classify(args) -> int:
@@ -141,14 +125,14 @@ def _cmd_classify(args) -> int:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
     profiles = ProfileSet.from_json(docs[1]) if args.profiles else None
-    parts = _LineParts.of(model, profiles, policy)
+    fragments = _line_fragments(model, profiles, policy)
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         numbered = ((n, line.strip()) for n, line in enumerate(source, start=1))
         lines = ((n, line) for n, line in numbered if line)
         while chunk := list(itertools.islice(lines, CLASSIFY_CHUNK)):
-            _classify_chunk(model, parts, chunk)
+            _classify_chunk(model, fragments, chunk)
     finally:
         if source is not sys.stdin:
             source.close()
