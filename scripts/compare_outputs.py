@@ -32,7 +32,14 @@ tree:
                  records whose ids take every JSON type (NaN, +-Infinity,
                  objects with unsorted keys, non-ASCII text, numbers, null,
                  no id at all), with the profile set, without it, and with
-                 label 10's profile dropped, so its lines are inline errors.
+                 label 10's profile dropped, so its lines are inline errors;
+  ingest-edge    build, then ``evaluate`` with the trace as its own holdout
+                 (so the fitted bucket bounds are read back as given ones),
+                 on a trace of more than three ``load_trace`` chunks whose
+                 records around each chunk boundary are blank lines, rows
+                 dropped for an empty, non-finite or unparsable cell, a short
+                 row, quoted metadata cells holding commas and newlines,
+                 padded cells, and extreme values of a bucketized column.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -55,7 +62,7 @@ from pathlib import Path
 import numpy as np
 from workload_profiler import artifacts
 from workload_profiler.synth import make_blob_trace, make_drift_pair
-from workload_profiler.trace_model import schema_for, write_trace
+from workload_profiler.trace_model import LOAD_CHUNK, schema_for, write_trace
 
 root, seed = Path(sys.argv[1]), int(sys.argv[2])
 
@@ -203,6 +210,41 @@ with open(root / "edge.jsonl", "w", encoding="utf-8") as fh:
             metadata["zone"] = "never-seen"
         record = {"metadata": metadata} if n % 14 == 13 else {"id": ids[n % 14], "metadata": metadata}
         fh.write(json.dumps(record, ensure_ascii=n % 2 == 0) + "\n")
+
+# More than three load chunks; the records around each chunk boundary are
+# the awkward ones, and the bucketized column's extremes sit there too.
+ds, _, _ = make_blob_trace(3 * LOAD_CHUNK + 300, 4, seed=seed + 400, metadata_noise=0.03)
+save("ingest-edge", ds, {"seed": seed,
+                         "grid": {"algorithms": ["hdbscan"], "transforms": ["power"],
+                                  "distances": ["euclidean"], "min_points": [25]},
+                         "acquires": {"optimal_cluster_count": 4},
+                         "classifier": {"rounds": 10, "learning_rate": 0.3, "max_depth": 4,
+                                        "min_child_weight": 1.0, "l2": 1.0}})
+rows = add_numeric_column(root / "ingest-edge.csv", np.random.default_rng(seed + 400))
+header, records = rows[0], rows[1:]
+at = {name: i for i, name in enumerate(header)}
+
+def edit(r, **cells):
+    for name, value in cells.items():
+        records[r][at[name]] = value
+
+for k, b in enumerate((LOAD_CHUNK, 2 * LOAD_CHUNK, 3 * LOAD_CHUNK)):
+    records[b - 3] = []  # a blank line
+    edit(b - 2, owner=f"team {k},\nsecond line")
+    edit(b - 1, gpu_req=["1e6", "-1e6", "0.0"][k], zone=" padded ")
+    edit(b, cpu_usage=["inf", "nan", "-inf"][k])
+    edit(b + 1, app="")
+    records[b + 2] = records[b + 2][:3]  # a short row
+    edit(b + 3, owner='say "hi", then\n\nleave', gpu_req=["1e-9", "9e9", "0"][k])
+    records[b + 4] = []
+    edit(b + 5, mem_usage="12x")
+    edit(b + 7, gpu_req=[" 2e3 ", "-0.5", "7e7"][k], owner=f"q{k}, \"quoted\"")  # after the blanks
+with open(root / "ingest-edge.csv", "w", encoding="utf-8", newline="") as fh:
+    csv.writer(fh).writerows([header, *records])
+descriptor = artifacts.read_json(root / "ingest-edge-descriptor.json")
+descriptor["columns"]["gpu_req"] = "metadata"
+descriptor["bucketize"] = ["gpu_req"]
+artifacts.write_json(root / "ingest-edge-descriptor.json", descriptor)
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -262,6 +304,10 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
             shutil.copyfile(grid / artifact, target / artifact)
         run(src, CLI, ["evaluate", "--config", inputs / f"{name}.json",
                        "--holdout", inputs / "holdout.csv", "--out", target])
+    edge = out / "ingest-edge"
+    run(src, CLI, ["build", "--config", inputs / "ingest-edge.json", "--out", edge])
+    run(src, CLI, ["evaluate", "--config", inputs / "ingest-edge.json",
+                   "--holdout", inputs / "ingest-edge.csv", "--out", edge])
     trace = ["--trace", inputs / "default-grid.csv",
              "--descriptor", inputs / "default-grid-descriptor.json"]
     run(src, CLI, ["sample", *trace, "--stratify-on", "app", "--target", 300,

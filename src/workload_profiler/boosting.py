@@ -46,6 +46,10 @@ class BoostingParams:
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0")
 
+    def forest_shape(self, n_classes: int) -> tuple[int, int, int]:
+        """(rounds, classes, nodes per tree) of the forest these params grow."""
+        return (self.rounds, n_classes, 2 ** (self.max_depth + 1) - 1)
+
     def to_json(self) -> dict:
         return {
             "rounds": self.rounds,
@@ -168,7 +172,7 @@ class Forest:
 
     @classmethod
     def empty(cls, n_classes: int, dim: int, params: BoostingParams) -> "Forest":
-        shape = (params.rounds, n_classes, 2 ** (params.max_depth + 1) - 1)
+        shape = params.forest_shape(n_classes)
         if math.prod(shape) >= MAX_NODES:  # checked before anything is allocated
             raise ValueError(f"a forest of {math.prod(shape)} nodes {shape} exceeds the "
                              f"{MAX_NODES - 1} that int32 routing indexes")

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import artifacts
 from .classifier import ClassifierModel, classify_encoded, record_values
 from .errors import ConfigError, ProfilerError, SchemaError
-from .pipeline import RunConfig, read_artifacts, run_build, run_evaluate, run_feedback_command
+from .pipeline import RunConfig, load_artifact, run_build, run_evaluate, run_feedback_command
 from .predictor import PredictionPolicy, predict
 from .preprocess import hopkins, stratified_sample
 from .profiles import ProfileSet
@@ -116,15 +116,14 @@ def _classify_chunk(model, fragments, chunk: list[tuple[int, str]]) -> None:
 
 
 def _cmd_classify(args) -> int:
-    docs = read_artifacts(args.model, *filter(None, [args.profiles]))
-    model = ClassifierModel.from_json(docs[0])
+    model = load_artifact(Path(args.model), ClassifierModel.from_json)
+    profiles = load_artifact(Path(args.profiles), ProfileSet.from_json) if args.profiles else None
     policy = PredictionPolicy()
     if args.policy:
         try:
             policy = PredictionPolicy.from_json(json.loads(args.policy))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
-    profiles = ProfileSet.from_json(docs[1]) if args.profiles else None
     fragments = _line_fragments(model, profiles, policy)
 
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")

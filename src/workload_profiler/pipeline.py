@@ -7,13 +7,14 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import artifacts
-from .boosting import BoostingParams, DEFAULT_PARAMS
+from .boosting import MAX_NODES, BoostingParams, DEFAULT_PARAMS
 from .classifier import (
     ClassifierModel,
     TrainingSet,
@@ -124,6 +125,12 @@ class RunConfig:
         check_acquires_params(self.optimal_cluster_count, self.acquires_weights)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1)")
+        nodes = math.prod(self.classifier_params.forest_shape(2))  # the smallest forest
+        if nodes >= MAX_NODES:
+            raise ConfigError(
+                f"classifier rounds x (2^(max_depth+1) - 1) x 2 classes = {nodes} nodes, "
+                f"over the {MAX_NODES - 1} that a forest may hold"
+            )
         if stored_percentile(self.stats_percentiles, self.prediction.quantile) is None:
             raise ConfigError(
                 f"prediction quantile {self.prediction.quantile} is not among "
@@ -246,23 +253,26 @@ def run_build(config: RunConfig) -> BuildResult:
     return BuildResult(dataset=dataset, profiles=profiles, model=model, report=build_report)
 
 
-def read_artifacts(*paths: Path) -> list:
-    """Build artifacts' JSON documents; a missing or unreadable file is a
-    MissingArtifactError that names it."""
-    docs = []
-    for p in paths:
-        try:
-            docs.append(artifacts.read_json(p))
-        except FileNotFoundError as exc:
-            raise MissingArtifactError(f"missing build artifact: {p}") from exc
-        except (OSError, ValueError) as exc:
-            raise MissingArtifactError(f"unreadable build artifact {p}: {exc}") from exc
-    return docs
+def load_artifact(path: Path, from_json):
+    """from_json of one build artifact's JSON document. A file that is
+    missing, is not valid JSON, or holds a document that from_json rejects
+    (an unsupported format version, a missing key, a forest too large to
+    route) is a MissingArtifactError that names it."""
+    try:
+        doc = artifacts.read_json(path)
+    except FileNotFoundError as exc:
+        raise MissingArtifactError(f"missing build artifact: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise MissingArtifactError(f"unreadable build artifact {path}: {exc}") from exc
+    try:
+        return from_json(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifactError(f"invalid build artifact {path}: {exc!r}") from exc
 
 
 def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
-    profiles_doc, model_doc = read_artifacts(output_dir / PROFILES_FILE, output_dir / MODEL_FILE)
-    return ProfileSet.from_json(profiles_doc), ClassifierModel.from_json(model_doc)
+    return (load_artifact(output_dir / PROFILES_FILE, ProfileSet.from_json),
+            load_artifact(output_dir / MODEL_FILE, ClassifierModel.from_json))
 
 
 def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:

@@ -10,8 +10,10 @@ construction, so they are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -177,8 +179,10 @@ class Dataset:
             array.flags.writeable = False
         # The first offending row decides; within a row a repeated id comes first.
         ids = self.ids.tolist()
-        first = {wid: i for i, wid in reversed(list(enumerate(ids)))}  # each id's first row
-        repeat = n if len(first) == n else next(i for i, wid in enumerate(ids) if first[wid] != i)
+        repeat = n
+        if len(set(ids)) < n:
+            first = {wid: i for i, wid in reversed(list(enumerate(ids)))}  # each id's first row
+            repeat = next(i for i, wid in enumerate(ids) if first[wid] != i)
         bad = ~np.isfinite(self.runtime)
         row = int(bad.any(axis=1).argmax()) if bad.any() else n
         if repeat < n and repeat <= row:
@@ -268,11 +272,14 @@ def _float_or_nan(cell: str) -> float:
 
 
 def _parse(cells: Sequence[str]) -> np.ndarray:
-    """float() of each cell of a column, nan where it does not parse."""
+    """float() of each stripped cell of a column, nan where it does not parse.
+    A cell that float() reads unstripped reads the same stripped, so only a
+    column holding a cell that fails is stripped (float() keeps the separators
+    U+001C..U+001F that str.strip() removes)."""
     try:
         return np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        return np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
+        return np.array([_float_or_nan(c.strip()) for c in cells], dtype=np.float64)
 
 
 def bucketize_value(value, bounds: tuple[float, float, float]):
@@ -280,6 +287,9 @@ def bucketize_value(value, bounds: tuple[float, float, float]):
     b1, b2, b3 = bounds
     index = np.where(value <= b1, 0, np.where(value <= b2, 1, np.where(value <= b3, 2, 3)))
     return np.asarray(QUARTILE_LABELS, dtype=object)[index]
+
+
+LOAD_CHUNK = 1024  # non-blank csv records read and parsed together by load_trace
 
 
 def load_trace(
@@ -295,11 +305,24 @@ def load_trace(
     Pass ``bucket_bounds`` to reuse quartile boundaries from an earlier load
     (otherwise they are fitted on this file's accepted rows). Blank lines are
     skipped; a repeated header name reads its last column.
+
+    The file is read LOAD_CHUNK non-blank records at a time, and each
+    chunk's accepted rows are kept as compact columns: ids, floats, and
+    metadata codes that index the values in order of arrival until the
+    sorted tables are made at the end. Memory is bounded by the kept columns
+    plus one chunk's declared cells.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise TraceReadError(f"cannot read trace {path}: {exc}") from exc
+    numeric = [*schema.runtime_columns, *filter(None, [schema.timestamp_column]), *schema.bucketize]
+    coded = [c for c in schema.metadata_columns if c not in schema.bucketize]
+    ids: list[str] = []
+    floats: dict[str, list[np.ndarray]] = {c: [] for c in numeric}
+    codes: dict[str, list[np.ndarray]] = {c: [] for c in coded}
+    interned: dict[str, dict[str, int]] = {c: {} for c in coded}
+    n_read = 0
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -310,51 +333,76 @@ def load_trace(
         if missing:
             raise SchemaError(f"trace {path} lacks declared columns: {missing}")
         at = {name: i for i, name in enumerate(header)}
-        wanted = [at[c] for c in declared]
-        cells = [[] for _ in declared]
-        for row in reader:
-            if not row:
-                continue
-            for column, i in zip(cells, wanted):
-                column.append(row[i].strip() if i < len(row) else "")
-    col = dict(zip(declared, cells))
-    n_read = len(cells[0])
-
-    ok = np.logical_and.reduce([np.fromiter(map(bool, column), bool, n_read) for column in cells])
-    parsed = {}
-    for c in (*schema.runtime_columns, *filter(None, [schema.timestamp_column]), *schema.bucketize):
-        parsed[c] = _parse(col[c])
-        ok &= np.isfinite(parsed[c])
-    keep = np.flatnonzero(ok)
-    if keep.size == 0:
+        pick = operator.itemgetter(*(at[c] for c in declared))  # >= 3 columns: a tuple
+        width = max(at[c] for c in declared) + 1
+        pad = [""] * width  # a short row reads "" past its end
+        records = filter(None, reader)  # blank lines are skipped
+        while rows := [pick(r) if len(r) >= width else pick(r + pad)
+                       for r in itertools.islice(records, LOAD_CHUNK)]:
+            n_read += len(rows)
+            cells = dict(zip(declared, zip(*rows)))
+            text = {c: list(map(str.strip, cells[c])) for c in (schema.id_column, *coded)}
+            ok = np.ones(len(rows), dtype=bool)
+            for column in text.values():
+                if "" in column:
+                    ok &= np.fromiter(map(bool, column), bool, len(column))
+            parsed = {c: _parse(cells[c]) for c in numeric}
+            for values in parsed.values():
+                ok &= np.isfinite(values)
+            if not ok.all():
+                mask = ok.tolist()
+                text = {c: list(itertools.compress(column, mask)) for c, column in text.items()}
+                parsed = {c: values[ok] for c, values in parsed.items()}
+            ids += text[schema.id_column]
+            for c in numeric:
+                floats[c].append(parsed[c])
+            for c in coded:
+                index = interned[c]
+                for value in set(text[c]).difference(index):
+                    index[value] = len(index)
+                codes[c].append(np.fromiter(map(index.__getitem__, text[c]), np.int32, len(text[c])))
+            del rows, cells, text, parsed  # the last chunk's cells go before the assembly
+    if not ids:
         raise NoValidRowsError(f"trace {path} contains no valid rows")
-    kept = keep.tolist()
+    n_kept = len(ids)
+    ids = np.array(ids, dtype=object)
 
-    def accepted(c: str) -> list[str]:
-        return [col[c][i] for i in kept]
-
-    metadata = {c: accepted(c) for c in schema.metadata_columns}
+    buckets = {c: np.concatenate(floats.pop(c)) for c in schema.bucketize}
     bounds = {}
-    for c in schema.bucketize:
-        values = parsed[c][keep]
+    for c, values in buckets.items():
         given = (bucket_bounds or {}).get(c)
         bounds[c] = tuple(map(float, given[:3] if given else np.percentile(values, [25, 50, 75])))
-        metadata[c] = bucketize_value(values, bounds[c]).tolist()
+    # Each column is written into its place in the block as it is finished.
+    metadata = np.empty((n_kept, len(schema.metadata_columns)), dtype=np.int64)
+    tables = []
+    for j, c in enumerate(schema.metadata_columns):
+        if c in bounds:
+            metadata[:, j], table = _code_column(bucketize_value(buckets.pop(c), bounds[c]).tolist())
+        else:  # arrival codes onto ranks in the sorted table
+            table = tuple(sorted(interned[c]))
+            rank = {value: code for code, value in enumerate(table)}
+            remap = np.fromiter(map(rank.__getitem__, interned.pop(c)), np.int64, len(table))
+            metadata[:, j] = remap[np.concatenate(codes.pop(c))]
+        tables.append(table)
 
-    submitted_at = None
+    submitted_at = np.arange(n_kept, dtype=np.int64)
     if schema.timestamp_column is not None:
-        stamps = parsed[schema.timestamp_column][keep]
+        stamps = np.concatenate(floats.pop(schema.timestamp_column))
         if not (np.abs(stamps) < 2.0**63).all():
             raise SchemaError(f"trace {path} has a timestamp outside the int64 range")
         submitted_at = stamps.astype(np.int64)  # truncates toward zero, as int() does
-    dataset = Dataset.from_columns(
-        ids=accepted(schema.id_column),
-        runtime={c: parsed[c][keep] for c in schema.runtime_columns},
-        metadata=metadata,
+    runtime = np.empty((n_kept, len(schema.runtime_columns)), dtype=np.float64)
+    for j, c in enumerate(schema.runtime_columns):
+        runtime[:, j] = np.concatenate(floats.pop(c))
+    dataset = Dataset(
+        schema_runtime=schema.runtime_columns,
+        ids=ids,
         submitted_at=submitted_at,
+        runtime=runtime,
+        metadata=MetadataBlock(schema.metadata_columns, metadata, tuple(tables)),
         bucket_bounds=bounds or None,
     )
-    return dataset, n_read - keep.size
+    return dataset, n_read - n_kept
 
 
 def render_number(value: float) -> str:

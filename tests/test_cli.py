@@ -359,6 +359,21 @@ def test_config_rejects_fractional_counts_and_bad_classifier_params(tmp_path, mo
         assert main(["build", "--config", str(config)]) == 12, extra
 
 
+def test_config_rejects_a_forest_past_the_node_bound_before_reading_the_trace(tmp_path):
+    # rounds x (2^(max_depth+1) - 1) x 2 classes >= 2^30 could never be grown;
+    # the trace path does not exist, so exit 12 (not 4) shows nothing was read
+    base = write_config(tmp_path, tmp_path / "absent.csv", tmp_path / "absent.json",
+                        tmp_path / "out")
+    doc = artifacts.read_json(base)
+    config = tmp_path / "big.json"
+    for depth in (0, 6, 9, 10):
+        least = -(-(2 ** 30) // (2 * (2 ** (depth + 1) - 1)))  # the fewest rounds refused
+        for rounds, code in ((least, 12), (least - 1, 4), (2 ** 40, 12)):
+            classifier = {**BOOST, "rounds": rounds, "max_depth": depth}
+            artifacts.write_json(config, {**doc, "classifier": classifier})
+            assert main(["build", "--config", str(config)]) == code, (rounds, depth)
+
+
 def test_config_rejects_nan_and_negative_delta_thresholds(tmp_path, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid_search ran on a bad config")
@@ -512,6 +527,42 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
     (out / "profiles.json").write_text('{"broken', encoding="utf-8")
     assert main(["feedback", "--config", str(config), "--stream", str(trace)]) == 10
     assert str(out / "profiles.json") in capsys.readouterr().err
+
+@pytest.mark.parametrize("damage", ["format_version_2", "no_trees", "not_an_object",
+                                    "too_many_nodes", "profiles_without_groups"])
+def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, trace, descriptor, out)
+    assert main(["build", "--config", str(config)]) == 0
+    inp = tmp_path / "one.jsonl"
+    w = rows_of(ds)[0]
+    inp.write_text(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n", encoding="utf-8")
+    name = "profiles.json" if damage == "profiles_without_groups" else "model.json"
+    doc = artifacts.read_json(out / name)
+    if damage == "format_version_2":
+        doc["format_version"] = 2
+    elif damage == "no_trees":
+        del doc["trees"]
+    elif damage == "not_an_object":
+        doc = [doc]
+    elif damage == "too_many_nodes":
+        doc["hyperparams"]["rounds"] = 2 ** 30
+    else:
+        del doc["groups"]
+    artifacts.write_json(out / name, doc)
+    commands = (
+        ["classify", "--model", str(out / "model.json"), "--profiles", str(out / "profiles.json"),
+         "--input", str(inp)],
+        ["evaluate", "--config", str(config), "--holdout", str(trace)],
+        ["feedback", "--config", str(config), "--stream", str(trace)],
+    )
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 10, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid build artifact {out / name}" in captured.err
+
 
 def test_classify_record_missing_a_feature_fails_alone(tmp_path, capsys):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)

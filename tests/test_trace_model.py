@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import slow_load_trace
@@ -10,7 +13,9 @@ from workload_profiler.errors import (
 )
 from rows import dataset_of, rows_of
 from workload_profiler.encoding import build_vocabulary
+from workload_profiler.synth import make_blob_trace
 from workload_profiler.trace_model import (
+    LOAD_CHUNK,
     Dataset,
     MetadataBlock,
     TraceSchema,
@@ -273,3 +278,96 @@ def test_first_offending_row_is_named(tiny_dataset):
     rows[0] = ("w9", {"m": "x"}, {"a": -np.inf, "b": 1.0})
     with pytest.raises(SchemaError, match="workload 'w9' has non-finite 'a'"):
         dataset_of(rows)
+
+
+# ------------------------------------------------- chunked loading
+
+def chunked_trace(path, blank_run=0, rows=None):
+    """MESSY's layout over more than three LOAD_CHUNK records. The records
+    just around each chunk boundary are the awkward ones: an empty cell, a
+    blank line, quoted cells holding commas and newlines, a non-finite
+    runtime, a short row, padded cells (U+001C and U+001F too, which str.strip
+    removes and float() does not), an unparsable bucketized cell and an
+    empty timestamp. ``rows`` replaces records by index; ``blank_run`` blank
+    lines go in after record LOAD_CHUNK + 20."""
+    rng = np.random.default_rng(5)
+    users = ["alice", "bob", "a\x00", "carol", "dave"]
+    records = []
+    for r in range(3 * LOAD_CHUNK + 40):
+        gpu = rng.choice(["1", "2.5", "4", "8", "16", "1e1", "3_2"])
+        records.append(f"j{r},ignored,{rng.uniform(0.1, 9):.6g},{rng.uniform(1, 99):.6g},"
+                       f"{r + 100},{gpu},x,{users[r % 5]}")
+    for b in (LOAD_CHUNK, 2 * LOAD_CHUNK, 3 * LOAD_CHUNK):
+        records[b - 2] = f"j{b - 2},ignored,,2.0,{b},4,x,alice"
+        records[b - 1] = ""
+        records[b] = f'j{b},ignored,1.5,2.0,{b},8,"x,y","team, a\nline two"'
+        records[b + 1] = f"j{b + 1},ignored,inf,2.0,{b},8,x,bob"
+        records[b + 2] = f"j{b + 2},ignored,1.0"
+        records[b + 3] = f" j{b + 3} , ignored , 2.5 ,\x1c1.0\x1f,{b}, 16 ,x,  carol  "
+        records[b + 4] = f"j{b + 4},ignored,2.5,1.0,{b},nan,x,carol"
+        records[b + 5] = f"j{b + 5},ignored,2.5,1.0,,4,x,carol"
+        records[b + 6] = f'j{b + 6},ignored,2.5,1.0,{b},"64\n",x,"multi\n\nline"'
+        records[b + 7] = f'"j{b + 7}",ignored,3.5,2.0,{b},2,x,"bob, ""quoted"""'
+    for r, record in (rows or {}).items():
+        records[r] = record
+    records[LOAD_CHUNK + 20:LOAD_CHUNK + 20] = [""] * blank_run
+    header = "job,user,cpu,mem,ts,gpu_req,junk,user\n"
+    return write_csv(path, header + "\n".join(records) + "\n")
+
+
+@pytest.mark.parametrize("timestamp", [True, False])
+@pytest.mark.parametrize("bounds", [None, {"gpu_req": (2.0, 8.0, 12.5)}])
+def test_chunked_loader_equals_the_oracle_across_chunk_boundaries(tmp_path, timestamp, bounds):
+    # a run of blank lines longer than a chunk sits inside the second chunk
+    trace = chunked_trace(tmp_path / "t.csv", blank_run=LOAD_CHUNK + 5)
+    columns = dict(MESSY_COLUMNS, ts="timestamp" if timestamp else "ignore")
+    schema = TraceSchema(columns=columns, bucketize=("gpu_req",))
+    want = slow_load_trace(trace, schema, bounds)
+    got = loaded(*load_trace(trace, schema, bucket_bounds=bounds))
+    assert got == want
+    # per boundary: empty cell, non-finite, short row, nan bucket (+ empty timestamp)
+    assert want["dropped"] == 3 * (5 if timestamp else 4)
+    assert {"team, a\nline two", 'bob, "quoted"', "multi\n\nline"} <= {
+        m["user"] for m in want["metadata"]}
+    assert {m["gpu_req"] for m in want["metadata"]} == {"q1", "q2", "q3", "q4"}
+    assert f"j{LOAD_CHUNK + 3}" in want["ids"]  # padded cells are stripped
+
+
+def test_a_duplicate_id_in_a_later_chunk_is_found_after_dropped_rows(tmp_path):
+    schema = TraceSchema(columns=dict(MESSY_COLUMNS, ts="timestamp"), bucketize=("gpu_req",))
+    copy = "j7,ignored,1.0,2.0,5,4,x,bob"
+    # the repeat sits two chunks on; a non-finite row before it is dropped, not reported
+    trace = chunked_trace(tmp_path / "a.csv", rows={3: "j3,ignored,nan,2.0,5,4,x,bob",
+                                                    2 * LOAD_CHUNK + 9: copy})
+    with pytest.raises(DuplicateIdError, match="'j7'"):
+        load_trace(trace, schema)
+    # a copy in a dropped row is no repeat, before or after the accepted one
+    for r, bad in ((7, "j7,ignored,1.0,inf,5,4,x,bob"), (2 * LOAD_CHUNK + 9, "j7,ignored,,2.0,5,4,x,bob")):
+        rows = {7: copy, 2 * LOAD_CHUNK + 9: copy, r: bad}
+        trace = chunked_trace(tmp_path / f"b{r}.csv", rows=rows)
+        ds, dropped = load_trace(trace, schema)
+        assert loaded(ds, dropped) == slow_load_trace(trace, schema)
+        assert ds.ids.tolist().count("j7") == 1
+
+
+def held_bytes(ds: Dataset) -> int:
+    """What a dataset holds: its arrays, its id strings and its value tables."""
+    strings = sum(map(sys.getsizeof, ds.ids.tolist()))
+    strings += sum(sys.getsizeof(v) for table in ds.metadata.tables for v in table)
+    arrays = (ds.ids, ds.submitted_at, ds.runtime, ds.metadata.codes)
+    return strings + sum(a.nbytes for a in arrays)
+
+
+def test_loading_peaks_below_three_times_what_the_dataset_holds(tmp_path):
+    ds, _, _ = make_blob_trace(13_000, 5, seed=1, metadata_noise=0.02, id_prefix="s")
+    trace = tmp_path / "stream.csv"
+    write_trace(ds, trace)
+    schema = schema_for(ds)
+    tracemalloc.start()
+    try:
+        loaded_ds, dropped = load_trace(trace, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dropped == 0 and loaded_ds.ids.tolist() == ds.ids.tolist()
+    assert peak < 3 * held_bytes(loaded_ds), (peak, held_bytes(loaded_ds))
