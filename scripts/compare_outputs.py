@@ -39,7 +39,13 @@ tree:
                  records around each chunk boundary are blank lines, rows
                  dropped for an empty, non-finite or unparsable cell, a short
                  row, quoted metadata cells holding commas and newlines,
-                 padded cells, and extreme values of a bucketized column.
+                 padded cells, and extreme values of a bucketized column;
+  cluster-edge   build on a 600-row trace whose runtime values are small
+                 integers, so most rows repeat exactly (zero distances,
+                 mutual reachability ties, infinite lambdas) and one row in
+                 ten is a zero vector after minmax, over a grid of both
+                 minmax and power, all three distances and min_points 3, 8
+                 and 30, small enough for nested splits.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -245,6 +251,28 @@ descriptor = artifacts.read_json(root / "ingest-edge-descriptor.json")
 descriptor["columns"]["gpu_req"] = "metadata"
 descriptor["bucketize"] = ["gpu_req"]
 artifacts.write_json(root / "ingest-edge-descriptor.json", descriptor)
+
+# Small-integer runtime values: most rows repeat another row exactly, so
+# distances are 0, mutual reachabilities tie and lambdas are infinite; one
+# row in ten sits at every column's minimum, a zero vector after minmax.
+ds, truth, _ = make_blob_trace(600, 3, seed=seed + 500, metadata_noise=0.03)
+save("cluster-edge", ds, {"seed": seed,
+                          "grid": {"algorithms": ["hdbscan"], "transforms": ["minmax", "power"],
+                                   "distances": ["euclidean", "manhattan", "cosine"],
+                                   "min_points": [3, 8, 30]},
+                          "acquires": {"optimal_cluster_count": 3},
+                          "classifier": {"rounds": 10, "learning_rate": 0.3, "max_depth": 4,
+                                         "min_child_weight": 1.0, "l2": 1.0}})
+rng = np.random.default_rng(seed + 500)
+with open(root / "cluster-edge.csv", encoding="utf-8", newline="") as fh:
+    rows = list(csv.reader(fh))
+columns = [rows[0].index(f) for f in ds.schema_runtime]
+for row, blob in zip(rows[1:], truth.tolist()):
+    values = 1 + 3 * blob + rng.integers(0, 3, len(columns))
+    for j, value in zip(columns, [1] * len(columns) if rng.random() < 0.1 else values):
+        row[j] = str(int(value))
+with open(root / "cluster-edge.csv", "w", encoding="utf-8", newline="") as fh:
+    csv.writer(fh).writerows(rows)
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -304,6 +332,8 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
             shutil.copyfile(grid / artifact, target / artifact)
         run(src, CLI, ["evaluate", "--config", inputs / f"{name}.json",
                        "--holdout", inputs / "holdout.csv", "--out", target])
+    run(src, CLI, ["build", "--config", inputs / "cluster-edge.json",
+                   "--out", out / "cluster-edge"])
     edge = out / "ingest-edge"
     run(src, CLI, ["build", "--config", inputs / "ingest-edge.json", "--out", edge])
     run(src, CLI, ["evaluate", "--config", inputs / "ingest-edge.json",

@@ -3,6 +3,7 @@ composite clustering metric."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Mapping
@@ -50,13 +51,16 @@ class GridSpec:
                 raise ValueError(f"unknown distance kind {dist!r}")
         if "dbscan" in self.algorithms and not self.eps:
             raise ValueError("dbscan combinations require at least one eps value")
+        if not all(math.isfinite(eps) and eps > 0 for eps in self.eps):
+            raise ValueError(f"eps values must be finite and > 0, got {list(self.eps)}")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
+        parse = {"min_points": json_int, "eps": float}
         kwargs = {}
         for key in ("algorithms", "transforms", "distances", "min_points", "eps"):
             if key in doc:
-                kwargs[key] = tuple(map(json_int, doc[key]) if key == "min_points" else doc[key])
+                kwargs[key] = tuple(map(parse[key], doc[key]) if key in parse else doc[key])
         return cls(**kwargs)
 
     @classmethod

@@ -6,9 +6,16 @@ Pipeline:
   2. mutual reachability distance mrd(a, b) = max(core_a, core_b, d(a, b));
   3. minimum spanning tree over mrd (Prim, O(n^2) time / O(n) memory per
      tree; the trees of several sizes grow in lockstep);
-  4. a merge tree of the components at each distinct edge weight;
-  5. condensation of the merge tree at min_cluster_size;
-  6. cluster selection by total stability (excess of mass), root excluded.
+  4. a merge tree as parent, size, least-point and lambda arrays: one
+     union-find pass over the edges in weight order, equal-weight merges
+     contracted (build_merge_tree);
+  5. condensation at min_cluster_size: points fall out at their lowest big
+     ancestor, clusters are numbered in depth-first order (condense);
+  6. cluster selection by total stability (excess of mass), root excluded,
+     with stability summed by bincount in point order (select_clusters).
+
+Steps 4-6 are array passes; each "nearest marked ancestor" query is one
+pointer-doubling pass over the parent array.
 
 Equal-weight merges are contracted into one multi-way split: mutual
 reachability ties are structural (mrd repeats core distances across pairs),
@@ -22,9 +29,6 @@ rather than all noise.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,210 +120,130 @@ def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.nd
     return np.ascontiguousarray(edges if core.ndim == 2 else edges[0])
 
 
-@dataclass
-class MergeTree:
-    """Multi-way component tree: node ids < n_points are single points;
-    internal node n_points + t merges children[t] at threshold dist[t]."""
-
-    children: list[list[int]]
-    dist: list[float]
-    size: list[int]
-    n_points: int
-    root: int
-
-    def node_size(self, node: int) -> int:
-        return 1 if node < self.n_points else self.size[node - self.n_points]
-
-    def node_children(self, node: int) -> list[int]:
-        return self.children[node - self.n_points]
-
-    def node_dist(self, node: int) -> float:
-        return self.dist[node - self.n_points]
+def _nearest(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Each node's nearest ancestor-or-self in ``mark`` by pointer doubling;
+    a node with none gets the root, which ``up`` maps to itself."""
+    at = np.where(mark, np.arange(up.size), up)
+    while True:
+        nxt = at[at]
+        if np.array_equal(nxt, at):
+            return at
+        at = nxt
 
 
-def build_merge_tree(edges: np.ndarray, n: int) -> MergeTree:
-    """Contract sorted edges into the component tree, grouping equal weights.
+def build_merge_tree(edges: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The component tree of spanning edges, equal-weight merges contracted.
 
-    Any spanning edge set with the single-linkage property yields the same
-    tree, because components at each threshold are graph invariants.
+    Points are nodes 0..n-1; the edges merge in stable weight order, merge t
+    is node n + t and the last is the root. A merge at its parent merge's
+    weight is contracted: its size becomes 0 and every node's parent becomes
+    its nearest kept ancestor (the root's is itself), so each kept node is
+    one multi-way split at its weight. Any spanning edge set with the
+    single-linkage property gives the same kept tree, because components at
+    each threshold are graph invariants.
+
+    Returns (up, size, low, lam) per node: parent, points below (0 when
+    contracted), least point below, and 1/weight (inf at weight 0).
     """
     order = np.argsort(edges[:, 2], kind="stable")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    comp_node = list(range(n))  # union-find root -> current tree node
-    min_member = list(range(n))  # per tree node, for canonical child order
-    children: list[list[int]] = []
-    dists: list[float] = []
-    sizes: list[int] = []
-
-    i = 0
-    m = len(order)
-    while i < m:
-        w = edges[order[i], 2]
-        j = i
-        pending: dict[int, list[int]] = {}
-        while j < m and edges[order[j], 2] == w:
-            a = int(edges[order[j], 0])
-            b = int(edges[order[j], 1])
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                pa = pending.pop(ra, [comp_node[ra]])
-                pb = pending.pop(rb, [comp_node[rb]])
-                parent[rb] = ra
-                pending[ra] = pa + pb
-            j += 1
-        for root, kids in pending.items():
-            kids = sorted(kids, key=lambda k: min_member[k])
-            node = n + len(children)
-            children.append(kids)
-            dists.append(float(w))
-            sizes.append(sum(1 if k < n else sizes[k - n] for k in kids))
-            comp_node[root] = node
-            min_member.append(min(min_member[k] for k in kids))
-        i = j
-
-    root_node = comp_node[find(0)]
-    return MergeTree(children=children, dist=dists, size=sizes, n_points=n, root=root_node)
+    parent = list(range(n))  # union-find
+    node = list(range(n))  # union-find root -> its component's tree node
+    kids, size, low = [], [1] * n, list(range(n))
+    for t, (ra, rb) in enumerate(edges[order, :2].astype(np.int64).tolist()):
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        parent[rb] = ra
+        a, b = node[ra], node[rb]
+        kids += (a, b)
+        size.append(size[a] + size[b])
+        low.append(min(low[a], low[b]))
+        node[ra] = n + t
+    up = np.arange(2 * n - 1)
+    up[kids] = np.repeat(np.arange(n, 2 * n - 1), 2)
+    size = np.array(size)
+    weight = np.concatenate([np.zeros(n), edges[order, 2]])
+    lam = np.divide(1.0, weight, out=np.full(weight.size, np.inf), where=weight > 0)
+    contracted = weight == weight[up]
+    contracted[:n] = contracted[-1] = False
+    size[contracted] = 0
+    return _nearest(up, ~contracted)[up], size, np.array(low), lam
 
 
-@dataclass
-class CondensedTree:
-    """Merge tree condensed at min_cluster_size; cluster 0 is the root."""
+def condense(up, size, low, lam, min_cluster_size: int) -> tuple[np.ndarray, ...]:
+    """Condense a merge tree at ``min_cluster_size``; cluster 0 is the root.
 
-    point_parent: np.ndarray   # cluster each point falls out of
-    point_lambda: np.ndarray   # 1/distance at which it falls out
-    cluster_parent: list[int]  # -1 for the root
-    cluster_birth: list[float]
-    cluster_size: list[int]
-    cluster_children: list[list[int]]
+    A node is big when it holds at least min_cluster_size points, and a split
+    when two or more of its children are big; each big child of a split
+    heads a cluster born at the split's lam. A point falls out at its lowest
+    big ancestor, at that node's lam, into the cluster of the node's nearest
+    head. Clusters are numbered as a depth-first walk from the root would:
+    siblings get consecutive ids in least-point order, the last sibling is
+    walked first.
 
-
-def condense(tree: MergeTree, min_cluster_size: int) -> CondensedTree:
-    n = tree.n_points
-
-    point_parent = np.empty(n, dtype=np.int64)
-    point_lambda = np.empty(n, dtype=np.float64)
-    cluster_parent = [-1]
-    cluster_birth = [0.0]
-    cluster_size = [n]
-    cluster_children: list[list[int]] = [[]]
-
-    def leaves(node: int) -> list[int]:
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            if v < n:
-                out.append(v)
-            else:
-                stack.extend(tree.node_children(v))
-        return out
-
-    stack = [(tree.root, 0)]
-    while stack:
-        node, cid = stack.pop()
-        # Walk down, shedding sub-min_cluster_size side branches as points.
-        while True:
-            d = tree.node_dist(node)
-            lam = math.inf if d <= 0.0 else 1.0 / d
-            big: list[int] = []
-            for child in tree.node_children(node):
-                if tree.node_size(child) >= min_cluster_size:
-                    big.append(child)
-                else:
-                    for p in leaves(child):
-                        point_parent[p] = cid
-                        point_lambda[p] = lam
-            if len(big) >= 2:
-                for child in big:
-                    c = len(cluster_parent)
-                    cluster_parent.append(cid)
-                    cluster_birth.append(lam)
-                    cluster_size.append(tree.node_size(child))
-                    cluster_children.append([])
-                    cluster_children[cid].append(c)
-                    stack.append((child, c))
-                break
-            if not big:
-                break
-            node = big[0]  # the cluster persists through this split
-
-    return CondensedTree(
-        point_parent=point_parent,
-        point_lambda=point_lambda,
-        cluster_parent=cluster_parent,
-        cluster_birth=cluster_birth,
-        cluster_size=cluster_size,
-        cluster_children=cluster_children,
-    )
-
-
-def _gap(lam: float, birth: float) -> float:
-    # inf - inf would poison the sum; duplicate-heavy data hits this.
-    if math.isinf(lam) and math.isinf(birth):
-        return 0.0
-    return lam - birth
-
-
-def cluster_stability(ct: CondensedTree) -> list[float]:
-    """Total stability of each condensed cluster (excess-of-mass integrand)."""
-    stab = [0.0] * len(ct.cluster_parent)
-    for p in range(len(ct.point_parent)):
-        c = int(ct.point_parent[p])
-        stab[c] += _gap(float(ct.point_lambda[p]), ct.cluster_birth[c])
-    for c in range(1, len(ct.cluster_parent)):
-        parent = ct.cluster_parent[c]
-        stab[parent] += _gap(ct.cluster_birth[c], ct.cluster_birth[parent]) * ct.cluster_size[c]
-    return stab
-
-
-def select_clusters(ct: CondensedTree, stability: list[float]) -> list[int]:
-    """Excess-of-mass selection, bottom-up; ties favor the parent.
-
-    The root never competes. If no split survived condensation the root is
-    returned so the result is one cluster instead of pure noise.
+    Returns (point_cluster, point_lam) per point and (parent, birth, size)
+    per cluster, with parent -1 and birth 0 for the root.
     """
-    k = len(ct.cluster_parent)
-    selected = [False] * k
-    running = list(stability)
-    for c in range(k - 1, 0, -1):
-        kids = ct.cluster_children[c]
-        kid_total = sum(running[x] for x in kids)
-        if kids and kid_total > running[c]:
-            running[c] = kid_total
+    root, n = up.size - 1, (up.size + 1) // 2
+    big = size >= min_cluster_size
+    split = np.bincount(up[:root][big[:root]], minlength=up.size) >= 2
+    head = big & split[up]
+    head[root] = True
+    fall = _nearest(up, big)[:n]
+    owner = _nearest(up, head)
+    heads = np.flatnonzero(head[:root])
+    kids: dict[int, list[int]] = {}
+    for h in heads[np.argsort(low[heads])].tolist():
+        kids.setdefault(int(owner[up[h]]), []).append(h)
+    walk, stack = [root], [root]
+    while stack:
+        sibs = kids.get(stack.pop(), [])
+        walk += sibs
+        stack += sibs
+    walk = np.array(walk)
+    cid = np.zeros(up.size, dtype=np.int64)
+    cid[walk] = np.arange(walk.size)
+    parent, birth = cid[owner[up[walk]]], lam[up[walk]]
+    parent[0], birth[0] = -1, 0.0
+    return cid[owner[fall]], lam[fall], parent, birth, size[walk]
+
+
+def select_clusters(point_cluster, point_lam, parent, birth, size) -> np.ndarray:
+    """Excess-of-mass selection over condensed clusters; returns the labels.
+
+    A cluster's stability adds, over its points in point order, each point's
+    lam minus the cluster's birth, then over its children in id order, each
+    child's birth minus its own times the child's size; inf - inf counts 0
+    (duplicate-heavy data hits it). Bottom-up, a cluster is kept unless its
+    children's total is larger, so ties favour the parent; the root never
+    competes. Each kept cluster without a kept ancestor labels every point
+    below it, numbered in id order. If no split survived condensation the
+    root is selected, so the result is one cluster instead of pure noise.
+    """
+    def gap(a, b):
+        return np.subtract(a, b, out=np.zeros(a.size), where=a != b)
+
+    m = parent.size
+    stability = np.bincount(point_cluster, gap(point_lam, birth[point_cluster]), minlength=m)
+    np.add.at(stability, parent[1:], gap(birth[1:], birth[parent[1:]]) * size[1:])
+    up = np.maximum(parent, 0)  # the root is its own parent
+    starts = np.flatnonzero(np.diff(parent)) + 1  # siblings have consecutive ids
+    first = np.zeros(m, dtype=np.int64)
+    first[parent[starts]] = starts
+    first, count = first.tolist(), np.bincount(up[1:], minlength=m).tolist()
+    running = stability.tolist()
+    marked = np.zeros(m, dtype=bool)
+    for c in range(m - 1, 0, -1):
+        kids = running[first[c]:first[c] + count[c]]
+        if kids and sum(kids) > running[c]:
+            running[c] = sum(kids)
         else:
-            selected[c] = True
-            stack = list(kids)
-            while stack:
-                x = stack.pop()
-                selected[x] = False
-                stack.extend(ct.cluster_children[x])
-    chosen = [c for c in range(1, k) if selected[c]]
-    return chosen if chosen else [0]
-
-
-def labels_from_selection(ct: CondensedTree, chosen: list[int], n: int) -> np.ndarray:
-    """Each selected cluster owns every point in its condensed subtree."""
-    points_in: dict[int, list[int]] = {}
-    for p in range(n):
-        points_in.setdefault(int(ct.point_parent[p]), []).append(p)
-    labels = np.full(n, -1, dtype=np.int64)
-    for li, c in enumerate(sorted(chosen)):
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for p in points_in.get(x, ()):
-                labels[p] = li
-            stack.extend(ct.cluster_children[x])
-    return labels
+            marked[c] = True
+    top = marked & ~marked[_nearest(up, marked)[up]]
+    top[0] = not top.any()
+    label = np.where(top, np.cumsum(top) - 1, -1)
+    return label[_nearest(up, top)[point_cluster]]
 
 
 def hdbscan(matrix, min_cluster_size, kind: str = "euclidean") -> np.ndarray:
@@ -342,8 +266,5 @@ def hdbscan(matrix, min_cluster_size, kind: str = "euclidean") -> np.ndarray:
     forest = mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
     labels = np.empty((len(sizes), n), dtype=np.int64)
     for t, k in enumerate(sizes):
-        tree = build_merge_tree(forest[t], n)
-        ct = condense(tree, k)
-        chosen = select_clusters(ct, cluster_stability(ct))
-        labels[t] = labels_from_selection(ct, chosen, n)
+        labels[t] = select_clusters(*condense(*build_merge_tree(forest[t], n), k))
     return labels if np.ndim(min_cluster_size) else labels[0]

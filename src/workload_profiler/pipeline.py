@@ -131,6 +131,12 @@ class RunConfig:
                 f"classifier rounds x (2^(max_depth+1) - 1) x 2 classes = {nodes} nodes, "
                 f"over the {MAX_NODES - 1} that a forest may hold"
             )
+        if not 0.0 < self.hopkins_fraction <= 1.0:
+            raise ConfigError(f"hopkins_fraction must be in (0, 1], got {self.hopkins_fraction}")
+        if not all(0.0 <= p <= 100.0 for p in self.stats_percentiles):
+            raise ConfigError(
+                f"stats_percentiles must be in [0, 100], got {list(self.stats_percentiles)}"
+            )
         if stored_percentile(self.stats_percentiles, self.prediction.quantile) is None:
             raise ConfigError(
                 f"prediction quantile {self.prediction.quantile} is not among "
@@ -275,10 +281,21 @@ def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
             load_artifact(output_dir / MODEL_FILE, ClassifierModel.from_json))
 
 
+def _prediction_schema(config: RunConfig) -> TraceSchema:
+    """The descriptor's schema, once every predict_features name is one of
+    its runtime columns."""
+    schema = TraceSchema.load(config.descriptor)
+    for name in config.predict_features or ():
+        if name not in schema.runtime_columns:
+            raise ConfigError(f"predict_features names {name!r}, which is not a runtime "
+                              f"column of {config.descriptor}")
+    return schema
+
+
 def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
     """Score a holdout trace against the build artifacts; writes reports."""
     profiles, model = load_artifacts(config.output_dir)
-    schema = TraceSchema.load(config.descriptor)
+    schema = _prediction_schema(config)
     try:
         holdout, _ = load_trace(holdout_path, schema, bucket_bounds=model.bucket_bounds)
     except NoValidRowsError as exc:
@@ -303,7 +320,7 @@ def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
 def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
     """Replay a stream through the feedback loop; writes the run report."""
     profiles, model = load_artifacts(config.output_dir)
-    schema = TraceSchema.load(config.descriptor)
+    schema = _prediction_schema(config)
     training_data, _ = load_trace(config.trace, schema, bucket_bounds=model.bucket_bounds)
     stream, _ = load_trace(stream_path, schema, bucket_bounds=model.bucket_bounds)
     regen = ReclusterSpec(

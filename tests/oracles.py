@@ -10,6 +10,7 @@ partition comparisons exercise the clustering logic, not 1-ulp float noise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,6 +248,223 @@ def slow_hdbscan(X: np.ndarray, mcs: int, kind: str = "euclidean"):
         for p in points_under(cid):
             labels[p] = li
     return labels
+
+
+# The tree steps as the library once ran them: a multi-way merge tree of
+# child lists, a stack walk for condensation, per-point Python loops for
+# stability and labels. slow_tree_labels must equal the array steps exactly,
+# label numbers and dtype included.
+
+@dataclass
+class _MergeTree:
+    """Multi-way component tree: node ids < n_points are single points;
+    internal node n_points + t merges children[t] at threshold dist[t]."""
+
+    children: list[list[int]]
+    dist: list[float]
+    size: list[int]
+    n_points: int
+    root: int
+
+    def node_size(self, node: int) -> int:
+        return 1 if node < self.n_points else self.size[node - self.n_points]
+
+    def node_children(self, node: int) -> list[int]:
+        return self.children[node - self.n_points]
+
+    def node_dist(self, node: int) -> float:
+        return self.dist[node - self.n_points]
+
+
+def _merge_tree(edges: np.ndarray, n: int) -> _MergeTree:
+    """Contract sorted edges into the component tree, grouping equal weights.
+
+    Any spanning edge set with the single-linkage property yields the same
+    tree, because components at each threshold are graph invariants.
+    """
+    order = np.argsort(edges[:, 2], kind="stable")
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    comp_node = list(range(n))  # union-find root -> current tree node
+    min_member = list(range(n))  # per tree node, for canonical child order
+    children: list[list[int]] = []
+    dists: list[float] = []
+    sizes: list[int] = []
+
+    i = 0
+    m = len(order)
+    while i < m:
+        w = edges[order[i], 2]
+        j = i
+        pending: dict[int, list[int]] = {}
+        while j < m and edges[order[j], 2] == w:
+            a = int(edges[order[j], 0])
+            b = int(edges[order[j], 1])
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                pa = pending.pop(ra, [comp_node[ra]])
+                pb = pending.pop(rb, [comp_node[rb]])
+                parent[rb] = ra
+                pending[ra] = pa + pb
+            j += 1
+        for root, kids in pending.items():
+            kids = sorted(kids, key=lambda k: min_member[k])
+            node = n + len(children)
+            children.append(kids)
+            dists.append(float(w))
+            sizes.append(sum(1 if k < n else sizes[k - n] for k in kids))
+            comp_node[root] = node
+            min_member.append(min(min_member[k] for k in kids))
+        i = j
+
+    root_node = comp_node[find(0)]
+    return _MergeTree(children=children, dist=dists, size=sizes, n_points=n, root=root_node)
+
+
+@dataclass
+class _CondensedTree:
+    """Merge tree condensed at min_cluster_size; cluster 0 is the root."""
+
+    point_parent: np.ndarray   # cluster each point falls out of
+    point_lambda: np.ndarray   # 1/distance at which it falls out
+    cluster_parent: list[int]  # -1 for the root
+    cluster_birth: list[float]
+    cluster_size: list[int]
+    cluster_children: list[list[int]]
+
+
+def _condense(tree: _MergeTree, min_cluster_size: int) -> _CondensedTree:
+    n = tree.n_points
+
+    point_parent = np.empty(n, dtype=np.int64)
+    point_lambda = np.empty(n, dtype=np.float64)
+    cluster_parent = [-1]
+    cluster_birth = [0.0]
+    cluster_size = [n]
+    cluster_children: list[list[int]] = [[]]
+
+    def leaves(node: int) -> list[int]:
+        out: list[int] = []
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            if v < n:
+                out.append(v)
+            else:
+                stack.extend(tree.node_children(v))
+        return out
+
+    stack = [(tree.root, 0)]
+    while stack:
+        node, cid = stack.pop()
+        # Walk down, shedding sub-min_cluster_size side branches as points.
+        while True:
+            d = tree.node_dist(node)
+            lam = math.inf if d <= 0.0 else 1.0 / d
+            big: list[int] = []
+            for child in tree.node_children(node):
+                if tree.node_size(child) >= min_cluster_size:
+                    big.append(child)
+                else:
+                    for p in leaves(child):
+                        point_parent[p] = cid
+                        point_lambda[p] = lam
+            if len(big) >= 2:
+                for child in big:
+                    c = len(cluster_parent)
+                    cluster_parent.append(cid)
+                    cluster_birth.append(lam)
+                    cluster_size.append(tree.node_size(child))
+                    cluster_children.append([])
+                    cluster_children[cid].append(c)
+                    stack.append((child, c))
+                break
+            if not big:
+                break
+            node = big[0]  # the cluster persists through this split
+
+    return _CondensedTree(
+        point_parent=point_parent,
+        point_lambda=point_lambda,
+        cluster_parent=cluster_parent,
+        cluster_birth=cluster_birth,
+        cluster_size=cluster_size,
+        cluster_children=cluster_children,
+    )
+
+
+def _gap(lam: float, birth: float) -> float:
+    # inf - inf would poison the sum; duplicate-heavy data hits this.
+    if math.isinf(lam) and math.isinf(birth):
+        return 0.0
+    return lam - birth
+
+
+def _stability(ct: _CondensedTree) -> list[float]:
+    """Total stability of each condensed cluster (excess-of-mass integrand)."""
+    stab = [0.0] * len(ct.cluster_parent)
+    for p in range(len(ct.point_parent)):
+        c = int(ct.point_parent[p])
+        stab[c] += _gap(float(ct.point_lambda[p]), ct.cluster_birth[c])
+    for c in range(1, len(ct.cluster_parent)):
+        parent = ct.cluster_parent[c]
+        stab[parent] += _gap(ct.cluster_birth[c], ct.cluster_birth[parent]) * ct.cluster_size[c]
+    return stab
+
+
+def _select(ct: _CondensedTree, stability: list[float]) -> list[int]:
+    """Excess-of-mass selection, bottom-up; ties favor the parent.
+
+    The root never competes. If no split survived condensation the root is
+    returned so the result is one cluster instead of pure noise.
+    """
+    k = len(ct.cluster_parent)
+    selected = [False] * k
+    running = list(stability)
+    for c in range(k - 1, 0, -1):
+        kids = ct.cluster_children[c]
+        kid_total = sum(running[x] for x in kids)
+        if kids and kid_total > running[c]:
+            running[c] = kid_total
+        else:
+            selected[c] = True
+            stack = list(kids)
+            while stack:
+                x = stack.pop()
+                selected[x] = False
+                stack.extend(ct.cluster_children[x])
+    chosen = [c for c in range(1, k) if selected[c]]
+    return chosen if chosen else [0]
+
+
+def _labels(ct: _CondensedTree, chosen: list[int], n: int) -> np.ndarray:
+    """Each selected cluster owns every point in its condensed subtree."""
+    points_in: dict[int, list[int]] = {}
+    for p in range(n):
+        points_in.setdefault(int(ct.point_parent[p]), []).append(p)
+    labels = np.full(n, -1, dtype=np.int64)
+    for li, c in enumerate(sorted(chosen)):
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            for p in points_in.get(x, ()):
+                labels[p] = li
+            stack.extend(ct.cluster_children[x])
+    return labels
+
+
+def slow_tree_labels(edges: np.ndarray, n: int, mcs: int) -> np.ndarray:
+    """HDBSCAN labels of a spanning tree's edges at min_cluster_size mcs."""
+    ct = _condense(_merge_tree(edges, n), mcs)
+    return _labels(ct, _select(ct, _stability(ct)), n)
 
 
 # ---------------------------------------------------------------- metrics

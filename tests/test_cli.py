@@ -374,6 +374,37 @@ def test_config_rejects_a_forest_past_the_node_bound_before_reading_the_trace(tm
             assert main(["build", "--config", str(config)]) == code, (rounds, depth)
 
 
+@pytest.mark.parametrize("extra", [
+    {"hopkins_fraction": 0}, {"hopkins_fraction": 2},
+    {"stats_percentiles": [5, 150]}, {"stats_percentiles": [5, math.nan]},
+    {"grid": {"algorithms": ["dbscan"], "eps": [-1]}},
+    {"grid": {"algorithms": ["dbscan"], "eps": ["x"]}},
+], ids=["hopkins-0", "hopkins-2", "percentile-150", "percentile-nan", "eps-negative", "eps-text"])
+def test_config_rejects_out_of_range_values_before_reading_the_trace(tmp_path, extra):
+    # the trace path does not exist, so exit 12 (not 4) shows nothing was read
+    doc = artifacts.read_json(write_config(tmp_path, tmp_path / "absent.csv",
+                                           tmp_path / "absent.json", tmp_path / "out"))
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["build", "--config", str(config)]) == 4
+    grid = {**doc["grid"], **extra.get("grid", {})}
+    config.write_text(json.dumps({**doc, **extra, "grid": grid}), encoding="utf-8")
+    assert main(["build", "--config", str(config)]) == 12
+
+
+@pytest.mark.parametrize("command", ["evaluate", "feedback"])
+def test_predict_features_must_name_runtime_columns_before_any_trace_is_read(tmp_path, command):
+    _, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    absent = str(tmp_path / "absent.csv")
+    flag = "--holdout" if command == "evaluate" else "--stream"
+    for features, code in ((["cpu_usage"], 4), (["cpu_usage", "nope"], 12)):
+        config = write_config(tmp_path, absent, descriptor, out,
+                              extra={"predict_features": features})
+        assert main([command, "--config", str(config), flag, absent]) == code, features
+
+
 def test_config_rejects_nan_and_negative_delta_thresholds(tmp_path, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid_search ran on a bad config")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import same_partition, slow_hdbscan, slow_prim_mst
+from oracles import same_partition, slow_hdbscan, slow_prim_mst, slow_tree_labels
 from workload_profiler.distances import point_to_rows
 from workload_profiler.hdbscan import (
     build_merge_tree,
@@ -9,6 +9,7 @@ from workload_profiler.hdbscan import (
     core_distances,
     hdbscan,
     mutual_reachability_mst,
+    select_clusters,
 )
 
 
@@ -166,19 +167,69 @@ def test_mst_total_weight_matches_brute_force():
 
 def test_merge_tree_structure():
     rng = np.random.default_rng(5)
-    X = rng.normal(size=(30, 2))
-    core = core_distances(X, (4,))[4]
-    tree = build_merge_tree(mutual_reachability_mst(X, core, "euclidean"), 30)
-    # merge thresholds appear in nondecreasing order and the root covers all
-    assert np.all(np.diff(tree.dist) >= -1e-12)
-    assert tree.node_size(tree.root) == 30
-    # every child merges strictly below (or at) its parent's threshold
-    for t, kids in enumerate(tree.children):
-        for k in kids:
-            if k >= 30:
-                assert tree.dist[k - 30] <= tree.dist[t]
-    ct = condense(tree, 4)
-    assert ct.cluster_size[0] == 30
+    for X in (rng.normal(size=(30, 2)), rng.integers(0, 3, size=(30, 2)).astype(float)):
+        n, root = len(X), 2 * len(X) - 2
+        core = core_distances(X, (4,))[4]
+        up, size, low, lam = build_merge_tree(mutual_reachability_mst(X, core, "euclidean"), n)
+        assert up[root] == root and size[root] == n and low[root] == 0
+        kept = np.flatnonzero(size[:root] > 0)  # every node but the root and contracted merges
+        # a kept node's parent is a kept merge at the same or a lower lam
+        assert np.all(up[kept] >= n) and np.all(size[up[kept]] > 0)
+        assert np.all(lam[kept] >= lam[up[kept]])
+        # each kept merge splits into >= 2 children holding its points; a
+        # contracted merge has size 0, no children, and accounts for one of
+        # the extra children of its kept ancestor
+        internal = size[n:] > 0
+        children = np.bincount(up[kept], minlength=root + 1)[n:]
+        assert np.all(children[internal] >= 2) and not children[~internal].any()
+        assert (children[internal] - 1).sum() == n - 1
+        points = np.bincount(up[kept], weights=size[kept], minlength=root + 1)[n:]
+        assert np.array_equal(points[internal], size[n:][internal])
+        least = np.full(root + 1, n)
+        np.minimum.at(least, up[kept], low[kept])
+        assert np.array_equal(least[n:][internal], low[n:][internal])
+        assert condense(up, size, low, lam, 4)[4][0] == n  # the root cluster
+    assert not internal.all()  # the integer grid's ties contract merges
+
+
+def tree_cases(kind, seeds):
+    """Seeded (edges, n, k): Gaussian data, integer grids with heavy ties,
+    duplicate blocks (infinite lambdas), 1-D two-valued data and data with
+    zero vectors, each at k = 2, k = n and four sizes between."""
+    for seed in seeds:
+        r = np.random.default_rng(seed)
+        n = int(r.integers(5, 120))
+        blob = r.normal(size=(n, 2))
+        X = (blob * r.uniform(0.2, 3),
+             r.integers(0, 4, size=(n, 3)).astype(float),
+             np.where(np.arange(n)[:, None] < n // 2, blob, blob[-1]),  # a duplicate block
+             r.choice([0.0, 1.0], size=(n, 1)),
+             np.where(r.random((n, 1)) < 0.2, 0.0, r.normal(size=(n, 3))))[seed % 5]
+        ks = sorted({2, n, *r.integers(2, n + 1, size=4).tolist()})
+        core = core_distances(X, ks, kind)
+        forest = mutual_reachability_mst(X, np.stack([core[k] for k in ks]), kind)
+        for k, edges in zip(ks, forest):
+            yield edges, n, k
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_tree_steps_equal_slow_oracle_exactly(kind):
+    # the label numbers are written to profiles.json, so they must match, not
+    # just the partition
+    for edges, n, k in tree_cases(kind, range(40)):
+        fast = select_clusters(*condense(*build_merge_tree(edges, n), k))
+        slow = slow_tree_labels(edges, n, k)
+        assert fast.dtype == slow.dtype and np.array_equal(fast, slow), (kind, n, k)
+
+
+def test_selection_ties_go_to_the_parent():
+    # cluster 1's children 3 and 4 are together exactly as stable as it is
+    # (4.0 each way), so 1 is kept; the labels number kept clusters by id
+    parent, birth = np.array([-1, 0, 0, 1, 1]), np.array([0.0, 1.0, 1.0, 2.0, 2.0])
+    size = np.array([6, 4, 2, 2, 2])
+    point_cluster, point_lam = np.array([3, 3, 4, 4, 2, 2]), np.full(6, 3.0)
+    labels = select_clusters(point_cluster, point_lam, parent, birth, size)
+    assert labels.tolist() == [0, 0, 0, 0, 1, 1]
 
 
 def test_oracle_equivalence_small_instances():
