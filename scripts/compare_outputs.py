@@ -45,7 +45,13 @@ tree:
                  mutual reachability ties, infinite lambdas) and one row in
                  ten is a zero vector after minmax, over a grid of both
                  minmax and power, all three distances and min_points 3, 8
-                 and 30, small enough for nested splits.
+                 and 30, small enough for nested splits;
+  dbscan-edge    build on the cluster-edge trace over a grid of both
+                 algorithms, both transforms, all three distances,
+                 min_points 3, 8, 30 and one above the row count (an error
+                 row per algorithm), and eps 0.01, 0.05, 0.2 and 0.6;
+  dbscan-blobs   build on a 900-row ``make_blob_trace`` with a DBSCAN-only
+                 grid over all three distances, two sizes and three eps.
 
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
@@ -273,6 +279,21 @@ for row, blob in zip(rows[1:], truth.tolist()):
         row[j] = str(int(value))
 with open(root / "cluster-edge.csv", "w", encoding="utf-8", newline="") as fh:
     csv.writer(fh).writerows(rows)
+artifacts.write_json(root / "dbscan-edge.json", {
+    **artifacts.read_json(root / "cluster-edge.json"),
+    "grid": {"algorithms": ["hdbscan", "dbscan"], "transforms": ["minmax", "power"],
+             "distances": ["euclidean", "manhattan", "cosine"],
+             "min_points": [3, 8, 30, 700], "eps": [0.01, 0.05, 0.2, 0.6]},
+})
+
+ds, _, _ = make_blob_trace(900, 4, seed=seed + 600, metadata_noise=0.03, outlier_fraction=0.03)
+save("dbscan-blobs", ds, {"seed": seed,
+                          "grid": {"algorithms": ["dbscan"], "transforms": ["power"],
+                                   "distances": ["euclidean", "manhattan", "cosine"],
+                                   "min_points": [10, 25], "eps": [0.05, 0.3, 0.8]},
+                          "acquires": {"optimal_cluster_count": 4},
+                          "classifier": {"rounds": 10, "learning_rate": 0.3, "max_depth": 4,
+                                         "min_child_weight": 1.0, "l2": 1.0}})
 """
 
 CLI = "import sys; from workload_profiler.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -332,8 +353,8 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
             shutil.copyfile(grid / artifact, target / artifact)
         run(src, CLI, ["evaluate", "--config", inputs / f"{name}.json",
                        "--holdout", inputs / "holdout.csv", "--out", target])
-    run(src, CLI, ["build", "--config", inputs / "cluster-edge.json",
-                   "--out", out / "cluster-edge"])
+    for name in ("cluster-edge", "dbscan-edge", "dbscan-blobs"):
+        run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
     edge = out / "ingest-edge"
     run(src, CLI, ["build", "--config", inputs / "ingest-edge.json", "--out", edge])
     run(src, CLI, ["evaluate", "--config", inputs / "ingest-edge.json",
