@@ -53,6 +53,21 @@ def json_int(value) -> int:
     return int(value)
 
 
+_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
+
+
+def json_field(doc: Mapping, key: str, kind: type, default=None):
+    """``doc[key]``, which must be a JSON ``kind`` (an object, a list or a
+    boolean as ``json`` parses them; anything else is a TypeError), or
+    ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 _FLAGS = ("false", "true")
 
 

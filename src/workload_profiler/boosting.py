@@ -45,6 +45,10 @@ class BoostingParams:
         for name in ("min_child_weight", "l2"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0")
+        if self.min_child_weight == 0.0 and self.l2 == 0.0:
+            # a column absent from a node would score 0/0, and a NaN gain
+            # wins argmax, so no node below the root could split
+            raise ValueError("min_child_weight and l2 cannot both be 0")
 
     def forest_shape(self, n_classes: int) -> tuple[int, int, int]:
         """(rounds, classes, nodes per tree) of the forest these params grow."""

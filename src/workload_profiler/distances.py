@@ -1,9 +1,10 @@
 """Distance kernels shared by clustering and the quality metrics.
 
 Supported kinds: euclidean, manhattan, cosine. Cosine distance is
-1 - cos(angle), range [0, 2]; a zero vector is assigned distance 1 to
-everything (including itself), which keeps the value defined without
-inventing a direction for it.
+1 - cos(angle), range [0, 2], taken as half the squared euclidean distance
+of the unit rows; a zero vector is assigned distance 1 to everything
+(including itself), which keeps the value defined without inventing a
+direction for it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 DISTANCE_KINDS = ("euclidean", "manhattan", "cosine")
-
-_ZERO_EPS = 0.0  # exact-zero norm check; usage values are nonnegative reals
 
 # A block of distance rows holds at most about this many elements, so that a
 # block costs about as much memory as one row of a 16k-point matrix.
@@ -40,12 +39,7 @@ def distance(a, b, kind: str = "euclidean") -> float:
         return float(np.sqrt(np.sum((a - b) ** 2)))
     if kind == "manhattan":
         return float(np.sum(np.abs(a - b)))
-    na = float(np.sqrt(np.dot(a, a)))
-    nb = float(np.sqrt(np.dot(b, b)))
-    if na <= _ZERO_EPS or nb <= _ZERO_EPS:
-        return 1.0
-    cos = float(np.dot(a, b)) / (na * nb)
-    return 1.0 - min(1.0, max(-1.0, cos))
+    return float(point_to_rows(a, b[None], kind)[0])
 
 
 def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
@@ -65,17 +59,18 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     feature is one contiguous row. With 1 to 7 features these are the bits
     of a row-wise ``einsum`` / ``sum(axis=1)`` on numpy 2.4; with 8 or more
     they can differ in the last place from those (numpy then sums pairwise).
+    Cosine returns 0.5 * (even + odd) of the unit rows (``_unit``), which is
+    exact halving, so it keeps all of the above and a nonzero row is at 0
+    from itself; a zero row's NaN distances become 1, the rest is capped at 2.
     """
     _check_kind(kind)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != rows.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rows.shape[1]}")
-    if kind == "cosine":
-        if x.ndim == 2:
-            return np.stack([_cosine_to_rows(p, rows) for p in x])
-        return _cosine_to_rows(x, rows)
     if x.ndim == 2 and x.shape[0] == 1:
         return point_to_rows(x[0], rows, kind)[None]  # scalars broadcast faster
+    if kind == "cosine":
+        x, rows = _unit(x), _unit(rows)
     cols = rows.T
     # One coordinate per feature: a float, or a (K, 1) column of a block.
     x = x.tolist() if x.ndim == 1 else [x[:, j:j + 1] for j in range(x.shape[1])]
@@ -98,20 +93,19 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
             else:
                 even += term
         even += odd
+    if kind == "cosine":
+        even *= 0.5
+        even[np.isnan(even)] = 1.0
+        return np.minimum(even, 2.0, out=even)
     return np.sqrt(even, out=even)
 
 
-def _cosine_to_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # Off the hot paths: contiguous copies make the BLAS dot products' bits
-    # independent of the callers' layout.
-    x = np.ascontiguousarray(x)
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    nx = np.sqrt(np.dot(x, x))
-    nr = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    out = np.ones(rows.shape[0], dtype=np.float64)
-    if nx <= _ZERO_EPS:
-        return out
-    ok = nr > _ZERO_EPS
-    cos = (rows[ok] @ x) / (nr[ok] * nx)
-    out[ok] = 1.0 - np.clip(cos, -1.0, 1.0)
-    return out
+
+def _unit(a: np.ndarray) -> np.ndarray:
+    """``a`` divided by its norm along the last axis, the squares summed in
+    ascending feature order, so a row has the same bits as a point, alone or
+    in a block, whatever the layout; a zero row becomes NaN."""
+    sq = np.square(a[..., 0])
+    for j in range(1, a.shape[-1]):
+        sq += np.square(a[..., j])
+    return a / np.where(sq > 0, np.sqrt(sq), np.nan)[..., None]

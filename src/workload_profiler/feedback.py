@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_int
+from .artifacts import json_field, json_int
 from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
@@ -64,7 +64,7 @@ class DeltaSpec:
         default = doc.get("default", math.inf)
         return cls(
             mode=doc.get("mode", "relative"),
-            thresholds={k: float(v) for k, v in doc.get("thresholds", {}).items()},
+            thresholds={k: float(v) for k, v in json_field(doc, "thresholds", dict, {}).items()},
             default=math.inf if default is None else float(default),
         )
 
@@ -106,7 +106,7 @@ class FeedbackConfig:
     @classmethod
     def from_json(cls, doc: Mapping) -> "FeedbackConfig":
         return cls(
-            delta=DeltaSpec.from_json(doc.get("delta", {})),
+            delta=DeltaSpec.from_json(json_field(doc, "delta", dict, {})),
             tau_v=float(doc.get("tau_v", 0.1)),
             tau_o=float(doc.get("tau_o", 0.2)),
             tau_f=float(doc.get("tau_f", 0.5)),

@@ -10,15 +10,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import json_int
-from .dbscan import dbscan
+from .artifacts import json_field, json_int
+from .dbscan import eps_cut
 from .errors import DegenerateDataError, NoViableConfigError
-from .hdbscan import hdbscan
+from .hdbscan import lockstep_trees, tree_labels
 from .metrics import EQUAL_WEIGHTS, acquires, davies_bouldin, silhouette_mean
 from .metrics import DEFAULT_SILHOUETTE_CAP
 from .preprocess import fit_transform
 from .profiles import ClusteringConfig, ProfileSet, build_profiles
-from .trace_model import Dataset, runtime_matrix
+from .trace_model import Dataset, matrix_rows, runtime_matrix
 
 # Paper-style default search range for the minimum cluster size.
 DEFAULT_MIN_POINTS = (50, 100, 200, 300, 400, 600, 1000)
@@ -60,7 +60,8 @@ class GridSpec:
         kwargs = {}
         for key in ("algorithms", "transforms", "distances", "min_points", "eps"):
             if key in doc:
-                kwargs[key] = tuple(map(parse[key], doc[key]) if key in parse else doc[key])
+                values = json_field(doc, key, list)
+                kwargs[key] = tuple(map(parse[key], values) if key in parse else values)
         return cls(**kwargs)
 
     @classmethod
@@ -115,36 +116,29 @@ _CONFIG_FIELDS = ("algorithm", "transform", "distance", "min_points", "eps")
 GRID_REPORT_FIELDS = _CONFIG_FIELDS + tuple(f.name for f in fields(GridRow)[1:])
 
 
-def run_clustering(config: ClusteringConfig, transformed) -> np.ndarray:
-    """Labels for one combination."""
-    if config.algorithm == "dbscan":
-        return dbscan(transformed, config.eps, config.min_points, config.distance)
-    return hdbscan(transformed, config.min_points, config.distance)
-
-
 def _cluster_group(group: list[GridRow], transformed) -> list[tuple[int, np.ndarray]]:
-    """(position, labels) of each row of a group that clusters; a row whose
-    clustering fails gets its error instead. The group's hdbscan sizes that
-    fit the data are clustered in one call (one core-distance pass, lockstep
-    Prim trees); every other combination runs alone."""
-    n = transformed.rows.shape[0]
-    sizes = sorted({
-        r.config.min_points for r in group
-        if r.config.algorithm == "hdbscan" and r.config.min_points <= n
-    })
-    shared = {}
+    """(position, labels) of each row of a group whose size fits the data; a
+    row whose size does not gets its error instead. The group's sizes share
+    one core-distance pass and one lockstep Prim pass, whatever the
+    algorithm: an hdbscan row takes its tree's merge, condense and select
+    steps, a dbscan row the tree's cut at its eps."""
+    X = matrix_rows(transformed)
+    n = X.shape[0]
+    kind = group[0].config.distance
+    sizes = sorted({r.config.min_points for r in group if r.config.min_points <= n})
     if sizes:
-        shared = dict(zip(sizes, hdbscan(transformed, sizes, group[0].config.distance)))
+        core, forest = lockstep_trees(X, sizes, kind)
+        trees = dict(zip(sizes, forest))
     out = []
     for i, row in enumerate(group):
-        labels = shared.get(row.config.min_points) if row.config.algorithm == "hdbscan" else None
-        try:
-            if labels is None:
-                labels = run_clustering(row.config, transformed)
-        except ValueError as exc:
-            row.error = str(exc)
-            continue
-        out.append((i, labels))
+        c = row.config
+        if c.min_points > n:
+            size = "min_points" if c.algorithm == "dbscan" else "min_cluster_size"
+            row.error = f"need at least {size}={c.min_points} rows, got {n}"
+        elif c.algorithm == "dbscan":
+            out.append((i, eps_cut(X, core[c.min_points], trees[c.min_points], c.eps, kind)))
+        else:
+            out.append((i, tree_labels(trees[c.min_points], c.min_points)))
     return out
 
 
@@ -163,10 +157,10 @@ def grid_search(
     The winner maximizes the composite score; ties break toward fewer
     outliers, then smaller min_points, then declaration order. Combinations
     that share an algorithm, transform and distance are adjacent and are
-    evaluated as one group: hdbscan clusters all of the group's sizes at
-    once, and one silhouette pass scores all of its labellings. Only one
-    group's arrays (K labellings of n rows) are alive at a time. Every row
-    equals the row of a grid of that combination alone.
+    evaluated as one group: one core-distance and one Prim pass serve all
+    of the group's sizes, and one silhouette pass scores all of its
+    labellings. Only one group's arrays (K labellings of n rows) are alive
+    at a time. Every row equals the row of a grid of that combination alone.
     """
     matrix = runtime_matrix(dataset)
     n = len(dataset)

@@ -14,8 +14,9 @@ Pipeline:
   6. cluster selection by total stability (excess of mass), root excluded,
      with stability summed by bincount in point order (select_clusters).
 
-Steps 4-6 are array passes; each "nearest marked ancestor" query is one
-pointer-doubling pass over the parent array.
+Steps 4-6 (tree_labels) are array passes; each "nearest marked ancestor"
+query is one pointer-doubling pass over the parent array. Flat DBSCAN cuts
+the tree of steps 1-3 at eps instead (dbscan.eps_cut).
 
 Equal-weight merges are contracted into one multi-way split: mutual
 reachability ties are structural (mrd repeats core distances across pairs),
@@ -246,25 +247,28 @@ def select_clusters(point_cluster, point_lam, parent, birth, size) -> np.ndarray
     return label[_nearest(up, top)[point_cluster]]
 
 
-def hdbscan(matrix, min_cluster_size, kind: str = "euclidean") -> np.ndarray:
-    """Cluster rows by density; returns labels with -1 for outliers.
-
-    ``min_cluster_size`` is one size, giving n labels, or a sequence of K
-    sizes, giving a (K, n) stack: the sizes share one core-distance pass and
-    one lockstep Prim pass, then each gets its own merge tree, condensation
-    and selection. Each row equals a call with that size alone."""
+def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean") -> np.ndarray:
+    """Cluster rows by density; returns labels with -1 for outliers."""
     X = matrix_rows(matrix)
-    n = X.shape[0]
-    sizes = [int(k) for k in np.atleast_1d(min_cluster_size)]
-    for k in sizes:
-        if k < 2:
-            raise ValueError("min_cluster_size must be >= 2")
-        if n < k:
-            raise ValueError(f"need at least min_cluster_size={k} rows, got {n}")
+    n, k = X.shape[0], int(min_cluster_size)
+    if k < 2:
+        raise ValueError("min_cluster_size must be >= 2")
+    if n < k:
+        raise ValueError(f"need at least min_cluster_size={k} rows, got {n}")
+    _, (edges,) = lockstep_trees(X, [k], kind)
+    return tree_labels(edges, k)
 
+
+def lockstep_trees(X: np.ndarray, sizes, kind: str) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The core distances of each of K sizes (1 <= size <= n) and the (K,
+    n-1, 3) edges of their lockstep Prim trees: one core-distance pass and
+    one Prim pass, each tree equal to the tree of its size alone."""
     core = core_distances(X, sizes, kind)
-    forest = mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
-    labels = np.empty((len(sizes), n), dtype=np.int64)
-    for t, k in enumerate(sizes):
-        labels[t] = select_clusters(*condense(*build_merge_tree(forest[t], n), k))
-    return labels if np.ndim(min_cluster_size) else labels[0]
+    return core, mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
+
+
+def tree_labels(edges: np.ndarray, min_cluster_size: int) -> np.ndarray:
+    """Labels from one size's spanning tree: its merge tree, condensation
+    and excess-of-mass selection."""
+    n = edges.shape[0] + 1
+    return select_clusters(*condense(*build_merge_tree(edges, n), min_cluster_size))

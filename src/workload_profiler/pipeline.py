@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .artifacts import json_field
 from .boosting import MAX_NODES, BoostingParams, DEFAULT_PARAMS
 from .classifier import (
     ClassifierModel,
@@ -83,37 +84,39 @@ class RunConfig:
         try:
             if "seed" not in doc:
                 raise ConfigError("config must pin a seed (reproducibility contract)")
-            acq = doc.get("acquires", {})
-            weights = tuple(acq.get("weights", EQUAL_WEIGHTS))
-            recluster = doc.get("recluster_config")
+            section = {key: json_field(doc, key, dict, {}) for key in (
+                "grid", "acquires", "classifier", "prediction", "feedback",
+            )}
+            acq = section["acquires"]
+            recluster = doc.get("recluster_config")  # null: none pinned
+            features = json_field(doc, "predict_features", list)
             return cls(
                 trace=resolve(doc["trace"]),
                 descriptor=resolve(doc["descriptor"]),
                 output_dir=resolve(doc.get("output_dir", "out")),
                 seed=artifacts.json_int(doc["seed"]),
-                grid=GridSpec.from_json(doc.get("grid", {})),
+                grid=GridSpec.from_json(section["grid"]),
                 optimal_cluster_count=artifacts.json_int(acq.get("optimal_cluster_count", 10)),
-                acquires_weights=weights,
+                acquires_weights=tuple(json_field(acq, "weights", list, EQUAL_WEIGHTS)),
                 classifier_params=(
-                    BoostingParams.from_json(doc["classifier"])
+                    BoostingParams.from_json(section["classifier"])
                     if "classifier" in doc
                     else DEFAULT_PARAMS
                 ),
                 validation_fraction=float(doc.get("validation_fraction", 0.2)),
-                prediction=PredictionPolicy.from_json(doc.get("prediction", {})),
-                feedback=FeedbackConfig.from_json(doc.get("feedback", {})),
-                recluster_config=(
-                    None if recluster is None else GridSpec.pinned(ClusteringConfig.from_json(recluster))
+                prediction=PredictionPolicy.from_json(section["prediction"]),
+                feedback=FeedbackConfig.from_json(section["feedback"]),
+                recluster_config=None if recluster is None else GridSpec.pinned(
+                    ClusteringConfig.from_json(json_field(doc, "recluster_config", dict))
                 ),
-                predict_features=(
-                    tuple(doc["predict_features"]) if "predict_features" in doc else None
-                ),
+                predict_features=None if features is None else tuple(features),
                 build_timestamp=artifacts.json_int(doc.get("build_timestamp", 0)),
                 hopkins_fraction=float(doc.get("hopkins_fraction", 0.1)),
-                include_member_ids=bool(doc.get("include_member_ids", False)),
-                alt_normalization=bool(doc.get("alt_normalization", False)),
+                include_member_ids=json_field(doc, "include_member_ids", bool, False),
+                alt_normalization=json_field(doc, "alt_normalization", bool, False),
                 stats_percentiles=tuple(
-                    float(v) for v in doc.get("stats_percentiles", (5, 25, 50, 75, 95))
+                    float(v)
+                    for v in json_field(doc, "stats_percentiles", list, (5, 25, 50, 75, 95))
                 ),
             )._validated()
         except ConfigError:

@@ -55,8 +55,8 @@ def test_tree_growth_equals_the_per_node_oracle(depth):
             rounds=int(rng.integers(1, 4)),
             learning_rate=float(rng.choice([0.1, 0.3, 1.0])),
             max_depth=depth,
-            min_child_weight=[1.0, 0.0, 0.5, 0.0][k % 4],
-            l2=[1.0, 1.0, 0.0, 0.0, 0.3][k % 5],
+            min_child_weight=[1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5, 1.0][k],
+            l2=[1.0, 1.0, 0.0, 0.3, 0.3, 1.0, 0.0, 0.0][k],
         )
         assert_same_forest(*fit_both(rows, labels, n_classes, dim, params))
 

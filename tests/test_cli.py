@@ -379,7 +379,14 @@ def test_config_rejects_a_forest_past_the_node_bound_before_reading_the_trace(tm
     {"stats_percentiles": [5, 150]}, {"stats_percentiles": [5, math.nan]},
     {"grid": {"algorithms": ["dbscan"], "eps": [-1]}},
     {"grid": {"algorithms": ["dbscan"], "eps": ["x"]}},
-], ids=["hopkins-0", "hopkins-2", "percentile-150", "percentile-nan", "eps-negative", "eps-text"])
+    {"classifier": {**BOOST, "min_child_weight": 0, "l2": 0.0}},
+    {"prediction": "x"}, {"acquires": []}, {"feedback": "x"}, {"feedback": {"delta": "x"}},
+    {"grid": []}, {"grid": "x"}, {"grid": {"min_points": "25"}}, {"stats_percentiles": "50"},
+    {"predict_features": "cpu_usage"}, {"include_member_ids": "no"}, {"alt_normalization": 1},
+], ids=["hopkins-0", "hopkins-2", "percentile-150", "percentile-nan", "eps-negative", "eps-text",
+        "unregularised-gain", "prediction-text", "acquires-list", "feedback-text", "delta-text",
+        "grid-list", "grid-text", "min-points-text", "percentiles-text", "features-text",
+        "member-ids-text", "alt-normalization-number"])
 def test_config_rejects_out_of_range_values_before_reading_the_trace(tmp_path, extra):
     # the trace path does not exist, so exit 12 (not 4) shows nothing was read
     doc = artifacts.read_json(write_config(tmp_path, tmp_path / "absent.csv",
@@ -387,8 +394,10 @@ def test_config_rejects_out_of_range_values_before_reading_the_trace(tmp_path, e
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["build", "--config", str(config)]) == 4
-    grid = {**doc["grid"], **extra.get("grid", {})}
-    config.write_text(json.dumps({**doc, **extra, "grid": grid}), encoding="utf-8")
+    bad = {**doc, **extra}
+    if isinstance(extra.get("grid"), dict):
+        bad["grid"] = {**doc["grid"], **extra["grid"]}
+    config.write_text(json.dumps(bad), encoding="utf-8")
     assert main(["build", "--config", str(config)]) == 12
 
 
@@ -560,7 +569,8 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
     assert str(out / "profiles.json") in capsys.readouterr().err
 
 @pytest.mark.parametrize("damage", ["format_version_2", "no_trees", "not_an_object",
-                                    "too_many_nodes", "profiles_without_groups"])
+                                    "too_many_nodes", "unregularised_gain",
+                                    "profiles_without_groups"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -579,6 +589,8 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc = [doc]
     elif damage == "too_many_nodes":
         doc["hyperparams"]["rounds"] = 2 ** 30
+    elif damage == "unregularised_gain":
+        doc["hyperparams"].update(min_child_weight=0.0, l2=0.0)
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import same_partition, slow_dbscan
 from workload_profiler.dbscan import dbscan
+from workload_profiler.hdbscan import core_distances
 
 
 def blobs(rng, centers, n_per, sigma=0.3, dims=2):
@@ -69,5 +70,23 @@ def test_oracle_equivalence_random_instances(kind):
         fast = dbscan(X, eps, min_points, kind)
         slow = slow_dbscan(X, eps, min_points, kind)
         assert same_partition(fast, slow)
-        # the deterministic scan order also makes labels equal outright
-        assert np.array_equal(fast, slow)
+        # the deterministic numbering also makes labels equal outright
+        assert np.array_equal(fast, slow) and fast.dtype == slow.dtype
+
+
+@pytest.mark.parametrize("seed", [80, 92, 129])
+def test_cosine_border_points_equal_the_oracle(seed):
+    # In these cases, under a kernel whose d(a, b) and d(b, a) differ in the
+    # last bits, a non-core row is within eps of a core row by the core
+    # row's distances but not by its own.
+    rng = np.random.default_rng(seed)
+    n, dims, k = int(rng.integers(20, 90)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    X = np.vstack([
+        rng.normal(rng.uniform(0, 10, size=dims), rng.uniform(0.2, 1.5), size=(n // k + 1, dims))
+        for _ in range(k)
+    ])[:n]
+    min_points = int(rng.integers(2, 11))
+    eps = float(np.quantile(core_distances(X, [min_points], "cosine")[min_points], 0.1))
+    fast = dbscan(X, eps, min_points, "cosine")
+    slow = slow_dbscan(X, eps, min_points, "cosine")
+    assert np.array_equal(fast, slow) and fast.dtype == slow.dtype

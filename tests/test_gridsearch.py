@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import rowwise_silhouette, slow_acquires
+from workload_profiler.dbscan import dbscan
 from workload_profiler.errors import NoViableConfigError
 from workload_profiler.gridsearch import DEFAULT_MIN_POINTS, GridSpec, grid_search
 from workload_profiler.hdbscan import hdbscan
@@ -149,11 +150,12 @@ def test_shared_core_distances_give_the_rows_of_each_combination_alone():
     assert any(r.error for r in rows) and any(r.error is None for r in rows)
 
     # The default sizes, a silhouette cap below the clustered count, and
-    # dbscan combinations evaluated in groups of their own.
+    # dbscan combinations of several eps cut from their group's shared trees.
     ds, _, _ = make_blob_trace(640, 3, seed=5, outlier_fraction=0.05)
     grid = GridSpec(
         algorithms=("hdbscan", "dbscan"), transforms=("power",),
-        distances=("euclidean", "manhattan"), min_points=DEFAULT_MIN_POINTS, eps=(0.3,),
+        distances=("euclidean", "manhattan", "cosine"), min_points=DEFAULT_MIN_POINTS,
+        eps=(0.02, 0.3, 0.8),
     )
     rows = _rows_equal_each_combination_alone(ds, grid, silhouette_cap=250)
     _, transformed = fit_transform(runtime_matrix(ds), "power")
@@ -163,7 +165,11 @@ def test_shared_core_distances_give_the_rows_of_each_combination_alone():
             labels = hdbscan(transformed, c.min_points, c.distance)
             expected = rowwise_silhouette(transformed.rows, labels, c.distance, 250, seed=0)
             assert row.silhouette == expected
+        if c.algorithm == "dbscan" and row.error is None:
+            labels = dbscan(transformed, c.eps, c.min_points, c.distance)
+            assert (row.n_clusters, row.n_outliers) == (labels.max() + 1, (labels < 0).sum())
     assert any(r.silhouette_subsampled and r.silhouette_defined for r in rows)
     assert any(r.error is None and not r.silhouette_defined for r in rows)
     assert any(r.config.algorithm == "dbscan" and r.silhouette_defined for r in rows)
-    assert any(r.error and "min_cluster_size" in r.error for r in rows)
+    assert any(r.error and "min_cluster_size=" in r.error for r in rows)
+    assert any(r.error and "min_points=" in r.error for r in rows)

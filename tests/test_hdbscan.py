@@ -8,8 +8,10 @@ from workload_profiler.hdbscan import (
     condense,
     core_distances,
     hdbscan,
+    lockstep_trees,
     mutual_reachability_mst,
     select_clusters,
+    tree_labels,
 )
 
 
@@ -133,12 +135,10 @@ def test_hdbscan_stack_rows_equal_each_size_alone():
     rng = np.random.default_rng(10)
     X = np.vstack([blobs(rng, [(0, 0), (4, 4), (0, 6)], 40, sigma=0.5), rng.uniform(-3, 9, (8, 2))])
     sizes = (30, 4, 12, 4)
-    stack = hdbscan(X, sizes, "manhattan")
-    assert stack.shape == (4, len(X))
-    for k, row in zip(sizes, stack):
-        assert np.array_equal(row, hdbscan(X, k, "manhattan"))
-    with pytest.raises(ValueError):
-        hdbscan(X, (5, len(X) + 1))
+    _, forest = lockstep_trees(X, sizes, "manhattan")
+    assert forest.shape == (4, len(X) - 1, 3)
+    for k, edges in zip(sizes, forest):
+        assert np.array_equal(tree_labels(edges, k), hdbscan(X, k, "manhattan"))
 
 
 def test_mst_total_weight_matches_brute_force():
