@@ -22,6 +22,12 @@ tree:
                  jittered, non-monotone and repeated timestamps, a window in
                  seconds, no cooldown, and thresholds at which the outlier
                  and freshness clauses fire as well as the violation clause;
+  drift-long     build and ``feedback`` over a ``make_drift_pair`` stream of
+                 5453 events, more than five 1024-row chunks of
+                 ``violations.csv`` and not a multiple of one, with a
+                 freshness decay at which three triggers are adopted (before,
+                 in and after the drift), so the stream is relabelled from
+                 three starts;
   wide           build on a 1500-row trace with a metadata column of several
                  hundred rare values (a vocabulary of about 600 columns) and
                  ``classify`` of 400 JSONL records written from its rows;
@@ -157,6 +163,17 @@ save("drift", train, {
     "prediction": {"kind": "skew_conditional", "quantile": 0.05, "skew_threshold": 1.0},
     "feedback": {"delta": {"mode": "relative", "default": 0.5}, "tau_v": 0.1,
                  "tau_o": 0.9, "tau_f": 0.5, "decay": 1e-12, "window": 500,
+                 "window_mode": "events", "tau_quality": 0.5,
+                 "min_events_between_triggers": 500},
+})
+
+long_train, long_stream = make_drift_pair(1500, 2000, 3453, n_clusters=4, seed=seed)
+write_trace(long_stream, root / "drift-long-stream.csv")
+save("drift-long", long_train, {
+    **{k: v for k, v in artifacts.read_json(root / "drift.json").items()
+       if k not in ("trace", "descriptor")},
+    "feedback": {"delta": {"mode": "relative", "default": 0.5}, "tau_v": 0.1,
+                 "tau_o": 0.9, "tau_f": 0.5, "decay": 3e-4, "window": 500,
                  "window_mode": "events", "tau_quality": 0.5,
                  "min_events_between_triggers": 500},
 })
@@ -314,10 +331,11 @@ def run(src: Path, code: str, args: list, stdout=None) -> None:
 
 def produce(src: Path, inputs: Path, out: Path) -> None:
     """Every run of one tree, each into its own directory under ``out``."""
-    for name in ("default-grid", "criterion-8", "drift"):
+    for name in ("default-grid", "criterion-8", "drift", "drift-long"):
         run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
-    run(src, CLI, ["feedback", "--config", inputs / "drift.json",
-                   "--stream", inputs / "drift-stream.csv", "--out", out / "drift"])
+    for name in ("drift", "drift-long"):
+        run(src, CLI, ["feedback", "--config", inputs / f"{name}.json",
+                       "--stream", inputs / f"{name}-stream.csv", "--out", out / name])
     seconds = out / "drift-seconds"
     seconds.mkdir(parents=True, exist_ok=True)
     for artifact in ("model.json", "profiles.json"):
