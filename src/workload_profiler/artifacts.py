@@ -2,6 +2,10 @@
 
 Floats render as their shortest round-trip decimal; keys are sorted;
 non-finite values become null in JSON and literal inf/nan text in CSV.
+JSON is encoded straight into the open file, so the writer holds no more
+than the document's nesting depth beyond the document itself; CSV rows are
+formatted and written CSV_CHUNK at a time, so the cells held never grow with
+the row count.
 """
 
 from __future__ import annotations
@@ -32,12 +36,10 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dump_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(jsonable(obj), fh, sort_keys=True, indent=2, ensure_ascii=False)
+        fh.write("\n")
 
 
 def read_json(path: str | Path):
@@ -51,6 +53,14 @@ def json_int(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def json_float(value) -> float:
+    """A number field of a JSON document: a number or a string that
+    ``float`` parses. A bool is a ValueError, never read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 _JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
@@ -69,6 +79,7 @@ def json_field(doc: Mapping, key: str, kind: type, default=None):
 
 
 _FLAGS = ("false", "true")
+CSV_CHUNK = 1024  # rows formatted and written together
 
 
 def _cell(value) -> str:
@@ -95,8 +106,10 @@ def record_columns(fieldnames: Sequence[str], records: Sequence[Mapping]) -> lis
 
 def write_csv(path: str | Path, fieldnames: Sequence[str], columns: Sequence[Sequence]) -> None:
     """A header row, then row i of the equal-length ``columns``, one per field."""
-    cells = [_cells(column) for column in columns]
+    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(fieldnames))
-        writer.writerows(zip(*cells))
+        for start in range(0, n, CSV_CHUNK):
+            chunk = slice(start, start + CSV_CHUNK)
+            writer.writerows(zip(*[_cells(column[chunk]) for column in columns]))

@@ -9,7 +9,13 @@ level-wise to max_depth with the usual second-order gain
     0.5 * (GL^2/(HL+l2) + GR^2/(HR+l2) - G^2/(H+l2))
 
 and leaf weight -G/(H+l2). Training rows are sorted into a canonical order
-first, so the fitted model is invariant to input row permutation.
+first, so the fitted model is invariant to input row permutation; each round's
+softmax is computed into one reused (rows, classes) buffer.
+
+Prediction routes each distinct encoded row once, ROUTE_BLOCK distinct rows at
+a time, and takes the softmax of the distinct rows only: scoring memory is
+distinct rows x classes plus a block x trees of routing, whatever the batch,
+and a row's copies share its values through an inverse index.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ DEFAULT_PARAMS = BoostingParams()
 
 _MIN_GAIN = 1e-12  # a split must strictly reduce loss
 
-ROUTE_BLOCK = 512  # distinct rows routed together: routing memory stays block x trees
+ROUTE_BLOCK = 512  # rows routed together: routing memory stays block x trees
 # Routing indexes the flattened node arrays with int32; with at most 2^30 nodes
 # every index and every step between them stays below 2^31.
 MAX_NODES = 2 ** 30
@@ -91,10 +97,24 @@ def canonical_order(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.lexsort(keys).astype(np.int64)
 
 
-def _softmax(F: np.ndarray) -> np.ndarray:
-    z = F - F.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows in lexicographic order, each row's index into them)."""
+    order = np.lexsort(rows.T)  # equal rows end up adjacent
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _softmax(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of F, into ``out`` when given; a row's values depend
+    on that row alone."""
+    z = np.subtract(F, F.max(axis=1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _build_tree(
@@ -218,27 +238,29 @@ class Forest:
         return (at - root).reshape(len(rows), *self.feature.shape[:2])
 
     def raw_scores(self, rows: np.ndarray) -> np.ndarray:
-        """Summed leaf values, (rows, n_classes): each distinct row is routed
-        once, ROUTE_BLOCK at a time, and every copy takes its scores."""
-        order = np.lexsort(rows.T)  # equal rows end up adjacent
-        ordered = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        inverse = np.empty(len(rows), dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
-        distinct = ordered[first]
+        """Summed leaf values, (rows, n_classes), of the rows as given, routed
+        ROUTE_BLOCK at a time; ``distinct_probabilities`` passes only
+        distinct rows."""
         n_classes = self.feature.shape[1]
         value = self.value.reshape(-1)
-        F = np.zeros((len(distinct), n_classes), dtype=np.float64)
-        for start in range(0, len(distinct), ROUTE_BLOCK):
+        F = np.zeros((len(rows), n_classes), dtype=np.float64)
+        for start in range(0, len(rows), ROUTE_BLOCK):
             scores = F[start:start + ROUTE_BLOCK]  # a view: the adds land in F
-            at, _ = self._route(distinct[start:start + ROUTE_BLOCK])
+            at, _ = self._route(rows[start:start + ROUTE_BLOCK])
             for r in range(0, at.shape[1], n_classes):  # round order keeps every bit
                 scores += self.params.learning_rate * value.take(at[:, r:r + n_classes])
-        return F[inverse]
+        return F
+
+    def distinct_probabilities(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(class probabilities of each distinct row, (distinct, n_classes);
+        each row's index into them): each distinct row is routed once."""
+        distinct, inverse = distinct_rows(rows)
+        return _softmax(self.raw_scores(distinct)), inverse
 
     def probabilities(self, rows: np.ndarray) -> np.ndarray:
-        return _softmax(self.raw_scores(rows))
+        """Class probabilities, (rows, n_classes)."""
+        probs, inverse = self.distinct_probabilities(rows)
+        return probs[inverse]
 
     def to_json(self) -> list[list[dict]]:
         """Nested per-tree dicts, rounds-major, as model.json stores them."""
@@ -296,16 +318,15 @@ def fit_forest(
     rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order
     cols_flat = rows[active]
 
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-
     forest = Forest.empty(n_classes, dim, params)
     F = np.zeros((n, n_classes), dtype=np.float64)
+    P = np.empty_like(F)
     for r in range(params.rounds):
-        P = _softmax(F)
+        _softmax(F, out=P)
         for c in range(n_classes):
-            g = P[:, c] - onehot[:, c]
-            h = P[:, c] * (1.0 - P[:, c])
+            p = P[:, c]
+            g = p - (y == c)  # the gradient against the one-hot label
+            h = p * (1.0 - p)
             leaf = _build_tree(
                 rows_flat, cols_flat, g, h, dim, params,
                 forest.feature[r, c], forest.value[r, c], forest.gain[r, c],

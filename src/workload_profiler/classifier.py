@@ -168,18 +168,22 @@ def encode_records(model: ClassifierModel, records: Sequence[Mapping]) -> np.nda
 
 def classify_encoded(
     model: ClassifierModel, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, probability matrix in class order) of encoded rows; argmax
-    ties pick the lowest label."""
-    probs = model.forest.probabilities(rows)
-    return np.asarray(model.class_labels)[probs.argmax(axis=1)], probs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, probabilities of each distinct row in class order, each row's
+    index into them) of encoded rows. A label is the argmax of its distinct
+    row, ties to the lowest label; row i's probabilities are
+    ``probs[inverse[i]]``, so only a caller that wants the rows x classes
+    matrix builds it."""
+    probs, inverse = model.forest.distinct_probabilities(rows)
+    return np.asarray(model.class_labels)[probs.argmax(axis=1)][inverse], probs, inverse
 
 
 def classify_batch(
     model: ClassifierModel, records: Sequence[Mapping[str, str]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label workloads from metadata alone: (labels, probability matrix)."""
-    return classify_encoded(model, encode_records(model, records))
+    labels, probs, inverse = classify_encoded(model, encode_records(model, records))
+    return labels, probs[inverse]
 
 
 def classify(model: ClassifierModel, metadata: Mapping[str, str]) -> tuple[int, dict[int, float]]:

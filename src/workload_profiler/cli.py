@@ -103,14 +103,15 @@ def _classify_chunk(model, fragments, chunk: list[tuple[int, str]]) -> None:
             out.append(None)
     vocab = model.vocabulary
     rows = vocab.encode(MetadataBlock.from_rows(vocab.feature_names, values))
-    labels, probs = classify_encoded(model, rows)
+    labels, probs, inverse = classify_encoded(model, rows)
     keys = [str(c) for c in model.class_labels]
-    for (at, line_no, wid), label, p in zip(parsed, labels.tolist(), probs.tolist()):
+    distinct = probs.tolist()
+    for (at, line_no, wid), label, k in zip(parsed, labels.tolist(), inverse.tolist()):
         middle = fragments[label]
         if isinstance(middle, Exception):
             out[at] = _ERROR_LINE % (json.dumps(str(middle)), line_no)
         else:
-            probs_json = json.dumps(dict(zip(keys, p)), sort_keys=True)  # "10" before "2"
+            probs_json = json.dumps(dict(zip(keys, distinct[k])), sort_keys=True)  # "10" before "2"
             out[at] = '{"id": ' + wid + middle + probs_json + "}\n"
     sys.stdout.writelines(out)  # a joined copy of the chunk showed in peak RSS
 

@@ -20,13 +20,13 @@ re-cluster on every subsequent event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import json_field, json_int
-from .boosting import BoostingParams, DEFAULT_PARAMS
+from .boosting import BoostingParams, DEFAULT_PARAMS, distinct_rows
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
     DegenerateDataError,
@@ -309,17 +309,24 @@ def _recluster(
     return profile_set, model, float(selected.acquires_total), selected.n_clusters
 
 
+LABEL_CHUNK = 4096  # stream events encoded and labelled together
+
+
 class _Columns:
     """Stream-length label, violation and outlier columns. A swap labels the
-    stream from its event on in one classify call, so each distinct row is
-    routed once per model; the flags follow a chunk at a time. The running
-    flag counts grow with each chunk, so those before a swap stay valid."""
+    stream from its event on, LABEL_CHUNK events at a time, and scores each
+    distinct encoded row once per model; only its label reaches the events.
+    The flags follow a chunk at a time. The running flag counts grow with
+    each chunk, so those before a swap stay valid."""
 
     def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
                  delta: DeltaSpec, chunk: int = 512):
         self.stream, self.policy, self.delta, self.chunk = stream, policy, delta, chunk
         self.features = tuple(dict.fromkeys(features))  # a repeated feature is checked once
-        self.actual = stream.runtime[:, [stream.schema_runtime.index(f) for f in self.features]]
+        index = [stream.schema_runtime.index(f) for f in self.features]
+        if index == list(range(index[0], index[0] + len(index))):  # a view, not a copy
+            index = slice(index[0], index[0] + len(index))
+        self.actual = stream.runtime[:, index]
         self.labels = np.zeros(len(stream), dtype=np.int64)
         self.violated = np.zeros(len(stream), dtype=bool)
         self.outliers = np.zeros(len(stream), dtype=bool)
@@ -328,9 +335,18 @@ class _Columns:
 
     def swap(self, model: ClassifierModel, profiles: ProfileSet, start: int) -> None:
         self.profiles, self.filled = profiles, start
-        rows = model.vocabulary.encode(self.stream.metadata)[start:]
-        self.labels[start:] = classify_encoded(model, rows)[0]
         self.expected: dict[int, list[float]] = {}
+        metadata, label_of = self.stream.metadata, {}
+        for at in range(start, len(self.labels), LABEL_CHUNK):
+            span = slice(at, at + LABEL_CHUNK)
+            distinct, inverse = distinct_rows(
+                model.vocabulary.encode(replace(metadata, codes=metadata.codes[span])))
+            keys = [row.tobytes() for row in distinct]
+            new = [i for i, key in enumerate(keys) if key not in label_of]
+            if new:
+                labels = classify_encoded(model, distinct[new])[0].tolist()
+                label_of.update(zip([keys[i] for i in new], labels))
+            self.labels[span] = np.array([label_of[key] for key in keys], dtype=np.int64)[inverse]
 
     def fill(self) -> None:
         span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))

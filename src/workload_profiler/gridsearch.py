@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import json_field, json_int
+from .artifacts import json_field, json_float, json_int
 from .dbscan import eps_cut
 from .errors import DegenerateDataError, NoViableConfigError
 from .hdbscan import lockstep_trees, tree_labels
@@ -56,7 +56,7 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
-        parse = {"min_points": json_int, "eps": float}
+        parse = {"min_points": json_int, "eps": json_float}
         kwargs = {}
         for key in ("algorithms", "transforms", "distances", "min_points", "eps"):
             if key in doc:

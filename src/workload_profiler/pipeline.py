@@ -226,7 +226,7 @@ def run_build(config: RunConfig) -> BuildResult:
 
     validation_doc = None
     if val_part is not None and len(val_part):
-        predicted, _ = classify_encoded(model, val_part.rows)
+        predicted = classify_encoded(model, val_part.rows)[0]
         report = class_report(predicted.tolist(), val_part.labels.tolist())
         validation_doc = report.to_json()
 

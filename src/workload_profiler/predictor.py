@@ -146,7 +146,7 @@ def evaluate_holdout(
     the same build, but guards stale artifact mixes).
     """
     feats = tuple(features) if features else dataset.schema_runtime
-    labels, _ = classify_encoded(model, model.vocabulary.encode(dataset.metadata))
+    labels = classify_encoded(model, model.vocabulary.encode(dataset.metadata))[0]
     scored = np.isin(labels, profiles.labels())
     if not scored.any():
         raise EmptyHoldoutError("no workload could be scored against the profiles")

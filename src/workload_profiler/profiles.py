@@ -7,12 +7,13 @@ transformed space used for clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_int
+from .artifacts import json_float, json_int
 from .distances import block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TransformSpec, apply_transform, skewness
@@ -37,8 +38,9 @@ class ClusteringConfig:
             raise ValueError(f"unknown clustering algorithm {self.algorithm!r}")
         if self.min_points < 2:
             raise ValueError("min_points must be >= 2")
-        if self.algorithm == "dbscan" and (self.eps is None or self.eps <= 0):
-            raise ValueError("dbscan requires a positive eps")
+        if self.algorithm == "dbscan" and not (self.eps is not None and math.isfinite(self.eps)
+                                               and self.eps > 0):
+            raise ValueError(f"dbscan requires a finite eps > 0, got {self.eps!r}")
 
     def to_json(self) -> dict:
         return {
@@ -57,7 +59,7 @@ class ClusteringConfig:
             transform=doc["transform"],
             distance=doc["distance"],
             min_points=json_int(doc["min_points"]),
-            eps=doc.get("eps"),
+            eps=None if doc.get("eps") is None else json_float(doc["eps"]),
             seed=json_int(doc.get("seed", 0)),
         )
 

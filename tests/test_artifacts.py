@@ -1,0 +1,85 @@
+import csv
+import io
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from workload_profiler import artifacts
+from workload_profiler.artifacts import CSV_CHUNK, jsonable, write_csv, write_json
+
+FIELDS = ("event_index", "t", "id", "label", "violated", "outlier")
+
+
+def event_columns(n):
+    """Columns shaped like violations.csv's: numpy ints and flags, object ids."""
+    rng = np.random.default_rng(n)
+    ids = np.array([f"e{i}" for i in range(n)], dtype=object)
+    return (np.arange(n), rng.integers(0, 10 ** 9, n), ids, rng.integers(0, 12, n),
+            rng.random(n) < 0.3, rng.random(n) < 0.1)
+
+
+def traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 3 * CSV_CHUNK + 7])
+def test_write_csv_equals_one_writerows_call(tmp_path, n):
+    rng = np.random.default_rng(n)
+    awkward = ['a,b', 'say "hi"', "two\nlines", "pläin 名", "", " padded "]
+    columns = [
+        *event_columns(n),
+        [awkward[i % len(awkward)] for i in range(n)],   # quoted cells
+        [None if i % 5 == 0 else float(v) for i, v in enumerate(rng.normal(size=n))],
+        np.where(np.arange(n) % 7 == 0, np.nan, rng.normal(size=n)) if n else np.zeros(0),
+        [(i % 3 == 0) if i % 2 else math.inf for i in range(n)],  # Python bools and floats
+    ]
+    fields = FIELDS + ("text", "maybe", "floats", "mixed")
+    write_csv(tmp_path / "out.csv", fields, columns)
+
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(fields)
+    writer.writerows(zip(*[artifacts._cells(column) for column in columns]))
+    assert (tmp_path / "out.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_write_csv_memory_does_not_grow_with_the_row_count(tmp_path):
+    peaks = {}
+    for n in (50_000, 200_000):
+        columns = event_columns(n)  # held before tracing starts
+        peaks[n] = traced_peak(lambda: write_csv(tmp_path / "out.csv", FIELDS, columns))
+    assert peaks[200_000] <= 1.2 * peaks[50_000], peaks
+
+
+DOCUMENTS = [
+    {"name": "pläin 名 😀", "nested": {"z": [], "a": {}, "m": [[], [{}]]}},
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [math.nan, 1.5, -0.0]},
+    {"i64": np.int64(-7), "f64": np.float64(0.1), "f32": np.float32(1.5), "flag": np.bool_(True),
+     "scalars": [np.float64(np.inf), np.float64(np.nan), np.int32(3)], "big": 10 ** 20,
+     "none": None},
+    [],
+    {},
+    [{"b": 1, "a": [2, {"d": "ü", "c": None}]}, "x", 3, 1e300, 5e-324],
+]
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS)
+def test_write_json_equals_dumps_of_the_coerced_document(tmp_path, doc):
+    write_json(tmp_path / "doc.json", doc)
+    want = json.dumps(jsonable(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert (tmp_path / "doc.json").read_bytes() == want.encode("utf-8")
+
+
+def test_write_json_streams_into_the_file(tmp_path):
+    doc = {"rows": [f"{i:08d}" * 16 for i in range(20_000)]}  # 2.9 MB of text
+    path = tmp_path / "doc.json"
+    peak = traced_peak(lambda: write_json(path, doc))
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)

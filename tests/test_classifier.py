@@ -5,6 +5,7 @@ import pytest
 from oracles import slow_forest_probabilities
 from rows import block_of, encoded, rows_of
 
+from workload_profiler import boosting
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import (
     ClassifierModel,
@@ -12,6 +13,8 @@ from workload_profiler.classifier import (
     build_training_set,
     classify,
     classify_batch,
+    classify_encoded,
+    encode_records,
     feature_importance,
     train,
 )
@@ -255,6 +258,20 @@ def test_routing_equals_slow_oracle_exactly(name):
             assert dict(zip(m.class_labels, row)) == w
             assert classify(m, q) == (max(w, key=w.get), w)
             assert label == max(w, key=w.get)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_labels_are_the_argmax_of_each_rows_softmax_over_distinct_rows_only(name):
+    model, queries = ORACLE_MODELS[name]()
+    rows = encode_records(model, queries)
+    batch = rows[np.random.default_rng(0).integers(0, len(rows), size=2000)]  # many copies
+    want_probs = np.array([boosting._softmax(model.forest.raw_scores(row[None, :]))[0]
+                           for row in batch])
+    want = np.asarray(model.class_labels)[want_probs.argmax(axis=1)]
+    labels, probs, inverse = classify_encoded(model, batch)
+    assert labels.tolist() == want.tolist()
+    assert probs.shape == (len(np.unique(batch, axis=0)), len(model.class_labels))
+    assert np.array_equal(probs[inverse].view(np.int64), want_probs.view(np.int64))
 
 
 # ---------------------------------------------------------- persistence

@@ -374,6 +374,10 @@ def test_config_rejects_a_forest_past_the_node_bound_before_reading_the_trace(tm
             assert main(["build", "--config", str(config)]) == code, (rounds, depth)
 
 
+PINNED_DBSCAN = {"algorithm": "dbscan", "transform": "power", "distance": "euclidean",
+                 "min_points": 10}
+
+
 @pytest.mark.parametrize("extra", [
     {"hopkins_fraction": 0}, {"hopkins_fraction": 2},
     {"stats_percentiles": [5, 150]}, {"stats_percentiles": [5, math.nan]},
@@ -383,10 +387,16 @@ def test_config_rejects_a_forest_past_the_node_bound_before_reading_the_trace(tm
     {"prediction": "x"}, {"acquires": []}, {"feedback": "x"}, {"feedback": {"delta": "x"}},
     {"grid": []}, {"grid": "x"}, {"grid": {"min_points": "25"}}, {"stats_percentiles": "50"},
     {"predict_features": "cpu_usage"}, {"include_member_ids": "no"}, {"alt_normalization": 1},
+    {"grid": {"algorithms": ["dbscan"], "eps": [True]}},
+    {"recluster_config": {**PINNED_DBSCAN, "eps": True}},
+    {"recluster_config": {**PINNED_DBSCAN, "eps": "x"}},
+    {"recluster_config": {**PINNED_DBSCAN, "eps": "nan"}},
+    {"recluster_config": {**PINNED_DBSCAN, "eps": [0.3]}},
 ], ids=["hopkins-0", "hopkins-2", "percentile-150", "percentile-nan", "eps-negative", "eps-text",
         "unregularised-gain", "prediction-text", "acquires-list", "feedback-text", "delta-text",
         "grid-list", "grid-text", "min-points-text", "percentiles-text", "features-text",
-        "member-ids-text", "alt-normalization-number"])
+        "member-ids-text", "alt-normalization-number", "eps-boolean", "recluster-eps-boolean",
+        "recluster-eps-text", "recluster-eps-nan", "recluster-eps-list"])
 def test_config_rejects_out_of_range_values_before_reading_the_trace(tmp_path, extra):
     # the trace path does not exist, so exit 12 (not 4) shows nothing was read
     doc = artifacts.read_json(write_config(tmp_path, tmp_path / "absent.csv",
@@ -439,6 +449,14 @@ def test_config_integral_values_parse_as_ints(tmp_path):
               config.feedback.min_events_between_triggers)
     assert values == (7, 3, 20, 30, 4, 5, 10, 250, 0)
     assert all(type(v) is int for v in values)
+
+
+def test_recluster_eps_parses_like_the_grid_eps():
+    doc = {"trace": "t.csv", "descriptor": "d.json", "seed": 1,
+           "grid": {"algorithms": ["dbscan"], "eps": ["0.3"]},
+           "recluster_config": {**PINNED_DBSCAN, "eps": "0.3"}}
+    config = pipeline.RunConfig.from_json(doc)
+    assert config.grid.eps == config.recluster_config.eps == (0.3,)
 
 
 def test_custom_stats_percentiles(tmp_path):
@@ -570,7 +588,7 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", ["format_version_2", "no_trees", "not_an_object",
                                     "too_many_nodes", "unregularised_gain",
-                                    "profiles_without_groups"])
+                                    "profiles_without_groups", "profiles_eps_boolean"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -579,7 +597,7 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
     inp = tmp_path / "one.jsonl"
     w = rows_of(ds)[0]
     inp.write_text(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n", encoding="utf-8")
-    name = "profiles.json" if damage == "profiles_without_groups" else "model.json"
+    name = "profiles.json" if damage.startswith("profiles_") else "model.json"
     doc = artifacts.read_json(out / name)
     if damage == "format_version_2":
         doc["format_version"] = 2
@@ -591,6 +609,8 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["hyperparams"]["rounds"] = 2 ** 30
     elif damage == "unregularised_gain":
         doc["hyperparams"].update(min_child_weight=0.0, l2=0.0)
+    elif damage == "profiles_eps_boolean":
+        doc["config"]["eps"] = True
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)

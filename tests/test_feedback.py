@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from workload_profiler.classifier import build_training_set, classify_encoded, t
 from workload_profiler.distances import point_to_rows
 from workload_profiler.feedback import (
     EVENT_FIELDS,
+    LABEL_CHUNK,
     DeltaSpec,
     FeedbackConfig,
     ReclusterSpec,
@@ -26,7 +28,7 @@ from workload_profiler.synth import make_drift_pair
 from oracles import slow_trigger_scan
 from rows import reordered, rows_of
 from workload_profiler.artifacts import write_csv
-from workload_profiler.trace_model import FeatureMatrix
+from workload_profiler.trace_model import Dataset, FeatureMatrix, MetadataBlock
 
 FAST_BOOST = BoostingParams(rounds=25)
 
@@ -407,6 +409,33 @@ def test_labels_after_the_last_adoption_are_the_final_models_labels():
     assert np.array_equal(report.labels[last:], classify_encoded(report.final_model, rows[last:])[0])
     assert np.array_equal(report.labels[:first], classify_encoded(model, model.vocabulary.encode(
         stream.metadata)[:first])[0])
+
+
+def test_relabelling_a_long_stream_holds_distinct_rows_and_a_chunk_not_events():
+    train_ds, stream, profiles, model, grid, regen = drift_setup(seed=0)
+    n = 200_000
+    pick = np.arange(n) % len(stream)
+    meta = stream.metadata
+    assert len(np.unique(meta.codes, axis=0)) <= 50
+    long = Dataset(stream.schema_runtime, np.array([f"e{i}" for i in range(n)], dtype=object),
+                   np.arange(n), stream.runtime[pick],
+                   MetadataBlock(meta.names, meta.codes[pick], meta.tables))
+    columns = _Columns(long, long.schema_runtime, PredictionPolicy(), DeltaSpec())
+    assert np.shares_memory(columns.actual, long.runtime)  # consecutive features: a view
+    tracemalloc.start()
+    try:
+        columns.swap(model, profiles, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    want = classify_encoded(model, model.vocabulary.encode(meta))[0]
+    assert np.array_equal(columns.labels, want[pick])
+    start = 3 * LABEL_CHUNK + 5  # a later swap leaves the labels before it alone
+    columns.labels[:] = -1
+    columns.swap(model, profiles, start)
+    assert (columns.labels[:start] == -1).all()
+    assert np.array_equal(columns.labels[start:], want[pick][start:])
 
 
 def test_infinite_quality_threshold_never_adopts():
