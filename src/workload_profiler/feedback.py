@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .artifacts import json_field, json_int
-from .boosting import BoostingParams, DEFAULT_PARAMS, distinct_rows
+from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
     DegenerateDataError,
@@ -315,7 +315,7 @@ LABEL_CHUNK = 4096  # stream events encoded and labelled together
 class _Columns:
     """Stream-length label, violation and outlier columns. A swap labels the
     stream from its event on, LABEL_CHUNK events at a time, and scores each
-    distinct encoded row once per model; only its label reaches the events.
+    distinct encoded row of a chunk once; only its label reaches the events.
     The flags follow a chunk at a time. The running flag counts grow with
     each chunk, so those before a swap stay valid."""
 
@@ -336,17 +336,11 @@ class _Columns:
     def swap(self, model: ClassifierModel, profiles: ProfileSet, start: int) -> None:
         self.profiles, self.filled = profiles, start
         self.expected: dict[int, list[float]] = {}
-        metadata, label_of = self.stream.metadata, {}
+        metadata = self.stream.metadata
         for at in range(start, len(self.labels), LABEL_CHUNK):
             span = slice(at, at + LABEL_CHUNK)
-            distinct, inverse = distinct_rows(
-                model.vocabulary.encode(replace(metadata, codes=metadata.codes[span])))
-            keys = [row.tobytes() for row in distinct]
-            new = [i for i, key in enumerate(keys) if key not in label_of]
-            if new:
-                labels = classify_encoded(model, distinct[new])[0].tolist()
-                label_of.update(zip([keys[i] for i in new], labels))
-            self.labels[span] = np.array([label_of[key] for key in keys], dtype=np.int64)[inverse]
+            rows = model.vocabulary.encode(replace(metadata, codes=metadata.codes[span]))
+            self.labels[span] = classify_encoded(model, rows)[0]
 
     def fill(self) -> None:
         span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))
