@@ -37,8 +37,13 @@ tree:
                  "10".."12" sort before "2"; ``classify`` of 300 JSONL
                  records whose ids take every JSON type (NaN, +-Infinity,
                  objects with unsorted keys, non-ASCII text, numbers, null,
-                 no id at all), with the profile set, without it, and with
-                 label 10's profile dropped, so its lines are inline errors;
+                 no id at all), then 80 records whose string ids hold every
+                 class that JSON escapes (quote, backslash, controls, DEL,
+                 U+2028/U+2029, a non-BMP character, lone surrogates), as
+                 escapes and as raw text, between lines that are not
+                 objects or not JSON; with the profile set, without it,
+                 and with label 10's profile dropped, so its lines are
+                 inline errors;
   ingest-edge    build, then ``evaluate`` with the trace as its own holdout
                  (so the fitted bucket bounds are read back as given ones),
                  on a trace of more than three ``load_trace`` chunks whose
@@ -239,6 +244,19 @@ with open(root / "edge.jsonl", "w", encoding="utf-8") as fh:
             metadata["zone"] = "never-seen"
         record = {"metadata": metadata} if n % 14 == 13 else {"id": ids[n % 14], "metadata": metadata}
         fh.write(json.dumps(record, ensure_ascii=n % 2 == 0) + "\n")
+    # Ids of every escape class, each written as an escape and as raw text
+    # (a lone surrogate only as an escape), between lines that are not
+    # objects or not JSON.
+    escapes = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001f600",
+               "\ud800", 'a"b\\c\x00\u2028\U0001f600\udfff']
+    malformed = ["[1, 2]", "7", '"text"', "null", "NaN", "{", "not json", '{"id": "x"}',
+                 '{"id": "x", "metadata": null}', '{"id": "\\ud800"']
+    for n, wid in enumerate(escapes * 2):
+        metadata = {f: column[n] for f, column in zip(ds.metadata.names, columns)}
+        raw = n >= len(escapes) and not any("\ud800" <= c <= "\udfff" for c in wid)
+        fh.write(json.dumps({"id": wid, "metadata": metadata}, ensure_ascii=not raw) + "\n")
+        if n % 7 == 3:
+            fh.write(malformed[n // 7 % len(malformed)] + "\n")
 
 # More than three load chunks; the records around each chunk boundary are
 # the awkward ones, and the bucketized column's extremes sit there too.

@@ -283,19 +283,33 @@ class Forest:
     def from_json(
         cls, doc: Sequence[Sequence[Mapping]], n_classes: int, dim: int, params: BoostingParams
     ) -> "Forest":
+        """The forest of ``to_json``'s nested dicts, each node array filled
+        by one assignment from the flat node positions collected in a walk."""
         forest = cls.empty(n_classes, dim, params)
+        nodes = forest.feature.shape[-1]
+        value_at, values, split_at, features, gains = [], [], [], [], []
 
-        def fill(r: int, c: int, node: Mapping, i: int) -> None:
-            forest.value[r, c, i] = node["value"]
+        def collect(root: int, node: Mapping, i: int) -> None:
+            if i >= nodes:
+                raise IndexError(f"a tree is deeper than max_depth {params.max_depth}")
+            value_at.append(root + i)
+            values.append(node["value"])
             if "feature" in node:
-                forest.feature[r, c, i] = node["feature"]
-                forest.gain[r, c, i] = node["gain"]
-                fill(r, c, node["absent"], 2 * i + 1)
-                fill(r, c, node["present"], 2 * i + 2)
+                split_at.append(root + i)
+                features.append(node["feature"])
+                gains.append(node["gain"])
+                collect(root, node["absent"], 2 * i + 1)
+                collect(root, node["present"], 2 * i + 2)
 
         for r, per_class in enumerate(doc):
             for c, tree in enumerate(per_class):
-                fill(r, c, tree, 0)
+                if c >= n_classes:  # its flat position would be a tree of the next round
+                    raise IndexError(f"round {r} has more than {n_classes} trees")
+                collect((r * n_classes + c) * nodes, tree, 0)
+        # a round past the forest's is a flat position past its end: an IndexError
+        forest.value.reshape(-1)[value_at] = values
+        forest.feature.reshape(-1)[split_at] = features
+        forest.gain.reshape(-1)[split_at] = gains
         return forest
 
 

@@ -8,16 +8,21 @@ WORKLOAD_PROFILER_OUT overrides the output directory for all commands.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii  # json.dumps' escaper under ensure_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import artifacts
 from .classifier import ClassifierModel, classify_encoded, record_values
-from .errors import ConfigError, ProfilerError, SchemaError
+from .errors import ConfigError, ProfilerError, SchemaError, TraceReadError
 from .pipeline import RunConfig, load_artifact, run_build, run_evaluate, run_feedback_command
 from .predictor import PredictionPolicy, predict
 from .preprocess import hopkins, stratified_sample
@@ -80,21 +85,40 @@ def _line_fragments(model, profiles, policy) -> dict[int, str | Exception]:
     return out
 
 
-def _classify_chunk(model, fragments, chunk: list[tuple[int, str]]) -> None:
+def _probs_template(class_labels) -> tuple[list[int], str]:
+    """(the class columns in the JSON string order of their labels, "10"
+    before "2"; a %r template of those columns' probabilities that also
+    closes the line). json.dumps writes a finite float as float.__repr__, so
+    for finite probabilities the template gives the bytes of
+    json.dumps(probs, sort_keys=True)."""
+    keys = [str(c) for c in class_labels]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return order, "{" + ", ".join(f'"{keys[i]}": %r' for i in order) + "}}\n"
+
+
+def _classify_chunk(model, fragments, template, chunk: list[tuple[int, str]]) -> None:
     """Route a chunk's valid lines together; write one output line per input
     line, in input order, with malformed lines reported inline. A line is
-    its id's and its probs' json.dumps around its label's fragment, the
-    bytes json.dumps(doc, sort_keys=True) gives for the whole document."""
+    its id's JSON, its label's fragment and its distinct row's probs text,
+    the bytes json.dumps(doc, sort_keys=True) gives for the whole document:
+    a str id is escaped by json.dumps' own ASCII escaper and finite probs
+    go through `template`; any other id, or a chunk with a non-finite
+    probability, is dumped by json.dumps itself."""
     out: list[str | None] = []
     parsed: list[tuple[int, int, str]] = []  # (output slot, line number, id as JSON)
     values = []
     for line_no, line in chunk:
         try:  # a line nested past the recursion limit fails alone too
+            if not line.isascii():  # bytes that are not UTF-8 were read as lone surrogates
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise SchemaError("record is not a JSON object")
-            # json.loads accepts NaN and Infinity, so the echoed id is coerced.
-            wid = json.dumps(artifacts.jsonable(record.get("id")), sort_keys=True)
+            wid = record.get("id")
+            if isinstance(wid, str):
+                wid = encode_basestring_ascii(wid)
+            else:  # json.loads accepts NaN and Infinity, so the echoed id is coerced
+                wid = json.dumps(artifacts.jsonable(wid), sort_keys=True)
             values.append(record_values(model, record["metadata"]))
         except (KeyError, ValueError, RecursionError, ProfilerError) as exc:
             out.append(_ERROR_LINE % (json.dumps(str(exc)), line_no))
@@ -104,16 +128,42 @@ def _classify_chunk(model, fragments, chunk: list[tuple[int, str]]) -> None:
     vocab = model.vocabulary
     rows = vocab.encode(MetadataBlock.from_rows(vocab.feature_names, values))
     labels, probs, inverse = classify_encoded(model, rows)
-    keys = [str(c) for c in model.class_labels]
-    distinct = probs.tolist()
+    order, probs_format = template
+    if np.isfinite(probs).all():
+        ends = [probs_format % tuple(p) for p in probs[:, order].tolist()]
+    else:  # json.dumps writes NaN and Infinity, which %r does not
+        keys = [str(c) for c in model.class_labels]
+        ends = [json.dumps(dict(zip(keys, p)), sort_keys=True) + "}\n" for p in probs.tolist()]
     for (at, line_no, wid), label, k in zip(parsed, labels.tolist(), inverse.tolist()):
         middle = fragments[label]
         if isinstance(middle, Exception):
             out[at] = _ERROR_LINE % (json.dumps(str(middle)), line_no)
         else:
-            probs_json = json.dumps(dict(zip(keys, distinct[k])), sort_keys=True)  # "10" before "2"
-            out[at] = '{"id": ' + wid + middle + probs_json + "}\n"
+            out[at] = '{"id": ' + wid + middle + ends[k]
     sys.stdout.writelines(out)  # a joined copy of the chunk showed in peak RSS
+
+
+@contextlib.contextmanager
+def _input_text(path: str):
+    """The JSONL input as text in universal-newline mode. It is read as
+    UTF-8 with bytes that are not UTF-8 kept as lone surrogates, so the line
+    that holds them fails alone; a file that cannot be opened is a
+    TraceReadError."""
+    if path != "-":
+        try:
+            source = open(path, encoding="utf-8", errors="surrogateescape")
+        except OSError as exc:
+            raise TraceReadError(f"cannot read input {path}: {exc}") from exc
+        with source:
+            yield source
+    elif hasattr(sys.stdin, "buffer"):
+        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield source
+        finally:
+            source.detach()  # sys.stdin's buffer stays open
+    else:  # a text stream with no bytes under it
+        yield sys.stdin
 
 
 def _cmd_classify(args) -> int:
@@ -126,16 +176,13 @@ def _cmd_classify(args) -> int:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
     fragments = _line_fragments(model, profiles, policy)
+    template = _probs_template(model.class_labels)
 
-    source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    try:
+    with _input_text(args.input) as source:
         numbered = ((n, line.strip()) for n, line in enumerate(source, start=1))
         lines = ((n, line) for n, line in numbered if line)
         while chunk := list(itertools.islice(lines, CLASSIFY_CHUNK)):
-            _classify_chunk(model, fragments, chunk)
-    finally:
-        if source is not sys.stdin:
-            source.close()
+            _classify_chunk(model, fragments, template, chunk)
     return 0
 
 

@@ -154,3 +154,16 @@ def test_a_forest_past_the_int32_routing_bound_is_refused_before_allocating(monk
             Forest.empty(n_classes, 1, BoostingParams(rounds=rounds, max_depth=depth))
     with pytest.raises(AttributeError):  # one node fewer passes the bound
         Forest.empty(boosting.MAX_NODES - 1, 1, BoostingParams(rounds=1, max_depth=0))
+
+
+@pytest.mark.parametrize("depth", [0, boosting.MAX_DEPTH])
+def test_from_json_of_to_json_gives_the_same_node_arrays(depth):
+    rows, labels, dim = encoded_case(5, 800, [6, 5, 7, 4], 3, 0.1)
+    params = BoostingParams(rounds=3, max_depth=depth, min_child_weight=0.0)
+    forest = fit_forest(rows, labels, 3, dim, params)
+    if depth:  # some tree splits on the level above the leaves
+        assert (forest.feature[..., 2 ** (depth - 1) - 1:2 ** depth - 1] >= 0).any()
+    back = Forest.from_json(forest.to_json(), 3, dim, params)
+    assert np.array_equal(back.feature, forest.feature)
+    assert np.array_equal(back.value, forest.value)
+    assert np.array_equal(back.gain, forest.gain)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -567,6 +568,48 @@ def test_classify_artifact_and_policy_errors_exit_with_their_codes(tmp_path, cap
         assert capsys.readouterr().out == ""
 
 
+def test_classify_input_that_cannot_be_read_exits_4_naming_it(tmp_path, capsys):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    for path in (tmp_path / "nowhere.jsonl", tmp_path):  # missing, and a directory
+        capsys.readouterr()
+        assert main(["classify", "--model", str(out / "model.json"), "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read input {path}: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_classify_line_that_is_not_utf8_fails_alone(tmp_path, capsys, monkeypatch, via):
+    ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
+    good = [{"id": w.id, "metadata": w.metadata} for w in rows_of(ds)[:2]]
+    bad = json.dumps({"id": "b", "metadata": good[0]["metadata"]}).encode().replace(b'"b"', b'"\xff"')
+    # universal newlines: CR LF and a lone CR end lines too
+    data = json.dumps(good[0]).encode() + b"\r\n" + bad + b"\r" + json.dumps(good[1]).encode() + b"\n"
+    inp = tmp_path / "mixed.jsonl"
+    inp.write_bytes(data)
+    if via == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(out / "model.json"),
+                 "--input", "-" if via == "stdin" else str(inp)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3
+    assert set(rows[1]) == {"error", "line"} and rows[1]["line"] == 2
+    assert rows[1]["error"].startswith("'utf-8' codec can't decode byte 0xff in position 8")
+    model = ClassifierModel.from_json(artifacts.read_json(out / "model.json"))
+    labels, probs = classify_batch(model, [g["metadata"] for g in good])
+    keys = [str(c) for c in model.class_labels]
+    assert [rows[0], rows[2]] == [
+        {"id": g["id"], "label": label, "probs": dict(zip(keys, p))}
+        for g, label, p in zip(good, labels.tolist(), probs.tolist())
+    ]
+
+
 
 def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
@@ -667,6 +710,11 @@ def test_classify_lines_are_canonical_json_with_probs_keys_in_string_order(tmp_p
 
     nested = '{"z": [1, NaN, "\u00fc"], "a": {"y": -Infinity, "b": "\u540d"}}'
     ids = [nested, "NaN", '"pl\u00e4in"', "7", "-0.0", "null", "true", "[2, {\"b\": 1, \"a\": 0}]"]
+    # str ids of every class that JSON escapes, as raw text where JSON allows it
+    ids += [json.dumps(w, ensure_ascii=False) for w in (
+        '"', "\\", "".join(map(chr, range(0x20))), "\x7f", "\u2028\u2029", "\U0001f600",
+        'q"b\\s\x00\x1f\x7f\u2028\U0001f600')]
+    ids += ['"\\ud800"', '"\\ud83d\\ude00 \\u0000"']
     lines = []
     for n, w in enumerate(rows_of(ds)[:200]):
         metadata = dict(w.metadata, zone="never-seen") if n % 6 == 1 else w.metadata
@@ -700,6 +748,8 @@ def test_classify_lines_are_canonical_json_with_probs_keys_in_string_order(tmp_p
             if n % 9 != 8 and n % len(ids) == 0:
                 assert row["id"] == {"a": {"b": "\u540d", "y": None}, "z": [1, None, "\u00fc"]}
                 assert line.startswith('{"id": {"a": {"b": "\\u540d", "y": null}, "z": [1, null, ')
+            if n % 9 != 8 and ids[n % len(ids)] == '"\\ud800"':
+                assert line.startswith('{"id": "\\ud800", "label": ')
 
 
 def test_classify_lines_that_are_not_objects_fail_alone(tmp_path, capsys):
