@@ -581,7 +581,7 @@ def test_classify_input_that_cannot_be_read_exits_4_naming_it(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("via", ["file", "stdin", "text stdin"])
 def test_classify_line_that_is_not_utf8_fails_alone(tmp_path, capsys, monkeypatch, via):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -594,9 +594,11 @@ def test_classify_line_that_is_not_utf8_fails_alone(tmp_path, capsys, monkeypatc
     inp.write_bytes(data)
     if via == "stdin":
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    elif via == "text stdin":  # no bytes under it: the bad byte arrives as a lone surrogate
+        monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None))
     capsys.readouterr()
     assert main(["classify", "--model", str(out / "model.json"),
-                 "--input", "-" if via == "stdin" else str(inp)]) == 0
+                 "--input", str(inp) if via == "file" else "-"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 3
     assert set(rows[1]) == {"error", "line"} and rows[1]["line"] == 2
@@ -608,7 +610,6 @@ def test_classify_line_that_is_not_utf8_fails_alone(tmp_path, capsys, monkeypatc
         {"id": g["id"], "label": label, "probs": dict(zip(keys, p))}
         for g, label, p in zip(good, labels.tolist(), probs.tolist())
     ]
-
 
 
 def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
