@@ -43,7 +43,9 @@ tree:
                  escapes and as raw text, between lines that are not
                  objects or not JSON; with the profile set, without it,
                  and with label 10's profile dropped, so its lines are
-                 inline errors;
+                 inline errors; and the same lines on stdin, with CR LF
+                 endings and a lone CR inside records (JSON whitespace
+                 there, as stdin is split at LF only);
   ingest-edge    build, then ``evaluate`` with the trace as its own holdout
                  (so the fitted bucket bounds are read back as given ones),
                  on a trace of more than three ``load_trace`` chunks whose
@@ -257,6 +259,12 @@ with open(root / "edge.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": wid, "metadata": metadata}, ensure_ascii=not raw) + "\n")
         if n % 7 == 3:
             fh.write(malformed[n // 7 % len(malformed)] + "\n")
+# The same lines for stdin: every other one ends in CR LF, and every third
+# object holds a lone CR after its opening brace.
+lines = (root / "edge.jsonl").read_bytes().splitlines()
+(root / "edge-stdin.jsonl").write_bytes(b"".join(
+    (b"{\r" + line[1:] if n % 3 == 0 and line.startswith(b"{") else line)
+    + (b"\r\n" if n % 2 else b"\n") for n, line in enumerate(lines)))
 
 # More than three load chunks; the records around each chunk boundary are
 # the awkward ones, and the bucketized column's extremes sit there too.
@@ -339,9 +347,9 @@ def src_dir(tree: str) -> Path:
     return path / "src" if (path / "src" / "workload_profiler").is_dir() else path
 
 
-def run(src: Path, code: str, args: list, stdout=None) -> None:
+def run(src: Path, code: str, args: list, stdout=None, stdin=None) -> None:
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, stdin=stdin,
                           stdout=stdout or subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{src}: {args[:1]} exited {proc.returncode}\n{proc.stderr}")
@@ -376,6 +384,10 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
         with open(out / f"classify-edge-{name}.jsonl", "w", encoding="utf-8") as fh:
             run(src, CLI, ["classify", "--model", edge / "model.json", *profiles,
                            "--input", inputs / "edge.jsonl"], stdout=fh)
+    with open(inputs / "edge-stdin.jsonl", "rb") as stdin, \
+            open(out / "classify-edge-stdin.jsonl", "w", encoding="utf-8") as fh:
+        run(src, CLI, ["classify", "--model", edge / "model.json", "--profiles",
+                       edge / "profiles.json", "--input", "-"], stdout=fh, stdin=stdin)
     grid = out / "default-grid"
     with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
         run(src, CLI, ["classify", "--model", grid / "model.json",

@@ -21,7 +21,6 @@ and a row's copies share its values through an inverse index.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -288,9 +287,7 @@ class Forest:
         by one assignment from the flat node positions collected in a walk."""
         forest = cls.empty(n_classes, dim, params)
         nodes = forest.feature.shape[-1]
-        # positions as int64 items, not int objects: the walk holds less at its peak
-        value_at, split_at = array("q"), array("q")
-        values, features, gains = [], [], []
+        value_at, values, split_at, features, gains = [], [], [], [], []
 
         def collect(root: int, node: Mapping, i: int) -> None:
             if i >= nodes:
@@ -310,8 +307,6 @@ class Forest:
                     raise IndexError(f"round {r} has more than {n_classes} trees")
                 collect((r * n_classes + c) * nodes, tree, 0)
         # a round past the forest's is a flat position past its end: an IndexError
-        value_at = np.frombuffer(value_at, dtype=np.int64)
-        split_at = np.frombuffer(split_at, dtype=np.int64)
         forest.value.reshape(-1)[value_at] = values
         forest.feature.reshape(-1)[split_at] = features
         forest.gain.reshape(-1)[split_at] = gains

@@ -145,10 +145,10 @@ def _classify_chunk(model, fragments, template, chunk: list[tuple[int, str]]) ->
 
 @contextlib.contextmanager
 def _input_text(path: str):
-    """The JSONL input as text in universal-newline mode. It is read as
-    UTF-8 with bytes that are not UTF-8 kept as lone surrogates, so the line
-    that holds them fails alone; a file that cannot be opened is a
-    TraceReadError."""
+    """The JSONL input as UTF-8 text, with bytes that are not UTF-8 kept as
+    lone surrogates, so the line that holds them fails alone. A file is read
+    in universal-newline mode and stdin is split at LF only, as sys.stdin
+    splits it on POSIX; a file that cannot be opened is a TraceReadError."""
     if path != "-":
         try:
             source = open(path, encoding="utf-8", errors="surrogateescape")
@@ -156,14 +156,13 @@ def _input_text(path: str):
             raise TraceReadError(f"cannot read input {path}: {exc}") from exc
         with source:
             yield source
-    elif hasattr(sys.stdin, "buffer"):
-        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
-        try:
-            yield source
-        finally:
-            source.detach()  # sys.stdin's buffer stays open
-    else:  # a text stream with no bytes under it
-        yield sys.stdin
+        return
+    source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape",
+                              newline="\n")
+    try:
+        yield source
+    finally:
+        source.detach()  # sys.stdin's buffer stays open
 
 
 def _cmd_classify(args) -> int:

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import block_rows, point_to_rows
+from .distances import point_to_rows
 from .errors import DegenerateDataError, SchemaError, UndefinedSkewnessError
 from .trace_model import Dataset, FeatureMatrix
 
@@ -201,19 +201,13 @@ def hopkins(matrix: FeatureMatrix, sample_fraction: float = 0.1, seed: int = 0) 
     probes = rng.uniform(lo, hi, size=(m, X.shape[1]))
     sample_idx = rng.choice(n, size=m, replace=False)
 
-    # Probes, then sampled real points, a block of rows per distance call;
-    # each block element has the bits of the one-point call.
-    points = np.concatenate((probes, Xs[sample_idx]))
-    own = np.concatenate((np.full(m, -1), sample_idx))  # a sampled point's own row
-    nearest = np.empty(2 * m)
-    step = block_rows(n)
-    for start in range(0, 2 * m, step):
-        d = point_to_rows(points[start:start + step], Xs, "euclidean")
-        sampled = np.flatnonzero(own[start:start + step] >= 0)
-        d[sampled, own[start + sampled]] = np.inf  # nearest *other* real point
-        nearest[start:start + step] = d.min(axis=1)
-    u = nearest[:m]  # probe -> nearest real point
-    w = nearest[m:]  # sampled real point -> nearest other real point
+    u = np.empty(m)  # probe -> nearest real point
+    w = np.empty(m)  # sampled real point -> nearest other real point
+    for i in range(m):
+        u[i] = point_to_rows(probes[i], Xs, "euclidean").min()
+        d = point_to_rows(Xs[sample_idx[i]], Xs, "euclidean")
+        d[sample_idx[i]] = np.inf
+        w[i] = d.min()
     total = float(u.sum() + w.sum())
     score = 0.5 if total == 0.0 else float(w.sum()) / total
     return HopkinsResult(score=score, sample_size=m, seed=seed)

@@ -581,21 +581,21 @@ def test_classify_input_that_cannot_be_read_exits_4_naming_it(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("via", ["file", "stdin", "text stdin"])
+@pytest.mark.parametrize("via", ["file", "stdin"])
 def test_classify_line_that_is_not_utf8_fails_alone(tmp_path, capsys, monkeypatch, via):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
     assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
     good = [{"id": w.id, "metadata": w.metadata} for w in rows_of(ds)[:2]]
     bad = json.dumps({"id": "b", "metadata": good[0]["metadata"]}).encode().replace(b'"b"', b'"\xff"')
-    # universal newlines: CR LF and a lone CR end lines too
-    data = json.dumps(good[0]).encode() + b"\r\n" + bad + b"\r" + json.dumps(good[1]).encode() + b"\n"
+    first, last = (json.dumps(g).encode() for g in good)
+    if via == "file":  # universal newlines: CR LF and a lone CR end lines
+        data = first + b"\r\n" + bad + b"\r" + last + b"\n"
+    else:  # split at LF only, as sys.stdin is: a lone CR stays in its line, as JSON whitespace
+        data = first + b"\r\n" + bad + b"\n" + last.replace(b", ", b",\r ") + b"\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
     inp = tmp_path / "mixed.jsonl"
     inp.write_bytes(data)
-    if via == "stdin":
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
-    elif via == "text stdin":  # no bytes under it: the bad byte arrives as a lone surrogate
-        monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None))
     capsys.readouterr()
     assert main(["classify", "--model", str(out / "model.json"),
                  "--input", str(inp) if via == "file" else "-"]) == 0
