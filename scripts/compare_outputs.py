@@ -2,6 +2,7 @@
 """Byte-compare the artifacts two source trees write for the same inputs.
 
     python scripts/compare_outputs.py --base ../parent --head .
+    python scripts/compare_outputs.py --head . --digests tests/golden/outputs-s1.json
 
 Each tree (a checkout, or its ``src`` directory) runs the CLI in its own
 subprocess on one set of seeded ``synth`` inputs, generated once by the head
@@ -69,10 +70,16 @@ tree:
 Every file of every run directory and each command's classify output is
 compared byte for byte. Exits 1 on any difference or failed command, 0 when
 everything is identical.
+
+``--digests FILE`` checks the sha256 of every output of the head tree against
+the manifest FILE, naming each file that differs, or writes that manifest
+when FILE does not exist yet; it needs no base tree. The digests pin the
+machine's Python and numpy builds as well as the code.
 """
 
 import argparse
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -427,28 +434,66 @@ def differences(a: Path, b: Path) -> list[str]:
     return out
 
 
+def digests(out: Path) -> dict[str, str]:
+    """The sha256 of every file under ``out``, keyed by its relative path."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def check_digests(manifest: Path, seed: int, found: dict[str, str]) -> list[str]:
+    """The files whose digests differ from ``manifest``; the manifest is
+    written from ``found`` when it does not exist yet."""
+    if not manifest.exists():
+        manifest.parent.mkdir(parents=True, exist_ok=True)
+        manifest.write_text(json.dumps({"seed": seed, "sha256": found}, indent=2, sort_keys=True)
+                            + "\n", encoding="utf-8")
+        print(f"wrote {len(found)} digests to {manifest}", file=sys.stderr)
+        return []
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    if doc["seed"] != seed:
+        raise SystemExit(f"{manifest} holds the digests of seed {doc['seed']}, not {seed}")
+    want = doc["sha256"]
+    out = []
+    for name in sorted(want.keys() | found.keys()):
+        if name not in want:
+            out.append(f"{name}: only in head")
+        elif name not in found:
+            out.append(f"{name}: missing from head")
+        elif want[name] != found[name]:
+            out.append(f"{name}: differs from {manifest}")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", required=True, help="source tree of the reference")
+    parser.add_argument("--base", help="source tree of the reference")
     parser.add_argument("--head", required=True, help="source tree under test")
+    parser.add_argument("--digests", type=Path,
+                        help="manifest of the head outputs' sha256: checked, or written if absent")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workdir", help="keep inputs and outputs here (default: a temp dir)")
     args = parser.parse_args()
+    if args.base is None and args.digests is None:
+        parser.error("give --base, --digests or both")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.workdir) if args.workdir else Path(tmp)
         inputs = work / "inputs"
         inputs.mkdir(parents=True, exist_ok=True)
+        sides = [("base", args.base)] if args.base else []
         try:
             run(src_dir(args.head), GENERATE, [inputs, args.seed])
-            for side, tree in (("base", args.base), ("head", args.head)):
+            for side, tree in sides + [("head", args.head)]:
                 produce(src_dir(tree), inputs, work / side)
         except RuntimeError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
-        diff = differences(work / "base", work / "head")
-        count = sum(1 for p in (work / "head").rglob("*") if p.is_file())
+        diff = differences(work / "base", work / "head") if args.base else []
+        found = digests(work / "head")
+        if args.digests:
+            diff += check_digests(args.digests, args.seed, found)
+        count = len(found)
     for line in diff:
         print(line)
     print(json.dumps({"seed": args.seed, "files": count, "different": len(diff)}))

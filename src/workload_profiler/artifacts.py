@@ -11,6 +11,7 @@ the row count.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -20,7 +21,10 @@ import numpy as np
 
 
 def jsonable(obj):
-    """Recursively coerce to strict-JSON-safe values (no NaN/inf)."""
+    """Recursively coerce to strict-JSON-safe values (no NaN/inf). This is
+    the one place that decides a record's JSON: a dataclass instance becomes
+    an object of its fields by name, a numpy scalar or array its
+    ``tolist()``, a tuple a list and a mapping key its ``str``."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, (str, int, bool)) or obj is None:
@@ -29,10 +33,10 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return jsonable(obj.item())
-    if hasattr(obj, "tolist"):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return jsonable(obj.tolist())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -60,15 +60,6 @@ class BoostingParams:
         """(rounds, classes, nodes per tree) of the forest these params grow."""
         return (self.rounds, n_classes, 2 ** (self.max_depth + 1) - 1)
 
-    def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_child_weight": self.min_child_weight,
-            "l2": self.l2,
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "BoostingParams":
         return cls(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import jsonable
 from .boosting import (
     BoostingParams,
     DEFAULT_PARAMS,
@@ -52,9 +53,9 @@ class ClassifierModel:
     def to_json(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "vocabulary": self.vocabulary.to_json(),
+            "vocabulary": jsonable(self.vocabulary),
             "class_labels": list(self.class_labels),
-            "hyperparams": self.hyperparams.to_json(),
+            "hyperparams": jsonable(self.hyperparams),
             "seed": self.seed,
             "bucket_bounds": (
                 {k: list(v) for k, v in self.bucket_bounds.items()}

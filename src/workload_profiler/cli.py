@@ -171,8 +171,11 @@ def _cmd_classify(args) -> int:
     policy = PredictionPolicy()
     if args.policy:
         try:
-            policy = PredictionPolicy.from_json(json.loads(args.policy))
-        except (AttributeError, TypeError, ValueError) as exc:
+            doc = json.loads(args.policy)
+            if not isinstance(doc, dict):
+                raise TypeError(f"a JSON object is required, got {doc!r}")
+            policy = PredictionPolicy.from_json(doc)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
     fragments = _line_fragments(model, profiles, policy)
     template = _probs_template(model.class_labels)
@@ -207,12 +210,7 @@ def _cmd_hopkins(args) -> int:
     schema = TraceSchema.load(args.descriptor)
     dataset, _ = load_trace(args.trace, schema)
     result = hopkins(runtime_matrix(dataset), args.fraction, seed=args.seed)
-    print(
-        json.dumps(
-            {"score": result.score, "sample_size": result.sample_size, "seed": result.seed},
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(artifacts.jsonable(result), sort_keys=True))
     return 0
 
 

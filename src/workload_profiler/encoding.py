@@ -63,13 +63,6 @@ class EncoderVocabulary:
             at += size
         raise IndexError(index)
 
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "categories": {f: list(v) for f, v in self.categories.items()},
-            "unknown_policy": self.unknown_policy,
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "EncoderVocabulary":
         return cls(

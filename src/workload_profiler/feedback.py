@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_field, json_int
+from .artifacts import json_field, json_int, jsonable
 from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
@@ -61,12 +61,13 @@ class DeltaSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "DeltaSpec":
-        default = doc.get("default", math.inf)
-        return cls(
-            mode=doc.get("mode", "relative"),
-            thresholds={k: float(v) for k, v in json_field(doc, "thresholds", dict, {}).items()},
-            default=math.inf if default is None else float(default),
-        )
+        # a null default is no default threshold
+        parse = {"mode": str, "default": lambda v: math.inf if v is None else float(v)}
+        kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
+        if "thresholds" in doc:
+            thresholds = json_field(doc, "thresholds", dict)
+            kwargs["thresholds"] = {k: float(v) for k, v in thresholds.items()}
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,14 @@ class FeedbackConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FeedbackConfig":
-        return cls(
-            delta=DeltaSpec.from_json(json_field(doc, "delta", dict, {})),
-            tau_v=float(doc.get("tau_v", 0.1)),
-            tau_o=float(doc.get("tau_o", 0.2)),
-            tau_f=float(doc.get("tau_f", 0.5)),
-            decay=float(doc.get("decay", 1e-4)),
-            window=json_int(doc.get("window", 10_000)),
-            window_mode=doc.get("window_mode", "events"),
-            tau_quality=float(doc.get("tau_quality", 0.5)),
-            min_events_between_triggers=(
-                None if doc.get("min_events_between_triggers") is None
-                else json_int(doc["min_events_between_triggers"])
-            ),
-        )
+        parse = {"tau_v": float, "tau_o": float, "tau_f": float, "decay": float,
+                 "window": json_int, "window_mode": str, "tau_quality": float,
+                 # null: the window size
+                 "min_events_between_triggers": lambda v: None if v is None else json_int(v)}
+        kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
+        if "delta" in doc:
+            kwargs["delta"] = DeltaSpec.from_json(json_field(doc, "delta", dict))
+        return cls(**kwargs)
 
 
 def _violated(
@@ -221,27 +216,12 @@ class TriggerRecord:
     causes: list[str]
     acquires_before: float | None
     window_rate_before: float
-    acquires_total: float | None = None
+    acquires_after: float | None = None
     adopted: bool = False
     n_clusters: int | None = None
     violations_after: int | None = None
     events_after: int | None = None
     reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "event_index": self.event_index,
-            "t": self.t,
-            "causes": self.causes,
-            "acquires_before": self.acquires_before,
-            "acquires_after": self.acquires_total,
-            "adopted": self.adopted,
-            "n_clusters": self.n_clusters,
-            "window_rate_before": self.window_rate_before,
-            "violations_after": self.violations_after,
-            "events_after": self.events_after,
-            "reason": self.reason,
-        }
 
 
 EVENT_FIELDS = ("event_index", "t", "id", "label", "violated", "outlier")
@@ -287,7 +267,7 @@ class FeedbackRunReport:
             "violations_total": self.violations_total,
             "outliers_total": self.outliers_total,
             "adopted_count": self.adopted_count,
-            "triggers": [tr.to_json() for tr in self.triggers],
+            "triggers": jsonable(self.triggers),
         }
 
 
@@ -310,18 +290,19 @@ def _recluster(
 
 
 LABEL_CHUNK = 4096  # stream events encoded and labelled together
+FLAG_CHUNK = 512  # stream events whose violation and outlier flags are filled together
 
 
 class _Columns:
     """Stream-length label, violation and outlier columns. A swap labels the
     stream from its event on, LABEL_CHUNK events at a time, and scores each
     distinct encoded row of a chunk once; only its label reaches the events.
-    The flags follow a chunk at a time. The running flag counts grow with
-    each chunk, so those before a swap stay valid."""
+    The flags follow FLAG_CHUNK events at a time. The running flag counts
+    grow with each chunk, so those before a swap stay valid."""
 
     def __init__(self, stream: Dataset, features: Sequence[str], policy: PredictionPolicy,
-                 delta: DeltaSpec, chunk: int = 512):
-        self.stream, self.policy, self.delta, self.chunk = stream, policy, delta, chunk
+                 delta: DeltaSpec):
+        self.stream, self.policy, self.delta = stream, policy, delta
         self.features = tuple(dict.fromkeys(features))  # a repeated feature is checked once
         index = [stream.schema_runtime.index(f) for f in self.features]
         if index == list(range(index[0], index[0] + len(index))):  # a view, not a copy
@@ -343,7 +324,7 @@ class _Columns:
             self.labels[span] = classify_encoded(model, rows)[0]
 
     def fill(self) -> None:
-        span = slice(self.filled, min(self.filled + self.chunk, len(self.labels)))
+        span = slice(self.filled, min(self.filled + FLAG_CHUNK, len(self.labels)))
         present, inverse = np.unique(self.labels[span], return_inverse=True)
         for label in set(present.tolist()) - self.expected.keys():
             values = predict(self.profiles.group(label), self.features, self.policy)
@@ -411,7 +392,7 @@ def run_feedback(
                 NoViableConfigError, ValueError) as exc:
             record.reason = f"re-clustering failed: {exc}"
             continue
-        record.acquires_total = score_total
+        record.acquires_after = score_total
         record.n_clusters = n_clusters
         if score_total > cfg.tau_quality:
             record.adopted = True

@@ -185,15 +185,6 @@ class AcquiresScore:
     weights: tuple[float, float, float]
     total: float
 
-    def to_json(self) -> dict:
-        return {
-            "cluster_count_score": self.cluster_count_score,
-            "outliers_score": self.outliers_score,
-            "silhouette_score_mean": self.silhouette_score_mean,
-            "weights": list(self.weights),
-            "total": self.total,
-        }
-
 
 EQUAL_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -255,14 +246,6 @@ class ClassReport:
     accuracy: float
     macro_avg: dict[str, float]
     weighted_avg: dict[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "accuracy": self.accuracy,
-            "macro_avg": self.macro_avg,
-            "weighted_avg": self.weighted_avg,
-        }
 
 
 def class_report(predicted: Sequence[int], actual: Sequence[int]) -> ClassReport:

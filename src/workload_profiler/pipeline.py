@@ -36,7 +36,7 @@ from .gridsearch import GRID_REPORT_FIELDS, GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS, check_acquires_params, class_report
 from .predictor import PredictionPolicy, evaluate_holdout
 from .preprocess import hopkins
-from .profiles import ClusteringConfig, ProfileSet, stored_percentile
+from .profiles import DEFAULT_PERCENTILES, ClusteringConfig, ProfileSet, stored_percentile
 from .trace_model import Dataset, TraceSchema, load_trace, runtime_matrix
 
 PROFILES_FILE = "profiles.json"
@@ -71,7 +71,7 @@ class RunConfig:
     hopkins_fraction: float = 0.1
     include_member_ids: bool = False
     alt_normalization: bool = False
-    stats_percentiles: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 95.0)
+    stats_percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
@@ -88,36 +88,35 @@ class RunConfig:
                 "grid", "acquires", "classifier", "prediction", "feedback",
             )}
             acq = section["acquires"]
-            recluster = doc.get("recluster_config")  # null: none pinned
-            features = json_field(doc, "predict_features", list)
+            # only the keys the document holds: the others keep their field defaults
+            parse = {"validation_fraction": float, "build_timestamp": artifacts.json_int,
+                     "hopkins_fraction": float}
+            kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
+            for key, kind, f in (("include_member_ids", bool, bool),
+                                 ("alt_normalization", bool, bool),
+                                 ("predict_features", list, tuple),
+                                 ("stats_percentiles", list, lambda v: tuple(map(float, v)))):
+                if key in doc:
+                    kwargs[key] = f(json_field(doc, key, kind))
+            if "optimal_cluster_count" in acq:
+                kwargs["optimal_cluster_count"] = artifacts.json_int(acq["optimal_cluster_count"])
+            if "weights" in acq:
+                kwargs["acquires_weights"] = tuple(json_field(acq, "weights", list))
+            if "classifier" in doc:
+                kwargs["classifier_params"] = BoostingParams.from_json(section["classifier"])
+            if doc.get("recluster_config") is not None:  # null: none pinned
+                kwargs["recluster_config"] = GridSpec.pinned(
+                    ClusteringConfig.from_json(json_field(doc, "recluster_config", dict))
+                )
             return cls(
                 trace=resolve(doc["trace"]),
                 descriptor=resolve(doc["descriptor"]),
                 output_dir=resolve(doc.get("output_dir", "out")),
                 seed=artifacts.json_int(doc["seed"]),
                 grid=GridSpec.from_json(section["grid"]),
-                optimal_cluster_count=artifacts.json_int(acq.get("optimal_cluster_count", 10)),
-                acquires_weights=tuple(json_field(acq, "weights", list, EQUAL_WEIGHTS)),
-                classifier_params=(
-                    BoostingParams.from_json(section["classifier"])
-                    if "classifier" in doc
-                    else DEFAULT_PARAMS
-                ),
-                validation_fraction=float(doc.get("validation_fraction", 0.2)),
                 prediction=PredictionPolicy.from_json(section["prediction"]),
                 feedback=FeedbackConfig.from_json(section["feedback"]),
-                recluster_config=None if recluster is None else GridSpec.pinned(
-                    ClusteringConfig.from_json(json_field(doc, "recluster_config", dict))
-                ),
-                predict_features=None if features is None else tuple(features),
-                build_timestamp=artifacts.json_int(doc.get("build_timestamp", 0)),
-                hopkins_fraction=float(doc.get("hopkins_fraction", 0.1)),
-                include_member_ids=json_field(doc, "include_member_ids", bool, False),
-                alt_normalization=json_field(doc, "alt_normalization", bool, False),
-                stats_percentiles=tuple(
-                    float(v)
-                    for v in json_field(doc, "stats_percentiles", list, (5, 25, 50, 75, 95))
-                ),
+                **kwargs,
             )._validated()
         except ConfigError:
             raise
@@ -201,7 +200,7 @@ def run_build(config: RunConfig) -> BuildResult:
     hopkins_doc: dict | None
     try:
         hk = hopkins(runtime_matrix(dataset), config.hopkins_fraction, seed=config.seed)
-        hopkins_doc = {"score": hk.score, "sample_size": hk.sample_size, "seed": hk.seed}
+        hopkins_doc = artifacts.jsonable(hk)
     except DegenerateDataError as exc:
         hopkins_doc = {"score": None, "error": str(exc)}
 
@@ -228,14 +227,14 @@ def run_build(config: RunConfig) -> BuildResult:
     if val_part is not None and len(val_part):
         predicted = classify_encoded(model, val_part.rows)[0]
         report = class_report(predicted.tolist(), val_part.labels.tolist())
-        validation_doc = report.to_json()
+        validation_doc = artifacts.jsonable(report)
 
     selected_row = next(r for r in rows if r.selected)
     build_report = {
         "n_workloads": len(dataset),
         "dropped_rows": dropped,
         "hopkins": hopkins_doc,
-        "winner": winner.to_json(),
+        "winner": artifacts.jsonable(winner),
         "winner_metrics": {
             "n_clusters": selected_row.n_clusters,
             "n_outliers": selected_row.n_outliers,

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import jsonable
 from .classifier import ClassifierModel, classify_encoded
 from .errors import EmptyHoldoutError
 from .profiles import ProfileGroup, ProfileSet
@@ -43,20 +44,10 @@ class PredictionPolicy:
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must be strictly inside (0, 1)")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "quantile": self.quantile,
-            "skew_threshold": self.skew_threshold,
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "PredictionPolicy":
-        return cls(
-            kind=doc.get("kind", "skew_conditional"),
-            quantile=float(doc.get("quantile", 0.05)),
-            skew_threshold=float(doc.get("skew_threshold", 1.0)),
-        )
+        parse = {"kind": str, "quantile": float, "skew_threshold": float}
+        return cls(**{key: f(doc[key]) for key, f in parse.items() if key in doc})
 
 
 def predict(
@@ -109,7 +100,7 @@ class RmseReport:
             "n_evaluated": self.n_evaluated,
             "n_excluded": self.n_excluded,
             "fraction_below_50": self.fraction_below_50,
-            "policy": self.policy.to_json(),
+            "policy": jsonable(self.policy),
             "per_profile": {str(k): v for k, v in sorted(self.per_profile.items())},
             "workloads": self.rows,
         }

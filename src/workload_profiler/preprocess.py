@@ -25,12 +25,9 @@ class TransformSpec:
     feature_names: tuple[str, ...]
     params: dict[str, np.ndarray]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "feature_names": list(self.feature_names),
-            "params": {k: [float(v) for v in arr] for k, arr in self.params.items()},
-        }
+    def __post_init__(self):
+        if self.kind not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind {self.kind!r}")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "TransformSpec":
@@ -160,14 +157,12 @@ def apply_transform(spec: TransformSpec, matrix: FeatureMatrix) -> FeatureMatrix
         T = (X - spec.params["min"]) / spec.params["range"]
     elif kind == "robust":
         T = (X - spec.params["median"]) / spec.params["iqr"]
-    elif kind == "power":
+    else:  # power; TransformSpec admits no other kind
         lmbda = spec.params["lambda"]
         T = np.column_stack(
             [_yeo_johnson(X[:, j], lmbda[j]) for j in range(X.shape[1])]
         )
         T = (T - spec.params["mean"]) / spec.params["scale"]
-    else:
-        raise ValueError(f"unknown transform kind {kind!r}")
     return FeatureMatrix(rows=T, feature_names=matrix.feature_names)
 
 

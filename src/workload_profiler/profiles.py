@@ -13,10 +13,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_float, json_int
-from .distances import block_rows, point_to_rows
+from .artifacts import json_float, json_int, jsonable
+from .distances import DISTANCE_KINDS, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
-from .preprocess import TransformSpec, apply_transform, skewness
+from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
 from .trace_model import Dataset, FeatureMatrix, runtime_matrix
 
 DEFAULT_PERCENTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -36,21 +36,15 @@ class ClusteringConfig:
     def __post_init__(self):
         if self.algorithm not in ("dbscan", "hdbscan"):
             raise ValueError(f"unknown clustering algorithm {self.algorithm!r}")
+        if self.transform not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind {self.transform!r}")
+        if self.distance not in DISTANCE_KINDS:
+            raise ValueError(f"unknown distance kind {self.distance!r}")
         if self.min_points < 2:
             raise ValueError("min_points must be >= 2")
         if self.algorithm == "dbscan" and not (self.eps is not None and math.isfinite(self.eps)
                                                and self.eps > 0):
             raise ValueError(f"dbscan requires a finite eps > 0, got {self.eps!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "transform": self.transform,
-            "distance": self.distance,
-            "min_points": self.min_points,
-            "eps": self.eps,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ClusteringConfig":
@@ -87,15 +81,6 @@ class FeatureStats:
             raise KeyError(f"quantile {q} not among stored percentiles {sorted(self.percentiles)}")
         return self.percentiles[p]
 
-    def to_json(self) -> dict:
-        return {
-            "percentiles": {str(p): v for p, v in self.percentiles.items()},
-            "mean": self.mean,
-            "median": self.median,
-            "std": self.std,
-            "skewness": self.skewness,
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "FeatureStats":
         return cls(
@@ -124,7 +109,7 @@ class ProfileGroup:
             "size": self.size,
             "centroid": [float(v) for v in self.centroid],
             "medoid_id": self.medoid_id,
-            "stats": {f: s.to_json() for f, s in self.stats.items()},
+            "stats": jsonable(self.stats),
             "metadata_bag": self.metadata_bag,
             "last_update": self.last_update,
         }
@@ -194,8 +179,8 @@ class ProfileSet:
             "groups": [g.to_json(include_members) for g in self.groups],
             "outlier_count": self.n_outliers,
             "outlier_ids": list(self.outlier_ids) if include_members else None,
-            "config": self.config.to_json(),
-            "transform_spec": self.transform_spec.to_json(),
+            "config": jsonable(self.config),
+            "transform_spec": jsonable(self.transform_spec),
             "distance_threshold": self.distance_threshold,
             "created_at": self.created_at,
             "quality": self.quality,

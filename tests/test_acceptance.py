@@ -268,11 +268,11 @@ def test_criterion_6_feedback_loop():
         last = adopted[-1]
         post_rate = last.violations_after / last.events_after
         main_ok = (
-            last.acquires_total > cfg.tau_quality
+            last.acquires_after > cfg.tau_quality
             and post_rate < last.window_rate_before
         )
         detail = (
-            f"{len(result.triggers)} trigger(s), acquires={last.acquires_total:.3f}, "
+            f"{len(result.triggers)} trigger(s), acquires={last.acquires_after:.3f}, "
             f"rate {last.window_rate_before:.3f} -> {post_rate:.4f}"
         )
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -83,3 +84,36 @@ def test_write_json_streams_into_the_file(tmp_path):
     path = tmp_path / "doc.json"
     peak = traced_peak(lambda: write_json(path, doc))
     assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
+
+
+@dataclass(frozen=True)
+class Pair:
+    values: tuple
+    by_key: dict
+
+
+@dataclass
+class Record:
+    name: str
+    pair: Pair
+    pairs: list
+    worst: float
+
+
+def test_jsonable_writes_a_dataclass_as_its_fields_by_name():
+    record = Record("r", Pair((1, math.inf, np.int64(2)), {5: "five", 0.25: (np.float32(0.5),)}),
+                    [Pair((), {})], math.nan)
+    doc = jsonable(record)
+    assert doc == {"name": "r",
+                   "pair": {"values": [1, None, 2], "by_key": {"5": "five", "0.25": [0.5]}},
+                   "pairs": [{"values": [], "by_key": {}}],
+                   "worst": None}
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc  # plain JSON values only
+
+
+def test_jsonable_writes_a_numpy_array_as_its_nested_lists():
+    doc = jsonable({"floats": np.array([[1.5, np.nan], [-np.inf, -0.0]]), "ints": np.arange(3),
+                    "flags": np.array([True, False]), "empty": np.zeros((0, 2))})
+    assert doc == {"floats": [[1.5, None], [None, -0.0]], "ints": [0, 1, 2],
+                   "flags": [True, False], "empty": []}
+    assert [type(v) for v in doc["ints"] + doc["flags"]] == [int] * 3 + [bool] * 2

@@ -71,6 +71,19 @@ def test_build_writes_artifacts(tmp_path, capsys):
     assert report["validation_report"]["accuracy"] > 0.9
     profiles_doc = artifacts.read_json(out / "profiles.json")
     assert len(profiles_doc["groups"]) == 3
+    # the keys of records written as their dataclass fields
+    assert set(report["hopkins"]) == {"score", "sample_size", "seed"}
+    assert set(report["validation_report"]) == {"per_class", "accuracy", "macro_avg",
+                                                "weighted_avg"}
+    assert set(report["winner"]) == set(profiles_doc["config"]) == {
+        "algorithm", "transform", "distance", "min_points", "eps", "seed"}
+    assert set(profiles_doc["transform_spec"]) == {"kind", "feature_names", "params"}
+    assert {key for group in profiles_doc["groups"] for stats in group["stats"].values()
+            for key in stats} == {"percentiles", "mean", "median", "std", "skewness"}
+    model_doc = artifacts.read_json(out / "model.json")
+    assert set(model_doc["hyperparams"]) == {"rounds", "learning_rate", "max_depth",
+                                             "min_child_weight", "l2"}
+    assert set(model_doc["vocabulary"]) == {"feature_names", "categories", "unknown_policy"}
 
 
 def test_build_reproducible_byte_identical(tmp_path):
@@ -240,6 +253,9 @@ def test_feedback_command(tmp_path, capsys):
     assert "adopted" in printed
     report = artifacts.read_json(out / "feedback-report.json")
     assert report["adopted_count"] >= 1
+    assert {key for trigger in report["triggers"] for key in trigger} == {
+        "event_index", "t", "causes", "acquires_before", "acquires_after", "adopted",
+        "n_clusters", "window_rate_before", "violations_after", "events_after", "reason"}
     assert (out / "violations.csv").exists()
     assert (out / "profiles-post.json").exists()
     assert (out / "model-post.json").exists()
@@ -562,6 +578,7 @@ def test_classify_artifact_and_policy_errors_exit_with_their_codes(tmp_path, cap
         (["--model", model, "--policy", "{not json"], 12),
         (["--model", model, "--profiles", profiles, "--policy", '{"kind": "wat"}'], 12),
         (["--model", model, "--profiles", profiles, "--policy", "[]"], 12),
+        (["--model", model, "--profiles", profiles, "--policy", '"kind"'], 12),
     ):
         capsys.readouterr()
         assert main(["classify", *args, "--input", str(inp)]) == code, args
@@ -632,7 +649,8 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", ["format_version_2", "no_trees", "not_an_object",
                                     "too_many_nodes", "unregularised_gain",
-                                    "profiles_without_groups", "profiles_eps_boolean"])
+                                    "profiles_without_groups", "profiles_eps_boolean",
+                                    "profiles_unknown_distance", "profiles_unknown_transform"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -655,6 +673,10 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["hyperparams"].update(min_child_weight=0.0, l2=0.0)
     elif damage == "profiles_eps_boolean":
         doc["config"]["eps"] = True
+    elif damage == "profiles_unknown_distance":
+        doc["config"]["distance"] = "chebyshev"
+    elif damage == "profiles_unknown_transform":
+        doc["transform_spec"]["kind"] = "log"
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)

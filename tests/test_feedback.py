@@ -326,7 +326,7 @@ def test_drift_triggers_and_adoption_reduces_violations():
     adopted = [tr for tr in report.triggers if tr.adopted]
     assert adopted
     last = adopted[-1]
-    assert last.acquires_total > cfg.tau_quality
+    assert last.acquires_after > cfg.tau_quality
     post_rate = last.violations_after / last.events_after
     assert post_rate < last.window_rate_before
     # the effective update discovered the drifted blob as its own profile
