@@ -15,8 +15,8 @@ tree:
                  missing a feature included), then every record again
                  and a run of six identical records of unseen values;
                  ``evaluate`` on a seeded
-                 holdout, once with ``alt_normalization``; ``sample`` and
-                 ``hopkins`` on the same trace;
+                 holdout, once with ``alt_normalization``;
+  sample-hopkins ``sample`` and ``hopkins`` on the default-grid trace;
   criterion-8    build with the config of acceptance criterion 8;
   drift          build and ``feedback`` over a ``make_drift_pair`` stream;
   drift-seconds  ``feedback`` on the drift build over the same stream with
@@ -67,8 +67,10 @@ tree:
   dbscan-blobs   build on a 900-row ``make_blob_trace`` with a DBSCAN-only
                  grid over all three distances, two sizes and three eps.
 
-Every file of every run directory and each command's classify output is
-compared byte for byte. Exits 1 on any difference or failed command, 0 when
+``RUNS`` holds these by name (drift-seconds runs with drift, wide-deep with
+wide), and ``produce`` runs any of them; ``tests/test_golden_outputs.py``
+checks a part against the digests. Every file of every run directory and
+each command's classify output is compared byte for byte. Exits 1 on any difference or failed command, 0 when
 everything is identical.
 
 ``--digests FILE`` checks the sha256 of every output of the head tree against
@@ -362,44 +364,21 @@ def run(src: Path, code: str, args: list, stdout=None, stdin=None) -> None:
         raise RuntimeError(f"{src}: {args[:1]} exited {proc.returncode}\n{proc.stderr}")
 
 
-def produce(src: Path, inputs: Path, out: Path) -> None:
-    """Every run of one tree, each into its own directory under ``out``."""
-    for name in ("default-grid", "criterion-8", "drift", "drift-long"):
-        run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
-    for name in ("drift", "drift-long"):
-        run(src, CLI, ["feedback", "--config", inputs / f"{name}.json",
-                       "--stream", inputs / f"{name}-stream.csv", "--out", out / name])
-    seconds = out / "drift-seconds"
-    seconds.mkdir(parents=True, exist_ok=True)
-    for artifact in ("model.json", "profiles.json"):
-        shutil.copyfile(out / "drift" / artifact, seconds / artifact)
-    run(src, CLI, ["feedback", "--config", inputs / "drift-seconds.json",
-                   "--stream", inputs / "drift-seconds-stream.csv", "--out", seconds])
-    for name in ("wide", "wide-deep"):
-        run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
-        with open(out / f"classify-{name}.jsonl", "w", encoding="utf-8") as fh:
-            run(src, CLI, ["classify", "--model", out / name / "model.json",
-                           "--profiles", out / name / "profiles.json",
-                           "--input", inputs / "wide.jsonl"], stdout=fh)
-    edge = out / "classify-edge"
-    run(src, CLI, ["build", "--config", inputs / "edge.json", "--out", edge])
-    doc = json.loads((edge / "profiles.json").read_text(encoding="utf-8"))
-    doc["groups"] = [g for g in doc["groups"] if g["label"] != 10]
-    (edge / "profiles-partial.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    for name, profiles in (("profiles", ["--profiles", edge / "profiles.json"]), ("none", []),
-                           ("partial", ["--profiles", edge / "profiles-partial.json"])):
-        with open(out / f"classify-edge-{name}.jsonl", "w", encoding="utf-8") as fh:
-            run(src, CLI, ["classify", "--model", edge / "model.json", *profiles,
-                           "--input", inputs / "edge.jsonl"], stdout=fh)
-    with open(inputs / "edge-stdin.jsonl", "rb") as stdin, \
-            open(out / "classify-edge-stdin.jsonl", "w", encoding="utf-8") as fh:
-        run(src, CLI, ["classify", "--model", edge / "model.json", "--profiles",
-                       edge / "profiles.json", "--input", "-"], stdout=fh, stdin=stdin)
+def _build(src: Path, inputs: Path, out: Path, name: str) -> None:
+    run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
+
+
+def _classify(src: Path, out_file: Path, argv: list, stdin=None) -> None:
+    with open(out_file, "w", encoding="utf-8") as fh:
+        run(src, CLI, ["classify", *argv], stdout=fh, stdin=stdin)
+
+
+def _default_grid(src: Path, inputs: Path, out: Path) -> None:
+    _build(src, inputs, out, "default-grid")
     grid = out / "default-grid"
-    with open(out / "classify.jsonl", "w", encoding="utf-8") as fh:
-        run(src, CLI, ["classify", "--model", grid / "model.json",
-                       "--profiles", grid / "profiles.json",
-                       "--input", inputs / "classify.jsonl"], stdout=fh)
+    _classify(src, out / "classify.jsonl", ["--model", grid / "model.json", "--profiles",
+                                            grid / "profiles.json",
+                                            "--input", inputs / "classify.jsonl"])
     # evaluate writes next to the build artifacts, so each run gets a copy
     for name in ("default-grid", "default-grid-alt"):
         target = out / f"evaluate-{name}"
@@ -408,18 +387,87 @@ def produce(src: Path, inputs: Path, out: Path) -> None:
             shutil.copyfile(grid / artifact, target / artifact)
         run(src, CLI, ["evaluate", "--config", inputs / f"{name}.json",
                        "--holdout", inputs / "holdout.csv", "--out", target])
-    for name in ("cluster-edge", "dbscan-edge", "dbscan-blobs"):
-        run(src, CLI, ["build", "--config", inputs / f"{name}.json", "--out", out / name])
-    edge = out / "ingest-edge"
-    run(src, CLI, ["build", "--config", inputs / "ingest-edge.json", "--out", edge])
+
+
+def _drift(src: Path, inputs: Path, out: Path) -> None:
+    """The drift build and feedback, then drift-seconds on the same build."""
+    _build(src, inputs, out, "drift")
+    run(src, CLI, ["feedback", "--config", inputs / "drift.json",
+                   "--stream", inputs / "drift-stream.csv", "--out", out / "drift"])
+    seconds = out / "drift-seconds"
+    seconds.mkdir(parents=True, exist_ok=True)
+    for artifact in ("model.json", "profiles.json"):
+        shutil.copyfile(out / "drift" / artifact, seconds / artifact)
+    run(src, CLI, ["feedback", "--config", inputs / "drift-seconds.json",
+                   "--stream", inputs / "drift-seconds-stream.csv", "--out", seconds])
+
+
+def _drift_long(src: Path, inputs: Path, out: Path) -> None:
+    _build(src, inputs, out, "drift-long")
+    run(src, CLI, ["feedback", "--config", inputs / "drift-long.json",
+                   "--stream", inputs / "drift-long-stream.csv", "--out", out / "drift-long"])
+
+
+def _wide(src: Path, inputs: Path, out: Path) -> None:
+    for name in ("wide", "wide-deep"):
+        _build(src, inputs, out, name)
+        _classify(src, out / f"classify-{name}.jsonl", [
+            "--model", out / name / "model.json", "--profiles", out / name / "profiles.json",
+            "--input", inputs / "wide.jsonl"])
+
+
+def _classify_edge(src: Path, inputs: Path, out: Path) -> None:
+    edge = out / "classify-edge"
+    run(src, CLI, ["build", "--config", inputs / "edge.json", "--out", edge])
+    doc = json.loads((edge / "profiles.json").read_text(encoding="utf-8"))
+    doc["groups"] = [g for g in doc["groups"] if g["label"] != 10]
+    (edge / "profiles-partial.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    for name, profiles in (("profiles", ["--profiles", edge / "profiles.json"]), ("none", []),
+                           ("partial", ["--profiles", edge / "profiles-partial.json"])):
+        _classify(src, out / f"classify-edge-{name}.jsonl",
+                  ["--model", edge / "model.json", *profiles, "--input", inputs / "edge.jsonl"])
+    with open(inputs / "edge-stdin.jsonl", "rb") as stdin:
+        _classify(src, out / "classify-edge-stdin.jsonl", [
+            "--model", edge / "model.json", "--profiles", edge / "profiles.json", "--input", "-"],
+            stdin=stdin)
+
+
+def _ingest_edge(src: Path, inputs: Path, out: Path) -> None:
+    _build(src, inputs, out, "ingest-edge")
     run(src, CLI, ["evaluate", "--config", inputs / "ingest-edge.json",
-                   "--holdout", inputs / "ingest-edge.csv", "--out", edge])
+                   "--holdout", inputs / "ingest-edge.csv", "--out", out / "ingest-edge"])
+
+
+def _sample_hopkins(src: Path, inputs: Path, out: Path) -> None:
     trace = ["--trace", inputs / "default-grid.csv",
              "--descriptor", inputs / "default-grid-descriptor.json"]
     run(src, CLI, ["sample", *trace, "--stratify-on", "app", "--target", 300,
                    "--seed", 5, "--out", out / "sample.csv"])
     with open(out / "hopkins.json", "w", encoding="utf-8") as fh:
         run(src, CLI, ["hopkins", *trace, "--fraction", 0.1, "--seed", 3], stdout=fh)
+
+
+# Each run writes under ``out`` from the inputs alone; they may run in any order.
+RUNS = {
+    "default-grid": _default_grid,
+    "criterion-8": lambda src, inputs, out: _build(src, inputs, out, "criterion-8"),
+    "drift": _drift,
+    "drift-long": _drift_long,
+    "wide": _wide,
+    "classify-edge": _classify_edge,
+    "cluster-edge": lambda src, inputs, out: _build(src, inputs, out, "cluster-edge"),
+    "dbscan-edge": lambda src, inputs, out: _build(src, inputs, out, "dbscan-edge"),
+    "dbscan-blobs": lambda src, inputs, out: _build(src, inputs, out, "dbscan-blobs"),
+    "ingest-edge": _ingest_edge,
+    "sample-hopkins": _sample_hopkins,
+}
+
+
+def produce(src: Path, inputs: Path, out: Path, runs=tuple(RUNS)) -> None:
+    """The named runs of one tree (by default every run), each writing
+    under ``out``."""
+    for name in runs:
+        RUNS[name](src, inputs, out)
 
 
 def differences(a: Path, b: Path) -> list[str]:

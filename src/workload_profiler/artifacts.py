@@ -14,8 +14,11 @@ import csv
 import dataclasses
 import json
 import math
+from collections.abc import Callable, Mapping, Sequence
+from functools import cache, partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,19 +70,106 @@ def json_float(value) -> float:
     return float(value)
 
 
-_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
+_JSON_KINDS = {str: "string", bool: "boolean", list: "list", dict: "object"}
 
 
-def json_field(doc: Mapping, key: str, kind: type, default=None):
-    """``doc[key]``, which must be a JSON ``kind`` (an object, a list or a
-    boolean as ``json`` parses them; anything else is a TypeError), or
-    ``default`` when the key is absent."""
-    if key not in doc:
-        return default
-    value = doc[key]
+def _json(kind: type, value):
+    """``value``, which must be a JSON ``kind`` as ``json`` parses it (a
+    string, a boolean, a list or an object); anything else is a TypeError."""
     if not isinstance(value, kind):
-        raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+        raise TypeError(f"a JSON {_JSON_KINDS[kind]} is required, got {value!r}")
     return value
+
+
+def _homogeneous(kind: type, value) -> tuple:
+    """The tuple of a JSON list whose items are all ``kind``, checked in one pass."""
+    if not all(isinstance(item, kind) for item in _json(list, value)):
+        _json(kind, next(item for item in value if not isinstance(item, kind)))
+    return tuple(value)
+
+
+def _array(value) -> np.ndarray:
+    """The float64 array of a JSON list of numbers; null reads as NaN."""
+    if any(isinstance(item, bool) for item in _json(list, value)):
+        raise ValueError(f"a list of numbers is required, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _fixed(readers: tuple, value) -> tuple:
+    """The tuple of a JSON list of exactly one item per reader."""
+    if len(_json(list, value)) != len(readers):
+        raise ValueError(f"a list of {len(readers)} items is required, got {value!r}")
+    return tuple(read(item) for read, item in zip(readers, value))
+
+
+def _reader(hint) -> Callable:
+    """The parser of one JSON value for a field declared as ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is int:
+        return json_int
+    if hint is float:
+        return json_float
+    if hint in (str, bool):
+        return partial(_json, hint)
+    if hint is Path:
+        return lambda value: Path(_json(str, value))
+    if hint is np.ndarray:
+        return _array
+    if dataclasses.is_dataclass(hint):
+        return partial(read_record, hint)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        read = _reader(args[args[0] is type(None)])
+        return lambda value: None if value is None else read(value)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        if args[0] in (str, bool):
+            return partial(_homogeneous, args[0])
+        read = _reader(args[0])
+        return lambda value: tuple(map(read, _json(list, value)))
+    if origin is tuple:
+        return partial(_fixed, tuple(map(_reader, args)))
+    if origin in (dict, Mapping):
+        key, item = map(_reader, args)
+        return lambda value: {key(k): item(v) for k, v in _json(dict, value).items()}
+    raise TypeError(f"no JSON reader for {hint!r}")
+
+
+@cache
+def _fields(cls) -> tuple:
+    """(name, parser, required) of each field of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("read") or _reader(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def read_record(cls, doc):
+    """The ``cls`` dataclass of a JSON object, the inverse of ``jsonable``.
+
+    Each key of ``doc`` that names a field is parsed by the field's
+    declared type: ``int`` by ``json_int`` and ``float`` by ``json_float``;
+    a ``str`` or ``bool`` must be that JSON type; ``X | None`` also takes
+    null; a tuple comes from a JSON list (of its length, unless it is
+    ``tuple[X, ...]``), a ``dict[K, V]`` from a JSON object with its keys
+    parsed as ``K``, an ndarray from a list of numbers, a ``Path`` from a
+    string, and a nested dataclass is read by this function. A field whose
+    metadata holds a ``"read"`` parser is parsed by that instead. An absent
+    key keeps the field's default, and a field without one is required;
+    other keys are ignored. A value of the wrong JSON type is a TypeError
+    and any other bad value a ValueError, its message led by the key."""
+    _json(dict, doc)
+    kwargs = {}
+    for name, read, required in _fields(cls):
+        if name in doc:
+            try:
+                kwargs[name] = read(doc[name])
+            except (TypeError, ValueError) as exc:
+                kind = TypeError if isinstance(exc, TypeError) else ValueError
+                raise kind(f"{name}: {exc}") from exc
+        elif required:
+            raise ValueError(f"{name}: a value is required")
+    return cls(**kwargs)
 
 
 _FLAGS = ("false", "true")

@@ -26,8 +26,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_int
-
 # Forest.empty allocates rounds x classes x (2^(max_depth+1) - 1) nodes, and
 # a level's split histograms hold up to 2^max_depth x dim floats.
 MAX_DEPTH = 10
@@ -59,16 +57,6 @@ class BoostingParams:
     def forest_shape(self, n_classes: int) -> tuple[int, int, int]:
         """(rounds, classes, nodes per tree) of the forest these params grow."""
         return (self.rounds, n_classes, 2 ** (self.max_depth + 1) - 1)
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "BoostingParams":
-        return cls(
-            rounds=json_int(doc["rounds"]),
-            learning_rate=float(doc["learning_rate"]),
-            max_depth=json_int(doc["max_depth"]),
-            min_child_weight=float(doc["min_child_weight"]),
-            l2=float(doc["l2"]),
-        )
 
 
 DEFAULT_PARAMS = BoostingParams()

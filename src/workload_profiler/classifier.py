@@ -9,11 +9,11 @@ and safe to run concurrently.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import jsonable
+from .artifacts import jsonable, read_record
 from .boosting import (
     BoostingParams,
     DEFAULT_PARAMS,
@@ -69,8 +69,12 @@ class ClassifierModel:
     def from_json(cls, doc: Mapping) -> "ClassifierModel":
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {doc.get('format_version')}")
-        vocab = EncoderVocabulary.from_json(doc["vocabulary"])
-        params = BoostingParams.from_json(doc["hyperparams"])
+        vocab = read_record(EncoderVocabulary, doc["vocabulary"])
+        params = read_record(BoostingParams, doc["hyperparams"])
+        # a config may leave hyperparameters at their defaults; a model states them all
+        missing = [f.name for f in fields(BoostingParams) if f.name not in doc["hyperparams"]]
+        if missing:
+            raise KeyError(f"hyperparams lacks {missing}")
         class_labels = tuple(int(c) for c in doc["class_labels"])
         forest = Forest.from_json(doc["trees"], len(class_labels), vocab.dimension, params)
         bounds = doc.get("bucket_bounds")

@@ -171,10 +171,7 @@ def _cmd_classify(args) -> int:
     policy = PredictionPolicy()
     if args.policy:
         try:
-            doc = json.loads(args.policy)
-            if not isinstance(doc, dict):
-                raise TypeError(f"a JSON object is required, got {doc!r}")
-            policy = PredictionPolicy.from_json(doc)
+            policy = artifacts.read_record(PredictionPolicy, json.loads(args.policy))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid --policy: {exc}") from exc
     fragments = _line_fragments(model, profiles, policy)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -62,14 +61,6 @@ class EncoderVocabulary:
                 return f"{f}={self.categories[f][index - at]}"
             at += size
         raise IndexError(index)
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EncoderVocabulary":
-        return cls(
-            feature_names=tuple(doc["feature_names"]),
-            categories={f: tuple(v) for f, v in doc["categories"].items()},
-            unknown_policy=doc.get("unknown_policy", "zero"),
-        )
 
 
 def build_vocabulary(block: MetadataBlock) -> EncoderVocabulary:

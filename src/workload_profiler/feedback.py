@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .artifacts import json_field, json_int, jsonable
+from .artifacts import json_float, jsonable
 from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
@@ -41,6 +41,11 @@ from .profiles import ProfileSet
 from .trace_model import Dataset, FeatureMatrix
 
 
+def _inf_if_null(value) -> float:
+    """A delta ``default`` of JSON null is no default threshold."""
+    return math.inf if value is None else json_float(value)
+
+
 @dataclass(frozen=True)
 class DeltaSpec:
     """Per-feature deviation thresholds; 'relative' compares against the
@@ -48,7 +53,7 @@ class DeltaSpec:
 
     mode: str = "relative"
     thresholds: dict[str, float] = field(default_factory=dict)
-    default: float = math.inf
+    default: float = field(default=math.inf, metadata={"read": _inf_if_null})
 
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
@@ -58,16 +63,6 @@ class DeltaSpec:
 
     def threshold(self, feature: str) -> float:
         return self.thresholds.get(feature, self.default)
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "DeltaSpec":
-        # a null default is no default threshold
-        parse = {"mode": str, "default": lambda v: math.inf if v is None else float(v)}
-        kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
-        if "thresholds" in doc:
-            thresholds = json_field(doc, "thresholds", dict)
-            kwargs["thresholds"] = {k: float(v) for k, v in thresholds.items()}
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -103,17 +98,6 @@ class FeedbackConfig:
     @property
     def cooldown(self) -> int:
         return self.window if self.min_events_between_triggers is None else self.min_events_between_triggers
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "FeedbackConfig":
-        parse = {"tau_v": float, "tau_o": float, "tau_f": float, "decay": float,
-                 "window": json_int, "window_mode": str, "tau_quality": float,
-                 # null: the window size
-                 "min_events_between_triggers": lambda v: None if v is None else json_int(v)}
-        kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
-        if "delta" in doc:
-            kwargs["delta"] = DeltaSpec.from_json(json_field(doc, "delta", dict))
-        return cls(**kwargs)
 
 
 def _violated(

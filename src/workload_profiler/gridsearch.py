@@ -6,11 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import groupby
-from typing import Mapping
 
 import numpy as np
 
-from .artifacts import json_field, json_float, json_int
 from .dbscan import eps_cut
 from .errors import DegenerateDataError, NoViableConfigError
 from .hdbscan import lockstep_trees, tree_labels
@@ -53,16 +51,6 @@ class GridSpec:
             raise ValueError("dbscan combinations require at least one eps value")
         if not all(math.isfinite(eps) and eps > 0 for eps in self.eps):
             raise ValueError(f"eps values must be finite and > 0, got {list(self.eps)}")
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "GridSpec":
-        parse = {"min_points": json_int, "eps": json_float}
-        kwargs = {}
-        for key in ("algorithms", "transforms", "distances", "min_points", "eps"):
-            if key in doc:
-                values = json_field(doc, key, list)
-                kwargs[key] = tuple(map(parse[key], values) if key in parse else values)
-        return cls(**kwargs)
 
     @classmethod
     def pinned(cls, c: ClusteringConfig) -> "GridSpec":

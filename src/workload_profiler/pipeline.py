@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .artifacts import json_field
 from .boosting import MAX_NODES, BoostingParams, DEFAULT_PARAMS
 from .classifier import (
     ClassifierModel,
@@ -52,6 +51,12 @@ PROFILES_POST_FILE = "profiles-post.json"
 MODEL_POST_FILE = "model-post.json"
 
 
+def _pinned(doc) -> GridSpec | None:
+    """The grid of the one combination a ``recluster_config`` object names
+    (null: none pinned)."""
+    return None if doc is None else GridSpec.pinned(artifacts.read_record(ClusteringConfig, doc))
+
+
 @dataclass
 class RunConfig:
     trace: Path
@@ -65,7 +70,7 @@ class RunConfig:
     validation_fraction: float = 0.2
     prediction: PredictionPolicy = field(default_factory=PredictionPolicy)
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    recluster_config: GridSpec | None = None  # one pinned combination
+    recluster_config: GridSpec | None = field(default=None, metadata={"read": _pinned})
     predict_features: tuple[str, ...] | None = None
     build_timestamp: int = 0
     hopkins_fraction: float = 0.1
@@ -75,49 +80,29 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
-        def resolve(p: str) -> Path:
-            path = Path(p)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return path
-
+        """The config of a JSON document, read by ``artifacts.read_record``
+        with three keys moved: ``acquires`` holds ``optimal_cluster_count``
+        and ``weights`` (``acquires_weights``), and ``classifier`` is
+        ``classifier_params``. Relative paths are resolved against
+        ``base_dir``."""
         try:
             if "seed" not in doc:
                 raise ConfigError("config must pin a seed (reproducibility contract)")
-            section = {key: json_field(doc, key, dict, {}) for key in (
-                "grid", "acquires", "classifier", "prediction", "feedback",
-            )}
-            acq = section["acquires"]
-            # only the keys the document holds: the others keep their field defaults
-            parse = {"validation_fraction": float, "build_timestamp": artifacts.json_int,
-                     "hopkins_fraction": float}
-            kwargs = {key: f(doc[key]) for key, f in parse.items() if key in doc}
-            for key, kind, f in (("include_member_ids", bool, bool),
-                                 ("alt_normalization", bool, bool),
-                                 ("predict_features", list, tuple),
-                                 ("stats_percentiles", list, lambda v: tuple(map(float, v)))):
-                if key in doc:
-                    kwargs[key] = f(json_field(doc, key, kind))
-            if "optimal_cluster_count" in acq:
-                kwargs["optimal_cluster_count"] = artifacts.json_int(acq["optimal_cluster_count"])
-            if "weights" in acq:
-                kwargs["acquires_weights"] = tuple(json_field(acq, "weights", list))
-            if "classifier" in doc:
-                kwargs["classifier_params"] = BoostingParams.from_json(section["classifier"])
-            if doc.get("recluster_config") is not None:  # null: none pinned
-                kwargs["recluster_config"] = GridSpec.pinned(
-                    ClusteringConfig.from_json(json_field(doc, "recluster_config", dict))
-                )
-            return cls(
-                trace=resolve(doc["trace"]),
-                descriptor=resolve(doc["descriptor"]),
-                output_dir=resolve(doc.get("output_dir", "out")),
-                seed=artifacts.json_int(doc["seed"]),
-                grid=GridSpec.from_json(section["grid"]),
-                prediction=PredictionPolicy.from_json(section["prediction"]),
-                feedback=FeedbackConfig.from_json(section["feedback"]),
-                **kwargs,
-            )._validated()
+            acquires = doc.get("acquires", {})
+            if not isinstance(acquires, dict):
+                raise TypeError(f"acquires: a JSON object is required, got {acquires!r}")
+            flat = {"output_dir": "out", **doc}
+            for section, key, name in ((doc, "classifier", "classifier_params"),
+                                       (acquires, "optimal_cluster_count", "optimal_cluster_count"),
+                                       (acquires, "weights", "acquires_weights")):
+                flat.pop(name, None)  # read from its section only
+                if key in section:
+                    flat[name] = section[key]
+            config = artifacts.read_record(cls, flat)
+            if base_dir is not None:  # an absolute path stays as it is
+                for name in ("trace", "descriptor", "output_dir"):
+                    setattr(config, name, base_dir / getattr(config, name))
+            return config._validated()
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ normalization by the profile's feature mean is available behind a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class PredictionPolicy:
             raise ValueError(f"unknown prediction policy {self.kind!r}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must be strictly inside (0, 1)")
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "PredictionPolicy":
-        parse = {"kind": str, "quantile": float, "skew_threshold": float}
-        return cls(**{key: f(doc[key]) for key, f in parse.items() if key in doc})
 
 
 def predict(

@@ -29,14 +29,6 @@ class TransformSpec:
         if self.kind not in TRANSFORM_KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "TransformSpec":
-        return cls(
-            kind=doc["kind"],
-            feature_names=tuple(doc["feature_names"]),
-            params={k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()},
-        )
-
 
 @dataclass(frozen=True)
 class HopkinsResult:

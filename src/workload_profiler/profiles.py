@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_float, json_int, jsonable
+from .artifacts import jsonable, read_record
 from .distances import DISTANCE_KINDS, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
@@ -46,17 +46,6 @@ class ClusteringConfig:
                                                and self.eps > 0):
             raise ValueError(f"dbscan requires a finite eps > 0, got {self.eps!r}")
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "ClusteringConfig":
-        return cls(
-            algorithm=doc["algorithm"],
-            transform=doc["transform"],
-            distance=doc["distance"],
-            min_points=json_int(doc["min_points"]),
-            eps=None if doc.get("eps") is None else json_float(doc["eps"]),
-            seed=json_int(doc.get("seed", 0)),
-        )
-
 
 def stored_percentile(percentiles: Iterable[float], q: float) -> float | None:
     """The first stored percentile that quantile q names (q * 100 rounded to
@@ -80,16 +69,6 @@ class FeatureStats:
         if p is None:
             raise KeyError(f"quantile {q} not among stored percentiles {sorted(self.percentiles)}")
         return self.percentiles[p]
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "FeatureStats":
-        return cls(
-            percentiles={float(p): float(v) for p, v in doc["percentiles"].items()},
-            mean=float(doc["mean"]),
-            median=float(doc["median"]),
-            std=float(doc["std"]),
-            skewness=None if doc["skewness"] is None else float(doc["skewness"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +103,7 @@ class ProfileGroup:
             size=int(doc["size"]),
             centroid=np.asarray(doc["centroid"], dtype=np.float64),
             medoid_id=doc.get("medoid_id"),
-            stats={f: FeatureStats.from_json(s) for f, s in doc["stats"].items()},
+            stats={f: read_record(FeatureStats, s) for f, s in doc["stats"].items()},
             metadata_bag={
                 f: {v: int(c) for v, c in bag.items()}
                 for f, bag in doc["metadata_bag"].items()
@@ -191,8 +170,8 @@ class ProfileSet:
         return cls(
             groups=tuple(ProfileGroup.from_json(g) for g in doc["groups"]),
             outlier_ids=tuple(doc["outlier_ids"] or ()),
-            config=ClusteringConfig.from_json(doc["config"]),
-            transform_spec=TransformSpec.from_json(doc["transform_spec"]),
+            config=read_record(ClusteringConfig, doc["config"]),
+            transform_spec=read_record(TransformSpec, doc["transform_spec"]),
             distance_threshold=float(doc["distance_threshold"]),
             created_at=int(doc["created_at"]),
             n_outliers=int(doc["outlier_count"]),

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import read_record
 from .errors import (
     DuplicateIdError,
     NoValidRowsError,
@@ -78,12 +79,6 @@ class TraceSchema:
         return tuple(c for c, r in self.columns.items() if r == "runtime")
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "TraceSchema":
-        if "columns" not in doc or not isinstance(doc["columns"], Mapping):
-            raise SchemaError("descriptor must contain a 'columns' mapping")
-        return cls(columns=dict(doc["columns"]), bucketize=tuple(doc.get("bucketize", ())))
-
-    @classmethod
     def load(cls, path: str | Path) -> "TraceSchema":
         try:
             with open(path, encoding="utf-8") as fh:
@@ -92,7 +87,10 @@ class TraceSchema:
             raise TraceReadError(f"cannot read descriptor {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"descriptor {path} is not valid JSON: {exc}") from exc
-        return cls.from_json(doc)
+        try:
+            return read_record(cls, doc)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid descriptor {path}: {exc}") from exc
 
     def to_json(self) -> dict:
         doc: dict = {"columns": dict(self.columns)}

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from workload_profiler import artifacts
-from workload_profiler.artifacts import CSV_CHUNK, jsonable, write_csv, write_json
+from workload_profiler.artifacts import CSV_CHUNK, jsonable, read_record, write_csv, write_json
+from workload_profiler.boosting import BoostingParams
+from workload_profiler.encoding import EncoderVocabulary
+from workload_profiler.feedback import DeltaSpec, FeedbackConfig
+from workload_profiler.gridsearch import GridSpec
+from workload_profiler.predictor import PredictionPolicy
+from workload_profiler.preprocess import TransformSpec
+from workload_profiler.profiles import ClusteringConfig, FeatureStats
+from workload_profiler.trace_model import TraceSchema
 
 FIELDS = ("event_index", "t", "id", "label", "violated", "outlier")
 
@@ -117,3 +125,35 @@ def test_jsonable_writes_a_numpy_array_as_its_nested_lists():
     assert doc == {"floats": [[1.5, None], [None, -0.0]], "ints": [0, 1, 2],
                    "flags": [True, False], "empty": []}
     assert [type(v) for v in doc["ints"] + doc["flags"]] == [int] * 3 + [bool] * 2
+
+
+RECORDS = [
+    BoostingParams(rounds=7, learning_rate=0.25, max_depth=3, min_child_weight=0.5, l2=2.0),
+    ClusteringConfig("dbscan", "power", "cosine", 12, eps=0.3, seed=4),
+    ClusteringConfig("hdbscan", "minmax", "manhattan", 5),
+    FeatureStats({5.0: 1.5, 50.0: 2.0, 97.5: 9.25}, mean=2.5, median=2.0, std=0.75,
+                 skewness=None),
+    TransformSpec("power", ("cpu", "mem"), {"lambda": np.array([0.5, -1.25]),
+                                            "mean": np.array([1e-300, 3.0])}),
+    EncoderVocabulary(("app", "zone"), {"app": ("a", "b", "ü"), "zone": ("z",)}),
+    DeltaSpec("absolute", {"cpu": 0.5, "mem": 0.0}, default=2.0),
+    FeedbackConfig(DeltaSpec(thresholds={"cpu": 0.25}), tau_v=0.3, window=300,
+                   window_mode="seconds", min_events_between_triggers=0),
+    PredictionPolicy("fixed_quantile", 0.25, 2.0),
+    GridSpec(("hdbscan", "dbscan"), ("power",), ("euclidean", "cosine"), (3, 8), (0.2, 0.6)),
+    TraceSchema({"id": "id", "app": "metadata", "n": "metadata", "cpu": "runtime",
+                 "t": "timestamp"}, bucketize=("n",)),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_read_record_is_the_inverse_of_jsonable(record):
+    back = read_record(type(record), json.loads(json.dumps(jsonable(record))))
+    if isinstance(record, TransformSpec):  # its arrays compare element by element
+        assert (back.kind, back.feature_names) == (record.kind, record.feature_names)
+        assert back.params.keys() == record.params.keys()
+        for key, values in record.params.items():
+            assert back.params[key].dtype == np.float64
+            np.testing.assert_array_equal(back.params[key], values)
+    else:
+        assert back == record

@@ -7,9 +7,11 @@ from oracles import slow_forest_probabilities
 from rows import rows_of
 
 from workload_profiler import artifacts, pipeline
+from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import ClassifierModel, classify_batch, encode_records
 from workload_profiler.cli import CLASSIFY_CHUNK, main
 from workload_profiler.errors import SchemaError
+from workload_profiler.feedback import FeedbackConfig
 from workload_profiler.predictor import PredictionPolicy, predict
 from workload_profiler.profiles import ProfileSet
 from workload_profiler.synth import make_blob_trace, make_drift_pair
@@ -291,6 +293,18 @@ def test_hopkins_command(tmp_path, capsys):
     assert doc["score"] < 0.15  # blob data clusters
 
 
+@pytest.mark.parametrize("bucketize", [5, [["app"]], "app"], ids=["number", "nested-list", "text"])
+def test_descriptor_bucketize_that_is_not_a_list_of_names_exits_3(tmp_path, capsys, bucketize):
+    _, _, trace, descriptor = write_inputs(tmp_path, n=200)
+    artifacts.write_json(descriptor, {**artifacts.read_json(descriptor), "bucketize": bucketize})
+    config = write_config(tmp_path, trace, descriptor, tmp_path / "out")
+    for argv in (["hopkins", "--trace", str(trace), "--descriptor", str(descriptor)],
+                 ["build", "--config", str(config)]):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        assert f"invalid descriptor {descriptor}: bucketize" in capsys.readouterr().err
+
+
 def test_sample_command(tmp_path, capsys):
     _, _, trace, descriptor = write_inputs(tmp_path)
     out = tmp_path / "sampled.csv"
@@ -409,11 +423,19 @@ PINNED_DBSCAN = {"algorithm": "dbscan", "transform": "power", "distance": "eucli
     {"recluster_config": {**PINNED_DBSCAN, "eps": "x"}},
     {"recluster_config": {**PINNED_DBSCAN, "eps": "nan"}},
     {"recluster_config": {**PINNED_DBSCAN, "eps": [0.3]}},
+    {"hopkins_fraction": True}, {"validation_fraction": False}, {"feedback": {"tau_v": True}},
+    {"prediction": {"skew_threshold": True}},
+    {"acquires": {"optimal_cluster_count": 3, "weights": [True, 0, 0]}},
+    {"stats_percentiles": [5, True]}, {"feedback": {"delta": {"thresholds": {"cpu_usage": True}}}},
+    {"classifier": {**BOOST, "learning_rate": True}},
 ], ids=["hopkins-0", "hopkins-2", "percentile-150", "percentile-nan", "eps-negative", "eps-text",
         "unregularised-gain", "prediction-text", "acquires-list", "feedback-text", "delta-text",
         "grid-list", "grid-text", "min-points-text", "percentiles-text", "features-text",
         "member-ids-text", "alt-normalization-number", "eps-boolean", "recluster-eps-boolean",
-        "recluster-eps-text", "recluster-eps-nan", "recluster-eps-list"])
+        "recluster-eps-text", "recluster-eps-nan", "recluster-eps-list", "hopkins-boolean",
+        "validation-fraction-boolean", "tau-v-boolean", "skew-threshold-boolean",
+        "weights-boolean", "percentile-boolean", "delta-threshold-boolean",
+        "learning-rate-boolean"])
 def test_config_rejects_out_of_range_values_before_reading_the_trace(tmp_path, extra):
     # the trace path does not exist, so exit 12 (not 4) shows nothing was read
     doc = artifacts.read_json(write_config(tmp_path, tmp_path / "absent.csv",
@@ -466,6 +488,15 @@ def test_config_integral_values_parse_as_ints(tmp_path):
               config.feedback.min_events_between_triggers)
     assert values == (7, 3, 20, 30, 4, 5, 10, 250, 0)
     assert all(type(v) is int for v in values)
+
+
+def test_config_sections_keep_the_defaults_of_the_keys_they_omit():
+    doc = {"trace": "t.csv", "descriptor": "d.json", "seed": 1, "classifier": {"rounds": 10},
+           "acquires": {"weights": [0.5, 0.25, 0.25]}, "feedback": {"delta": {"default": None}}}
+    config = pipeline.RunConfig.from_json(doc)
+    assert config.classifier_params == BoostingParams(rounds=10)
+    assert (config.optimal_cluster_count, config.acquires_weights) == (10, (0.5, 0.25, 0.25))
+    assert config.feedback == FeedbackConfig()  # a null delta default is no default threshold
 
 
 def test_recluster_eps_parses_like_the_grid_eps():
@@ -650,7 +681,9 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("damage", ["format_version_2", "no_trees", "not_an_object",
                                     "too_many_nodes", "unregularised_gain",
                                     "profiles_without_groups", "profiles_eps_boolean",
-                                    "profiles_unknown_distance", "profiles_unknown_transform"])
+                                    "profiles_unknown_distance", "profiles_unknown_transform",
+                                    "profiles_mean_boolean", "learning_rate_boolean",
+                                    "hyperparams_without_l2"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -677,6 +710,12 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["config"]["distance"] = "chebyshev"
     elif damage == "profiles_unknown_transform":
         doc["transform_spec"]["kind"] = "log"
+    elif damage == "profiles_mean_boolean":
+        doc["groups"][0]["stats"]["cpu_usage"]["mean"] = True
+    elif damage == "learning_rate_boolean":
+        doc["hyperparams"]["learning_rate"] = True
+    elif damage == "hyperparams_without_l2":  # unlike a config, a model states every value
+        del doc["hyperparams"]["l2"]
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)

@@ -27,7 +27,7 @@ from workload_profiler.preprocess import apply_transform
 from workload_profiler.synth import make_drift_pair
 from oracles import slow_trigger_scan
 from rows import reordered, rows_of
-from workload_profiler.artifacts import write_csv
+from workload_profiler.artifacts import read_record, write_csv
 from workload_profiler.trace_model import Dataset, FeatureMatrix, MetadataBlock
 
 FAST_BOOST = BoostingParams(rounds=25)
@@ -540,20 +540,20 @@ def test_delta_thresholds_must_be_numbers_at_least_zero():
     for delta in ({"default": "nan"}, {"default": -0.5}, {"thresholds": {"cpu_usage": math.nan}},
                   {"thresholds": {"cpu_usage": 1.0, "mem_usage": -1e-9}}):
         with pytest.raises(ValueError):
-            FeedbackConfig.from_json({"delta": delta})
+            read_record(FeedbackConfig, {"delta": delta})
     for delta in ({"default": 0}, {"default": "inf"}, {"default": None},
                   {"thresholds": {"cpu_usage": 0.0, "mem_usage": math.inf}}):
-        FeedbackConfig.from_json({"delta": delta})
+        read_record(FeedbackConfig, {"delta": delta})
     with pytest.raises(ValueError):
         DeltaSpec(thresholds={"cpu_usage": math.nan})
 
 
 def test_min_events_between_triggers_is_parsed_as_an_int():
-    cfg = FeedbackConfig.from_json({"window": 50, "min_events_between_triggers": "100"})
+    cfg = read_record(FeedbackConfig, {"window": 50, "min_events_between_triggers": "100"})
     assert cfg.min_events_between_triggers == 100 and cfg.cooldown == 100
-    assert FeedbackConfig.from_json({"window": 50}).cooldown == 50
+    assert read_record(FeedbackConfig, {"window": 50}).cooldown == 50
     with pytest.raises(ValueError):
-        FeedbackConfig.from_json({"min_events_between_triggers": "-5"})
+        read_record(FeedbackConfig, {"min_events_between_triggers": "-5"})
 
 
 def test_stream_columns_meet_the_model_by_name_and_leave_as_python_scalars(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import slow_percentile
-from workload_profiler.artifacts import jsonable
+from workload_profiler.artifacts import jsonable, read_record
 from workload_profiler.errors import DegenerateDataError, SchemaError, UndefinedSkewnessError
 from workload_profiler.preprocess import (
     TransformSpec,
@@ -70,7 +70,7 @@ def test_power_standardizes():
 def test_apply_to_unseen_and_serialization():
     spec, _ = fit_transform(matrix([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]), "standard")
     doc = jsonable(spec)
-    spec2 = TransformSpec.from_json(doc)
+    spec2 = read_record(TransformSpec, doc)
     fresh = matrix([[2.0, 20.0]])
     np.testing.assert_array_equal(
         apply_transform(spec, fresh).rows, apply_transform(spec2, fresh).rows

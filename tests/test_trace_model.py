@@ -12,6 +12,7 @@ from workload_profiler.errors import (
     TraceReadError,
 )
 from rows import dataset_of, rows_of
+from workload_profiler.artifacts import read_record
 from workload_profiler.encoding import build_vocabulary
 from workload_profiler.synth import make_blob_trace
 from workload_profiler.trace_model import (
@@ -45,7 +46,7 @@ def test_load_all_valid(tmp_path):
         tmp_path / "t.csv",
         "job,user,cpu,mem\nj1,a,1.0,2.0\nj2,b,3.5,4.5\nj3,a,5.0,6.0\n",
     )
-    ds, dropped = load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
+    ds, dropped = load_trace(trace, read_record(TraceSchema, DESCRIPTOR))
     assert len(ds) == 3 and dropped == 0
     assert rows_of(ds)[1].runtime == {"cpu": 3.5, "mem": 4.5}
     # no timestamp column: submission order is row order
@@ -57,7 +58,7 @@ def test_load_drops_empty_cell(tmp_path):
         tmp_path / "t.csv",
         "job,user,cpu,mem\nj1,a,1.0,2.0\nj2,b,,4.5\nj3,a,5.0,6.0\n",
     )
-    ds, dropped = load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
+    ds, dropped = load_trace(trace, read_record(TraceSchema, DESCRIPTOR))
     assert len(ds) == 2 and dropped == 1
     assert ds.ids.tolist() == ["j1", "j3"]
 
@@ -67,7 +68,7 @@ def test_load_drops_non_finite(tmp_path):
         tmp_path / "t.csv",
         "job,user,cpu,mem\nj1,a,inf,2.0\nj2,b,1.0,nan\nj3,a,5.0,6.0\n",
     )
-    ds, dropped = load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
+    ds, dropped = load_trace(trace, read_record(TraceSchema, DESCRIPTOR))
     assert len(ds) == 1 and dropped == 2
 
 
@@ -76,18 +77,18 @@ def test_duplicate_id_rejected(tmp_path):
         tmp_path / "t.csv", "job,user,cpu,mem\nj1,a,1.0,2.0\nj1,b,3.0,4.0\n"
     )
     with pytest.raises(DuplicateIdError):
-        load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
+        load_trace(trace, read_record(TraceSchema, DESCRIPTOR))
 
 
 def test_zero_valid_rows(tmp_path):
     trace = write_csv(tmp_path / "t.csv", "job,user,cpu,mem\nj1,a,,2.0\n")
     with pytest.raises(NoValidRowsError):
-        load_trace(trace, TraceSchema.from_json(DESCRIPTOR))
+        load_trace(trace, read_record(TraceSchema, DESCRIPTOR))
 
 
 def test_unreadable_file():
     with pytest.raises(TraceReadError):
-        load_trace("/nonexistent/trace.csv", TraceSchema.from_json(DESCRIPTOR))
+        load_trace("/nonexistent/trace.csv", read_record(TraceSchema, DESCRIPTOR))
 
 
 def test_descriptor_validation():
