@@ -9,8 +9,14 @@ level-wise to max_depth with the usual second-order gain
     0.5 * (GL^2/(HL+l2) + GR^2/(HR+l2) - G^2/(H+l2))
 
 and leaf weight -G/(H+l2). Training rows are sorted into a canonical order
-first, so the fitted model is invariant to input row permutation; each round's
-softmax is computed into one reused (rows, classes) buffer.
+first, so the fitted model is invariant to input row permutation. Equal
+(row, label) pairs are then adjacent runs, and the trees grow on each run's
+head alone, its gradient and hessian multiplied by the run's length (the
+instance weights of XGBoost): every histogram, softmax and gradient is over
+distinct pairs, and each round's softmax is computed into one reused
+(distinct pairs, classes) buffer. Where every run has length 1 the bits are
+those of a fit over every row; a longer run's one multiply can differ from
+its rows' sequential adds in the last place.
 
 Prediction routes each distinct encoded row once, ROUTE_BLOCK distinct rows at
 a time, and takes the softmax of the distinct rows only: scoring memory is
@@ -300,26 +306,33 @@ def fit_forest(
     params: BoostingParams = DEFAULT_PARAMS,
 ) -> Forest:
     """Boost softmax trees on encoded rows ((n, features) one-hot columns,
-    -1 for none) with dense labels 0..K-1."""
+    -1 for none) with dense labels 0..K-1, once per distinct (row, label)
+    pair weighted by its count."""
     labels = np.asarray(labels, dtype=np.int64)
     order = canonical_order(rows, labels)
     rows = rows[order]
     y = labels[order]
-    n = len(rows)
+    # Equal (row, label) pairs are adjacent now: grow on each run's head,
+    # its gradient and hessian scaled by the run's length.
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (y[1:] != y[:-1])
+    count = np.diff(np.flatnonzero(head), append=len(rows)).astype(np.float64)
+    rows = rows[head]
+    y = y[head]
 
     active = rows >= 0
     rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order
     cols_flat = rows[active]
 
     forest = Forest.empty(n_classes, dim, params)
-    F = np.zeros((n, n_classes), dtype=np.float64)
+    F = np.zeros((len(rows), n_classes), dtype=np.float64)
     P = np.empty_like(F)
     for r in range(params.rounds):
         _softmax(F, out=P)
         for c in range(n_classes):
             p = P[:, c]
-            g = p - (y == c)  # the gradient against the one-hot label
-            h = p * (1.0 - p)
+            g = (p - (y == c)) * count  # the gradient against the one-hot label
+            h = p * (1.0 - p) * count
             leaf = _build_tree(
                 rows_flat, cols_flat, g, h, dim, params,
                 forest.feature[r, c], forest.value[r, c], forest.gain[r, c],

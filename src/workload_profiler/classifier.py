@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import jsonable, read_record
+from .artifacts import json_float, json_int, jsonable, read_record
 from .boosting import (
     BoostingParams,
     DEFAULT_PARAMS,
@@ -75,7 +75,7 @@ class ClassifierModel:
         missing = [f.name for f in fields(BoostingParams) if f.name not in doc["hyperparams"]]
         if missing:
             raise KeyError(f"hyperparams lacks {missing}")
-        class_labels = tuple(int(c) for c in doc["class_labels"])
+        class_labels = tuple(map(json_int, doc["class_labels"]))
         forest = Forest.from_json(doc["trees"], len(class_labels), vocab.dimension, params)
         bounds = doc.get("bucket_bounds")
         return cls(
@@ -83,9 +83,10 @@ class ClassifierModel:
             forest=forest,
             class_labels=class_labels,
             hyperparams=params,
-            seed=int(doc.get("seed", 0)),
+            seed=json_int(doc.get("seed", 0)),
             bucket_bounds=(
-                {k: (float(v[0]), float(v[1]), float(v[2])) for k, v in bounds.items()}
+                {k: (json_float(v[0]), json_float(v[1]), json_float(v[2]))
+                 for k, v in bounds.items()}
                 if bounds
                 else None
             ),

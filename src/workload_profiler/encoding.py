@@ -22,7 +22,6 @@ from .trace_model import MetadataBlock
 class EncoderVocabulary:
     feature_names: tuple[str, ...]
     categories: dict[str, tuple[str, ...]]
-    unknown_policy: str = "zero"
 
     @property
     def dimension(self) -> int:

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import jsonable, read_record
+from .artifacts import json_float, json_int, jsonable, read_record
 from .distances import DISTANCE_KINDS, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
@@ -71,6 +71,14 @@ class FeatureStats:
         return self.percentiles[p]
 
 
+def _counts(bag: Mapping) -> dict[str, int]:
+    """A metadata bag's counts, each a JSON integer; a bag of plain ints,
+    as ``to_json`` writes it, is checked in one pass."""
+    if all(type(c) is int for c in bag.values()):
+        return dict(bag)
+    return {v: json_int(c) for v, c in bag.items()}
+
+
 @dataclass(frozen=True)
 class ProfileGroup:
     label: int
@@ -99,16 +107,13 @@ class ProfileGroup:
     @classmethod
     def from_json(cls, doc: Mapping) -> "ProfileGroup":
         return cls(
-            label=int(doc["label"]),
-            size=int(doc["size"]),
+            label=json_int(doc["label"]),
+            size=json_int(doc["size"]),
             centroid=np.asarray(doc["centroid"], dtype=np.float64),
             medoid_id=doc.get("medoid_id"),
             stats={f: read_record(FeatureStats, s) for f, s in doc["stats"].items()},
-            metadata_bag={
-                f: {v: int(c) for v, c in bag.items()}
-                for f, bag in doc["metadata_bag"].items()
-            },
-            last_update=int(doc["last_update"]),
+            metadata_bag={f: _counts(bag) for f, bag in doc["metadata_bag"].items()},
+            last_update=json_int(doc["last_update"]),
             member_ids=tuple(doc["member_ids"]) if "member_ids" in doc else None,
         )
 
@@ -172,9 +177,9 @@ class ProfileSet:
             outlier_ids=tuple(doc["outlier_ids"] or ()),
             config=read_record(ClusteringConfig, doc["config"]),
             transform_spec=read_record(TransformSpec, doc["transform_spec"]),
-            distance_threshold=float(doc["distance_threshold"]),
-            created_at=int(doc["created_at"]),
-            n_outliers=int(doc["outlier_count"]),
+            distance_threshold=json_float(doc["distance_threshold"]),
+            created_at=json_int(doc["created_at"]),
+            n_outliers=json_int(doc["outlier_count"]),
             quality=doc.get("quality"),
         )
 

@@ -824,16 +824,10 @@ def _slow_build_tree(rows_flat, cols_flat, g, h, dim, params, feature, value, ga
     return pred
 
 
-def slow_fit_forest(rows, labels, n_classes, dim, params):
-    """Softmax boosting with per-node tree growth, as ``fit_forest`` must
-    reproduce bit for bit; the split threshold is read from
-    ``boosting._MIN_GAIN`` at call time."""
-    labels = np.asarray(labels, dtype=np.int64)
-    order = boosting.canonical_order(rows, labels)
-    rows = rows[order]
-    y = labels[order]
+def _slow_boost(rows, y, counts, n_classes, dim, params):
+    """Softmax boosting over rows in the given order; a row's gradient and
+    hessian are scaled by its count when ``counts`` is given."""
     n = len(rows)
-
     active = rows >= 0
     rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order
     cols_flat = rows[active]
@@ -848,9 +842,33 @@ def slow_fit_forest(rows, labels, n_classes, dim, params):
         for c in range(n_classes):
             g = P[:, c] - onehot[:, c]
             h = P[:, c] * (1.0 - P[:, c])
+            if counts is not None:
+                g = g * counts
+                h = h * counts
             pred = _slow_build_tree(
                 rows_flat, cols_flat, g, h, dim, params,
                 forest.feature[r, c], forest.value[r, c], forest.gain[r, c],
             )
             F[:, c] += params.learning_rate * pred
     return forest
+
+
+def slow_fit_forest(rows, labels, n_classes, dim, params):
+    """Softmax boosting with per-node tree growth over each distinct
+    (row, label) pair weighted by its count, as ``fit_forest`` must
+    reproduce bit for bit; the split threshold is read from
+    ``boosting._MIN_GAIN`` at call time."""
+    pairs, counts = np.unique(
+        np.column_stack([rows, np.asarray(labels, dtype=np.int64)]), axis=0, return_counts=True
+    )  # lexicographic, as canonical_order sorts
+    return _slow_boost(pairs[:, :-1], pairs[:, -1], counts.astype(np.float64),
+                       n_classes, dim, params)
+
+
+def slow_fit_forest_rows(rows, labels, n_classes, dim, params):
+    """Softmax boosting with per-node tree growth over every row, unweighted:
+    what ``fit_forest`` must reproduce bit for bit where no (row, label) pair
+    repeats."""
+    labels = np.asarray(labels, dtype=np.int64)
+    order = boosting.canonical_order(rows, labels)
+    return _slow_boost(rows[order], labels[order], None, n_classes, dim, params)

@@ -1,10 +1,10 @@
-"""fit_forest against the per-node growth oracle, bit for bit."""
+"""fit_forest against the per-node growth oracles, bit for bit."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import slow_fit_forest
+from oracles import slow_fit_forest, slow_fit_forest_rows
 
 from workload_profiler import boosting
 from workload_profiler.boosting import BoostingParams, Forest, fit_forest
@@ -66,6 +66,20 @@ def test_tree_growth_equals_the_oracle_on_a_wide_vocabulary():
     assert dim >= 16_000
     params = BoostingParams(rounds=2, max_depth=4, min_child_weight=0.0)
     fast, slow = fit_both(rows, labels, 4, dim, params)
+    assert (fast.feature >= 0).sum() > 8  # the trees do grow
+    assert_same_forest(fast, slow)
+
+
+def test_without_repeated_pairs_the_fit_equals_the_per_row_oracle():
+    # every (row, label) run has length 1, so scaling by the counts is exact
+    rows, labels, dim = encoded_case(7, 3000, [8000, 200, 5, 3], 4, missing=0.1)
+    keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    rows, labels = rows[keep], labels[keep]
+    assert len(rows) > 2500
+    params = BoostingParams(rounds=2, max_depth=4, min_child_weight=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fast = fit_forest(rows, labels, 4, dim, params)
+        slow = slow_fit_forest_rows(rows, labels, 4, dim, params)
     assert (fast.feature >= 0).sum() > 8  # the trees do grow
     assert_same_forest(fast, slow)
 

@@ -288,6 +288,19 @@ def test_model_round_trip(tmp_path):
     np.testing.assert_allclose(probs_a, probs_b, atol=1e-12)
 
 
+def test_a_model_that_still_holds_unknown_policy_loads():
+    # models written before the vocabulary lost its one-valued policy field
+    ts, vocab, records, _ = bijective_training(100, 2, seed=14)
+    model = train(ts, vocab, FAST, seed=0)
+    doc = model.to_json()
+    assert "unknown_policy" not in doc["vocabulary"]
+    doc["vocabulary"]["unknown_policy"] = "zero"
+    back = ClassifierModel.from_json(doc)
+    assert back.vocabulary == model.vocabulary
+    assert np.array_equal(classify_batch(back, records[:20])[0],
+                          classify_batch(model, records[:20])[0])
+
+
 def test_model_version_check():
     ts, vocab, _, _ = bijective_training(100, 2, seed=14)
     doc = train(ts, vocab, FAST, seed=0).to_json()

@@ -85,7 +85,7 @@ def test_build_writes_artifacts(tmp_path, capsys):
     model_doc = artifacts.read_json(out / "model.json")
     assert set(model_doc["hyperparams"]) == {"rounds", "learning_rate", "max_depth",
                                              "min_child_weight", "l2"}
-    assert set(model_doc["vocabulary"]) == {"feature_names", "categories", "unknown_policy"}
+    assert set(model_doc["vocabulary"]) == {"feature_names", "categories"}
 
 
 def test_build_reproducible_byte_identical(tmp_path):
@@ -683,7 +683,13 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
                                     "profiles_without_groups", "profiles_eps_boolean",
                                     "profiles_unknown_distance", "profiles_unknown_transform",
                                     "profiles_mean_boolean", "learning_rate_boolean",
-                                    "hyperparams_without_l2"])
+                                    "hyperparams_without_l2", "profiles_label_fraction",
+                                    "profiles_size_boolean", "profiles_last_update_fraction",
+                                    "profiles_bag_count_fraction",
+                                    "profiles_distance_threshold_boolean",
+                                    "profiles_created_at_fraction",
+                                    "profiles_outlier_count_boolean", "class_label_fraction",
+                                    "seed_boolean", "bucket_bound_boolean"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -716,6 +722,27 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["hyperparams"]["learning_rate"] = True
     elif damage == "hyperparams_without_l2":  # unlike a config, a model states every value
         del doc["hyperparams"]["l2"]
+    elif damage == "profiles_label_fraction":  # int() would truncate these to a valid value
+        doc["groups"][0]["label"] += 0.5
+    elif damage == "profiles_size_boolean":
+        doc["groups"][0]["size"] = True
+    elif damage == "profiles_last_update_fraction":
+        doc["groups"][0]["last_update"] += 0.5
+    elif damage == "profiles_bag_count_fraction":
+        bag = doc["groups"][0]["metadata_bag"]["app"]
+        bag[min(bag)] += 0.9
+    elif damage == "profiles_distance_threshold_boolean":
+        doc["distance_threshold"] = True
+    elif damage == "profiles_created_at_fraction":
+        doc["created_at"] += 0.5
+    elif damage == "profiles_outlier_count_boolean":
+        doc["outlier_count"] = True
+    elif damage == "class_label_fraction":
+        doc["class_labels"][-1] += 0.5
+    elif damage == "seed_boolean":
+        doc["seed"] = True
+    elif damage == "bucket_bound_boolean":
+        doc["bucket_bounds"] = {"owner": [1.0, 2.0, True]}
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)
