@@ -13,7 +13,6 @@ from .classifier import (
     train,
 )
 from .dbscan import dbscan
-from .distances import distance
 from .encoding import EncoderVocabulary, build_vocabulary
 from .feedback import (
     DeltaSpec,

@@ -82,10 +82,20 @@ def _json(kind: type, value):
 
 
 def _homogeneous(kind: type, value) -> tuple:
-    """The tuple of a JSON list whose items are all ``kind``, checked in one pass."""
-    if not all(isinstance(item, kind) for item in _json(list, value)):
-        _json(kind, next(item for item in value if not isinstance(item, kind)))
+    """The tuple of a JSON list whose items are all ``kind``; a list of
+    exactly ``kind`` items is checked by one pass over their types."""
+    if not set(map(type, _json(list, value))) <= {kind}:
+        for item in value:
+            _json(kind, item)
     return tuple(value)
+
+
+def _counts(value) -> dict:
+    """The dict of a JSON object of integers; one whose values are all ints,
+    as a metadata bag is written, is checked by one pass over their types."""
+    if set(map(type, _json(dict, value).values())) <= {int}:
+        return dict(value)
+    return {key: json_int(count) for key, count in value.items()}
 
 
 def _array(value) -> np.ndarray:
@@ -128,6 +138,8 @@ def _reader(hint) -> Callable:
     if origin is tuple:
         return partial(_fixed, tuple(map(_reader, args)))
     if origin in (dict, Mapping):
+        if args == (str, int):
+            return _counts
         key, item = map(_reader, args)
         return lambda value: {key(k): item(v) for k, v in _json(dict, value).items()}
     raise TypeError(f"no JSON reader for {hint!r}")

@@ -242,11 +242,6 @@ class Forest:
         distinct, inverse = distinct_rows(rows)
         return _softmax(self.raw_scores(distinct)), inverse
 
-    def probabilities(self, rows: np.ndarray) -> np.ndarray:
-        """Class probabilities, (rows, n_classes)."""
-        probs, inverse = self.distinct_probabilities(rows)
-        return probs[inverse]
-
     def to_json(self) -> list[list[dict]]:
         """Nested per-tree dicts, rounds-major, as model.json stores them."""
 

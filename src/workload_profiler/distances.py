@@ -1,4 +1,5 @@
-"""Distance kernels shared by clustering and the quality metrics.
+"""The distance kernel, ``point_to_rows``: every distance that clustering,
+the quality metrics and the profiles take is computed by it.
 
 Supported kinds: euclidean, manhattan, cosine. Cosine distance is
 1 - cos(angle), range [0, 2], taken as half the squared euclidean distance
@@ -23,31 +24,6 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(n, 1))
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in DISTANCE_KINDS:
-        raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def distance(a, b, kind: str = "euclidean") -> float:
-    """Distance between two feature vectors of equal dimension.
-
-    Euclidean and manhattan are ``np.sum`` reductions, not the fixed-order
-    sums of ``point_to_rows``, so they need not have its bits: on numpy 2.4,
-    euclidean differs from it in the last place on 11-21% of random pairs
-    at 3 to 7 features, and manhattan from 8 features on. Cosine calls the
-    kernel."""
-    _check_kind(kind)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if kind == "euclidean":
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    if kind == "manhattan":
-        return float(np.sum(np.abs(a - b)))
-    return float(point_to_rows(a, b[None], kind)[0])
-
-
 def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """Distances from one point, shape (m,), to every row of an (n, m) matrix,
     shape (n,); or from each of a (K, m) block of points, shape (K, n).
@@ -70,7 +46,8 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     exact halving, so it keeps all of the above and a nonzero row is at 0
     from itself; a zero row's NaN distances become 1, the rest is capped at 2.
     """
-    _check_kind(kind)
+    if kind not in DISTANCE_KINDS:
+        raise ValueError(f"unknown distance kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != rows.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rows.shape[1]}")
@@ -105,7 +82,6 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
         even[np.isnan(even)] = 1.0
         return np.minimum(even, 2.0, out=even)
     return np.sqrt(even, out=even)
-
 
 
 def _unit(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
 from .gridsearch import GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS
 from .predictor import PredictionPolicy, predict
-from .profiles import ProfileSet
+from .profiles import DEFAULT_PERCENTILES, ProfileSet
 from .trace_model import Dataset, FeatureMatrix
 
 
@@ -190,7 +190,7 @@ class ReclusterSpec:
     weights: tuple[float, float, float] = EQUAL_WEIGHTS
     classifier_params: BoostingParams = DEFAULT_PARAMS
     seed: int = 0
-    percentiles: tuple[float, ...] | None = None
+    percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
 
 
 @dataclass

@@ -15,7 +15,7 @@ from .hdbscan import lockstep_trees, tree_labels
 from .metrics import EQUAL_WEIGHTS, acquires, davies_bouldin, silhouette_mean
 from .metrics import DEFAULT_SILHOUETTE_CAP
 from .preprocess import fit_transform
-from .profiles import ClusteringConfig, ProfileSet, build_profiles
+from .profiles import DEFAULT_PERCENTILES, ClusteringConfig, ProfileSet, build_profiles
 from .trace_model import Dataset, matrix_rows, runtime_matrix
 
 # Paper-style default search range for the minimum cluster size.
@@ -138,7 +138,7 @@ def grid_search(
     weights: tuple[float, float, float] = EQUAL_WEIGHTS,
     silhouette_cap: int = DEFAULT_SILHOUETTE_CAP,
     now: int = 0,
-    percentiles=None,
+    percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
 ) -> tuple[ClusteringConfig, ProfileSet, list[GridRow]]:
     """Evaluate every combination and build profiles from the best one.
 
@@ -215,9 +215,8 @@ def grid_search(
     row_index, labels, spec, transformed = best
     rows[row_index].selected = True
     winner = rows[row_index].config
-    kwargs = {} if percentiles is None else {"percentiles": tuple(percentiles)}
     profile_set = build_profiles(
-        dataset, labels, winner, spec, now=now, transformed=transformed, **kwargs
+        dataset, labels, winner, spec, now=now, percentiles=percentiles, transformed=transformed
     )
     profile_set.quality = rows[row_index].acquires_total
     return winner, profile_set, rows

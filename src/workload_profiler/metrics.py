@@ -13,18 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import block_rows, distance, point_to_rows
+from .distances import block_rows, point_to_rows
 from .errors import DegenerateDataError
 from .preprocess import proportional_allocation
 from .trace_model import matrix_rows
 
 DEFAULT_SILHOUETTE_CAP = 20_000
-
-
-def _clustered_subset(X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels)
-    keep = labels >= 0
-    return X[keep], labels[keep]
 
 
 def _scored_rows(lab: np.ndarray, max_points: int, seed: int) -> np.ndarray | None:
@@ -155,7 +149,9 @@ def silhouette_mean(
 
 def davies_bouldin(matrix, labels, kind: str = "euclidean") -> float:
     """Davies-Bouldin index; lower is better, +inf flags coincident centroids."""
-    X, lab = _clustered_subset(matrix_rows(matrix), np.asarray(labels))
+    lab = np.asarray(labels)
+    keep = lab >= 0
+    X, lab = matrix_rows(matrix)[keep], lab[keep]
     uniq = np.unique(lab)
     if uniq.size < 2:
         raise DegenerateDataError("davies_bouldin needs at least 2 clusters")
@@ -163,16 +159,10 @@ def davies_bouldin(matrix, labels, kind: str = "euclidean") -> float:
     sigma = np.array(
         [point_to_rows(centroids[i], X[lab == c], kind).mean() for i, c in enumerate(uniq)]
     )
-    k = uniq.size
-    worst = np.zeros(k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            sep = distance(centroids[i], centroids[j], kind)
-            ratio = np.inf if sep == 0.0 else (sigma[i] + sigma[j]) / sep
-            worst[i] = max(worst[i], ratio)
-    return float(worst.mean())
+    sep = point_to_rows(centroids, centroids, kind)
+    ratio = np.divide(sigma[:, None] + sigma, sep, out=np.full_like(sep, np.inf), where=sep != 0)
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(axis=1).mean())
 
 
 @dataclass(frozen=True)

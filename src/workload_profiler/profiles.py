@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import json_float, json_int, jsonable, read_record
+from .artifacts import jsonable, read_record
 from .distances import DISTANCE_KINDS, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
@@ -71,14 +71,6 @@ class FeatureStats:
         return self.percentiles[p]
 
 
-def _counts(bag: Mapping) -> dict[str, int]:
-    """A metadata bag's counts, each a JSON integer; a bag of plain ints,
-    as ``to_json`` writes it, is checked in one pass."""
-    if all(type(c) is int for c in bag.values()):
-        return dict(bag)
-    return {v: json_int(c) for v, c in bag.items()}
-
-
 @dataclass(frozen=True)
 class ProfileGroup:
     label: int
@@ -103,19 +95,6 @@ class ProfileGroup:
         if include_members and self.member_ids is not None:
             doc["member_ids"] = list(self.member_ids)
         return doc
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "ProfileGroup":
-        return cls(
-            label=json_int(doc["label"]),
-            size=json_int(doc["size"]),
-            centroid=np.asarray(doc["centroid"], dtype=np.float64),
-            medoid_id=doc.get("medoid_id"),
-            stats={f: read_record(FeatureStats, s) for f, s in doc["stats"].items()},
-            metadata_bag={f: _counts(bag) for f, bag in doc["metadata_bag"].items()},
-            last_update=json_int(doc["last_update"]),
-            member_ids=tuple(doc["member_ids"]) if "member_ids" in doc else None,
-        )
 
 
 @dataclass
@@ -151,7 +130,8 @@ class ProfileSet:
         columns = [matrix.feature_names.index(f) for f in names]
         raw = FeatureMatrix(rows=matrix.rows[:, columns], feature_names=names)
         rows = np.asfortranarray(apply_transform(self.transform_spec, raw).rows)
-        return np.stack([point_to_rows(g.centroid, rows, self.config.distance) for g in self.groups])
+        centroids = np.stack([g.centroid for g in self.groups])
+        return point_to_rows(centroids, rows, self.config.distance)
 
     def outlier_flags(self, matrix: FeatureMatrix) -> np.ndarray:
         """Post-hoc outlier rule for new arrivals, one flag per raw runtime
@@ -172,16 +152,12 @@ class ProfileSet:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ProfileSet":
-        return cls(
-            groups=tuple(ProfileGroup.from_json(g) for g in doc["groups"]),
-            outlier_ids=tuple(doc["outlier_ids"] or ()),
-            config=read_record(ClusteringConfig, doc["config"]),
-            transform_spec=read_record(TransformSpec, doc["transform_spec"]),
-            distance_threshold=json_float(doc["distance_threshold"]),
-            created_at=json_int(doc["created_at"]),
-            n_outliers=json_int(doc["outlier_count"]),
-            quality=doc.get("quality"),
-        )
+        """The set of a ``to_json`` document, read by ``read_record``:
+        ``outlier_count`` is the ``n_outliers`` field, and null
+        ``outlier_ids`` reads as none."""
+        outlier_ids = doc["outlier_ids"]
+        return read_record(cls, {**doc, "n_outliers": doc["outlier_count"],
+                                 "outlier_ids": [] if outlier_ids is None else outlier_ids})
 
 
 def _feature_stats(values: np.ndarray, percentiles: Sequence[float]) -> FeatureStats:

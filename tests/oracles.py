@@ -2,8 +2,9 @@
 
 These are deliberately slow and structurally different from the library
 code: scalar loops, explicit sets, recursion. They define what the fast
-paths must reproduce. The distance kernel itself is shared (point_to_rows,
-cross-checked against scalar arithmetic in test_distances) so that exact
+paths must reproduce. Every distance is ``ordered_distance``: scalar
+arithmetic in the kernel's documented summation order, which
+test_distances checks against ``point_to_rows`` bit for bit, so that exact
 partition comparisons exercise the clustering logic, not 1-ulp float noise.
 """
 
@@ -15,19 +16,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from workload_profiler import boosting
-from workload_profiler.distances import distance, point_to_rows
 from workload_profiler.preprocess import proportional_allocation
 
 
-def _dense_distances(X: np.ndarray, kind: str) -> list[list[float]]:
-    return [point_to_rows(X[i], X, kind).tolist() for i in range(len(X))]
+def _ordered_unit(v: list[float]) -> list[float] | None:
+    """``v`` over its norm, the squares summed in ascending order; None for a
+    zero vector."""
+    sq = v[0] * v[0]
+    for x in v[1:]:
+        sq += x * x
+    return [x / math.sqrt(sq) for x in v] if sq > 0 else None
 
 
 def ordered_distance(a, b, kind: str) -> float:
     """Scalar distance in point_to_rows' documented summation order:
     manhattan adds |a_j - b_j| for ascending j; euclidean sums the squares of
-    even and of odd features separately, each ascending, then adds the two."""
-    diffs = [float(p) - float(q) for p, q in zip(a, b)]
+    even and of odd features separately, each ascending, then adds the two;
+    cosine is half that sum over the unit vectors, capped at 2, and 1 when
+    either vector is zero."""
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    if kind == "cosine":
+        a, b = _ordered_unit(a), _ordered_unit(b)
+        if a is None or b is None:
+            return 1.0
+    diffs = [p - q for p, q in zip(a, b)]
     if kind == "manhattan":
         total = abs(diffs[0])
         for d in diffs[1:]:
@@ -41,7 +53,19 @@ def ordered_distance(a, b, kind: str) -> float:
             for d in part[1:]:
                 acc += d * d
             sums.append(acc)
-    return math.sqrt(sums[0] + sums[1] if len(sums) == 2 else sums[0])
+    total = sums[0] + sums[1] if len(sums) == 2 else sums[0]
+    return min(0.5 * total, 2.0) if kind == "cosine" else math.sqrt(total)
+
+
+def _dense_distances(X: np.ndarray, kind: str) -> list[list[float]]:
+    """The full distance matrix, each pair computed once: ordered_distance
+    is symmetric, as its differences only enter squared or absolute."""
+    rows = X.tolist()
+    D = [[0.0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            D[i][j] = D[j][i] = ordered_distance(a, rows[j], kind)
+    return D
 
 
 def slow_prim_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
@@ -52,11 +76,12 @@ def slow_prim_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
     dist_to_tree = np.full(n, np.inf)
     source = np.full(n, -1, dtype=np.int64)
     edges = np.empty((n - 1, 3), dtype=np.float64)
+    rows = X.tolist()
 
     current = 0
     in_tree[0] = True
     for step in range(n - 1):
-        row = np.maximum(point_to_rows(X[current], X, kind), core)
+        row = np.maximum([ordered_distance(rows[current], r, kind) for r in rows], core)
         row = np.maximum(row, core[current])
         row[in_tree] = np.inf
         better = row < dist_to_tree
@@ -478,11 +503,11 @@ def slow_silhouette(X: np.ndarray, labels, kind="euclidean"):
         if not own:
             scores.append(0.0)
             continue
-        a = sum(distance(X[i], X[j], kind) for j in own) / len(own)
+        a = sum(ordered_distance(X[i], X[j], kind) for j in own) / len(own)
         b = math.inf
         for c in set(labels[j] for j in idx if labels[j] != labels[i]):
             other = [j for j in idx if labels[j] == c]
-            b = min(b, sum(distance(X[i], X[j], kind) for j in other) / len(other))
+            b = min(b, sum(ordered_distance(X[i], X[j], kind) for j in other) / len(other))
         denom = max(a, b)
         scores.append(0.0 if denom == 0 else (b - a) / denom)
     return sum(scores) / len(scores)
@@ -509,9 +534,10 @@ def rowwise_silhouette(X: np.ndarray, labels, kind="euclidean", max_points=20_00
     uniq, dense = np.unique(lab, return_inverse=True)
     k = uniq.size
     counts = np.bincount(dense, minlength=k)
+    D = _dense_distances(X, kind)
     total = 0.0
     for i in range(X.shape[0]):
-        d = point_to_rows(X[i], X, kind)
+        d = np.array(D[i])
         sums = np.bincount(dense, weights=d, minlength=k)
         c = dense[i]
         if counts[c] == 1:
@@ -531,14 +557,14 @@ def slow_davies_bouldin(X: np.ndarray, labels, kind="euclidean"):
         pts = X[labels == c]
         mu = pts.mean(axis=0)
         centroids.append(mu)
-        sigmas.append(sum(distance(p, mu, kind) for p in pts) / len(pts))
+        sigmas.append(sum(ordered_distance(p, mu, kind) for p in pts) / len(pts))
     ratios = []
     for i in range(len(classes)):
         worst = 0.0
         for j in range(len(classes)):
             if i == j:
                 continue
-            sep = distance(centroids[i], centroids[j], kind)
+            sep = ordered_distance(centroids[i], centroids[j], kind)
             worst = max(worst, math.inf if sep == 0 else (sigmas[i] + sigmas[j]) / sep)
         ratios.append(worst)
     return sum(ratios) / len(ratios)

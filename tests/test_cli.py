@@ -689,7 +689,10 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
                                     "profiles_distance_threshold_boolean",
                                     "profiles_created_at_fraction",
                                     "profiles_outlier_count_boolean", "class_label_fraction",
-                                    "seed_boolean", "bucket_bound_boolean"])
+                                    "seed_boolean", "bucket_bound_boolean",
+                                    "profiles_quality_string", "profiles_quality_boolean",
+                                    "profiles_outlier_ids_string", "profiles_member_ids_string",
+                                    "profiles_medoid_id_number", "profiles_centroid_boolean"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -743,6 +746,18 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["seed"] = True
     elif damage == "bucket_bound_boolean":
         doc["bucket_bounds"] = {"owner": [1.0, 2.0, True]}
+    elif damage == "profiles_quality_string":  # would reach feedback-report.json
+        doc["quality"] = "x"
+    elif damage == "profiles_quality_boolean":
+        doc["quality"] = True
+    elif damage == "profiles_outlier_ids_string":  # tuple() would read ('a', 'b', 'c')
+        doc["outlier_ids"] = "abc"
+    elif damage == "profiles_member_ids_string":
+        doc["groups"][0]["member_ids"] = "abc"
+    elif damage == "profiles_medoid_id_number":
+        doc["groups"][0]["medoid_id"] = 5
+    elif damage == "profiles_centroid_boolean":
+        doc["groups"][0]["centroid"][0] = True
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)

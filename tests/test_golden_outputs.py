@@ -42,4 +42,6 @@ def test_outputs_equal_the_committed_seed_1_digests(tmp_path):
     assert not differing, (
         f"{len(differing)} outputs differ from {MANIFEST.name}: {differing}. The digests pin "
         "Python 3.11.7 and numpy 2.4.6 as well as the code; on other builds compare against "
-        "the parent with scripts/compare_outputs.py --base <parent> --head .")
+        "the parent with scripts/compare_outputs.py --base <parent> --head . A declared "
+        f"re-baseline regenerates the manifest: delete {MANIFEST.relative_to(ROOT)} and run "
+        f"python scripts/compare_outputs.py --head . --digests {MANIFEST.relative_to(ROOT)}")

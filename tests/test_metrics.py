@@ -114,19 +114,23 @@ def test_silhouette_translation_and_scale_invariance(kind):
 
 # --------------------------------------------------------- davies-bouldin
 
-def test_db_two_tight_far_clusters():
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_db_two_tight_far_clusters(kind):
     rng = np.random.default_rng(2)
-    X = np.vstack([rng.normal(0, 0.1, (50, 2)), rng.normal(1000, 0.1, (50, 2))])
+    # far apart and orthogonal, so tight and separated for every kind
+    X = np.vstack([rng.normal(0, 0.1, (50, 2)) + [1000, 0],
+                   rng.normal(0, 0.1, (50, 2)) + [0, 1000]])
     labels = [0] * 50 + [1] * 50
-    value = davies_bouldin(X, labels)
+    value = davies_bouldin(X, labels, kind)
     assert value < 0.001
-    assert value == pytest.approx(slow_davies_bouldin(X, labels), abs=1e-12)
+    assert value == pytest.approx(slow_davies_bouldin(X, labels, kind), abs=1e-12)
 
 
-def test_db_coincident_centroids_degenerate():
-    X = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
-    labels = [0, 0, 1, 1]  # both centroids at the origin
-    assert davies_bouldin(X, labels) == np.inf
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_db_coincident_centroids_degenerate(kind):
+    X = np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0], [0.0, 0.0]])
+    labels = [0, 0, 1, 1]  # both centroids at (1, 0), which is not a zero vector
+    assert davies_bouldin(X, labels, kind) == np.inf
 
 
 def test_db_hand_arithmetic():
