@@ -99,10 +99,14 @@ def _counts(value) -> dict:
 
 
 def _array(value) -> np.ndarray:
-    """The float64 array of a JSON list of numbers; null reads as NaN."""
-    if any(isinstance(item, bool) for item in _json(list, value)):
-        raise ValueError(f"a list of numbers is required, got {value!r}")
-    return np.asarray(value, dtype=np.float64)
+    """The float64 array of a JSON list of finite numbers. No stored array
+    (a centroid, a transform's parameters) may hold NaN or infinity, so a
+    null, which numpy reads as NaN, is a ValueError like NaN, Infinity and
+    a boolean."""
+    array = np.asarray(_json(list, value), dtype=np.float64)
+    if any(isinstance(item, bool) for item in value) or not np.isfinite(array).all():
+        raise ValueError(f"a list of finite numbers is required, got {value!r}")
+    return array
 
 
 def _fixed(readers: tuple, value) -> tuple:
@@ -164,11 +168,11 @@ def read_record(cls, doc):
     a ``str`` or ``bool`` must be that JSON type; ``X | None`` also takes
     null; a tuple comes from a JSON list (of its length, unless it is
     ``tuple[X, ...]``), a ``dict[K, V]`` from a JSON object with its keys
-    parsed as ``K``, an ndarray from a list of numbers, a ``Path`` from a
-    string, and a nested dataclass is read by this function. A field whose
-    metadata holds a ``"read"`` parser is parsed by that instead. An absent
-    key keeps the field's default, and a field without one is required;
-    other keys are ignored. A value of the wrong JSON type is a TypeError
+    parsed as ``K``, an ndarray from a list of finite numbers, a ``Path``
+    from a string, and a nested dataclass is read by this function. A field
+    whose metadata holds a ``"read"`` parser is parsed by that instead. An
+    absent key keeps the field's default, and a field without one is
+    required; other keys are ignored. A value of the wrong JSON type is a TypeError
     and any other bad value a ValueError, its message led by the key."""
     _json(dict, doc)
     kwargs = {}

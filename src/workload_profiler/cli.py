@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii  # json.dumps' escaper under ensure_ascii
 from pathlib import Path
 
@@ -222,7 +223,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` does
+    not change it, and every call of ``main`` parses with the same one."""
     parser = argparse.ArgumentParser(
         prog="workload-profiler",
         description="Workload profiling: cluster usage traces, classify new "

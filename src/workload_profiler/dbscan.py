@@ -38,9 +38,11 @@ def eps_cut(X: np.ndarray, core: np.ndarray, edges: np.ndarray, eps: float,
     [a, b, weight] of their mutual reachability tree. Only core points are
     within eps of anything by mutual reachability, and of each other by
     distance, so the tree's edges of weight <= eps join exactly each
-    cluster's core points. Prim adds every point but the first once, from a
-    point already in the tree, so those edges are parent pointers, and
-    pointer doubling finds each point's root."""
+    cluster's core points. The tree adds every point but the first once,
+    from a point already in the tree (``hdbscan._floor_prim``), so those
+    edges are parent pointers, and pointer doubling finds each point's root.
+    Which of several minimum spanning trees it is does not matter: their
+    edges of weight <= eps join the same components."""
     n = X.shape[0]
     up = np.arange(n)
     cut = edges[edges[:, 2] <= eps].astype(np.int64)

@@ -84,6 +84,30 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     return np.sqrt(even, out=even)
 
 
+def box_lower_bound(lo, hi, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
+    """For each row, shape (n,), a value at most ``point_to_rows(x, row,
+    kind)`` for every point x with lo <= x <= hi featurewise.
+
+    Per feature the gap is max(row_j - hi_j, lo_j - row_j, 0), and the gaps
+    go through the kernel's own steps as distances from the origin: square
+    or absolute value, the same running sums in ascending feature order,
+    then the sqrt. For x in the box, the kernel's difference row_j - x_j is
+    at least the gap in magnitude: it subtracts a number beyond the box's
+    edge from the same row_j, and correctly rounded subtraction is monotone
+    (and odd, so the sign does not matter). Correctly rounded squaring of a
+    non-negative number, addition and sqrt are monotone too, so every step
+    keeps the gap's value at most the kernel's, and the bound needs no
+    margin. Cosine compares unit rows, which a box on the raw rows does not
+    bound, so its bound is 0.
+    """
+    if kind == "cosine":
+        return np.zeros(rows.shape[0])
+    gaps = rows - hi
+    np.maximum(gaps, lo - rows, out=gaps)
+    np.maximum(gaps, 0.0, out=gaps)
+    return point_to_rows(np.zeros(rows.shape[1]), gaps, kind)
+
+
 def _unit(a: np.ndarray) -> np.ndarray:
     """``a`` divided by its norm along the last axis, the squares summed in
     ascending feature order, so a row has the same bits as a point, alone or

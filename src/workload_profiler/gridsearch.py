@@ -107,9 +107,9 @@ GRID_REPORT_FIELDS = _CONFIG_FIELDS + tuple(f.name for f in fields(GridRow)[1:])
 def _cluster_group(group: list[GridRow], transformed) -> list[tuple[int, np.ndarray]]:
     """(position, labels) of each row of a group whose size fits the data; a
     row whose size does not gets its error instead. The group's sizes share
-    one core-distance pass and one lockstep Prim pass, whatever the
-    algorithm: an hdbscan row takes its tree's merge, condense and select
-    steps, a dbscan row the tree's cut at its eps."""
+    one core-distance pass and one MST call that grows a tree per size,
+    whatever the algorithm: an hdbscan row takes its tree's merge, condense
+    and select steps, a dbscan row the tree's cut at its eps."""
     X = matrix_rows(transformed)
     n = X.shape[0]
     kind = group[0].config.distance
@@ -145,8 +145,8 @@ def grid_search(
     The winner maximizes the composite score; ties break toward fewer
     outliers, then smaller min_points, then declaration order. Combinations
     that share an algorithm, transform and distance are adjacent and are
-    evaluated as one group: one core-distance and one Prim pass serve all
-    of the group's sizes, and one silhouette pass scores all of its
+    evaluated as one group: one core-distance pass and one MST call serve
+    all of the group's sizes, and one silhouette pass scores all of its
     labellings. Only one group's arrays (K labellings of n rows) are alive
     at a time. Every row equals the row of a grid of that combination alone.
     """

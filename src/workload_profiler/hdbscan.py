@@ -2,10 +2,15 @@
 
 Pipeline:
   1. core distance of each point = distance to its k-th nearest neighbor
-     (itself included), k = min_cluster_size;
+     (itself included), k = min_cluster_size, from a scan of blocks of near
+     rows that skips the columns an exact box bound puts beyond the block's
+     seed radius (core_distances);
   2. mutual reachability distance mrd(a, b) = max(core_a, core_b, d(a, b));
-  3. minimum spanning tree over mrd (Prim, O(n^2) time / O(n) memory per
-     tree; the trees of several sizes grow in lockstep);
+  3. a minimum spanning tree over mrd, O(n) memory per tree: Prim that adds
+     every point whose distance to the tree has reached its core distance
+     along with the nearest one, each batch skipping the columns its box
+     bound rules out (mutual_reachability_mst); the trees of several sizes
+     grow one after another;
   4. a merge tree as parent, size, least-point and lambda arrays: one
      union-find pass over the edges in weight order, equal-weight merges
      contracted (build_merge_tree);
@@ -33,92 +38,165 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import block_rows, point_to_rows
+from .distances import block_rows, box_lower_bound, point_to_rows
 from .trace_model import matrix_rows
+
+
+# Rows of one block of the pruned core-distance scan, fewer when k_max is
+# large: 64 rows and 256 seeds fill one distance block.
+CORE_BLOCK_ROWS = 64
 
 
 def core_distances(X: np.ndarray, ks, kind: str = "euclidean") -> dict[int, np.ndarray]:
     """Distance to the k-th nearest neighbor, the point itself included, for
-    every k in ``ks`` (each 1 <= k <= n) from one distance row per point.
+    every k in ``ks`` (each 1 <= k <= n), equal to a full sort of each row.
 
-    Rows come in blocks; one partition per row at the largest k and a sort of
-    that prefix select every order statistic at once, so each array equals a
-    separate per-k computation (and a full sort) exactly.
+    The rows are put in ``_near_order`` and taken in blocks of consecutive
+    rows. A block first measures its seeds, the rows around it that fill the
+    rest of one distance block (at least k_max of them); r, the largest
+    k_max-th distance among them, is at least every block row's true
+    k_max-th distance. A column whose box bound from the block
+    (``box_lower_bound``) exceeds r is farther than r from every block row,
+    so it cannot move an order statistic: the block scans its seeds and the
+    columns within the bound. One partition per row at k_max and a sort of
+    that prefix select every order statistic at once, so each array equals
+    a separate per-k computation. A box bounds no cosine distance, so there
+    the seeds are every column, a full scan.
     """
     kth = sorted({k - 1 for k in ks})
-    XF = np.asfortranarray(X)
-    n = XF.shape[0]
+    width = kth[-1] + 1  # k_max
+    n = X.shape[0]
+    if kind == "cosine":
+        rows, span = block_rows(n), n
+    else:  # rows * span <= BLOCK_ELEMENTS and span >= k_max
+        rows = min(CORE_BLOCK_ROWS, block_rows(width))
+        span = min(n, block_rows(rows))
+    order = _near_order(X, rows, 4 * span)
+    XS = np.asfortranarray(X[order])
     table = np.empty((len(kth), n), dtype=np.float64)
-    step = block_rows(n)
-    for start in range(0, n, step):
-        d = point_to_rows(XF[start:start + step], XF, kind)
-        d.partition(kth[-1], axis=1)
-        prefix = np.sort(d[:, :kth[-1] + 1], axis=1)
-        table[:, start:start + step] = prefix[:, kth].T
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = XS[start:stop]
+        at = min(max((start + stop - span) // 2, 0), n - span)
+        seeds = point_to_rows(block, XS[at:at + span], kind)
+        rest = XS[:0]
+        if span < n:
+            r = np.partition(seeds, width - 1, axis=1)[:, width - 1].max()
+            near = box_lower_bound(block.min(axis=0), block.max(axis=0), XS, kind) <= r
+            near[at:at + span] = False
+            rest = _gather(XS, np.flatnonzero(near))
+        step = block_rows(span + rest.shape[0])
+        for s in range(start, stop, step):
+            e = min(s + step, stop)
+            d = seeds[s - start:e - start]
+            if rest.size:
+                d = np.concatenate([d, point_to_rows(XS[s:e], rest, kind)], axis=1)
+            d.partition(width - 1, axis=1)
+            table[:, s:e] = np.sort(d[:, :width], axis=1)[:, kth].T
+    table[:, order] = table.copy()
     return {k: table[kth.index(k - 1)] for k in ks}
 
 
+def _near_order(X: np.ndarray, unit: int, part_rows: int) -> np.ndarray:
+    """An order of the rows in which near rows tend to be close: the rows
+    are halved, at a multiple of ``unit`` rows, along their feature of
+    widest range until a part holds at most ``part_rows``, and each part is
+    sorted (stably) along its own widest feature. One sort of all rows along
+    one feature can leave most of them in a narrow band of it when a few far
+    rows set its range; parts of a few seed spans keep a block's seeds in
+    the block's part."""
+    order, parts = [], [np.arange(X.shape[0])]
+    while parts:
+        part = parts.pop()
+        rows = X[part]
+        part = part[np.argsort(rows[:, np.ptp(rows, axis=0).argmax()], kind="stable")]
+        if part.size <= part_rows:
+            order.append(part)
+        else:
+            half = max(unit, part.size // 2 // unit * unit)
+            parts += [part[half:], part[:half]]
+    return np.concatenate(order)
+
+
 def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
-    """Prim's MST over the implicit mutual reachability graph.
+    """A minimum spanning tree of the implicit mutual reachability graph.
 
     ``core`` is one array of n core distances, giving an (n-1, 3) array of
-    edges [a, b, weight], or a (K, n) stack of them, giving (K, n-1, 3): K
-    trees grown in lockstep, one block of K distance rows per step, each
-    tree's edges equal to a call of its own. Rows of the distance matrix are
-    recomputed on the fly so memory stays O(K n). A point that joins a tree
-    gets an infinite core distance in that tree's working copy, which makes
-    every later mutual reachability to it infinite, so it is never offered
-    again; argmin breaks ties toward the lowest index. Whenever the points
-    left to add have fallen by a quarter, the working columns shrink to the
-    points some tree has not reached yet (kept in ascending order, so ties
-    still go low), which about halves the distance work.
+    edges [a, b, weight], or a (K, n) stack of them, giving (K, n-1, 3): the
+    K trees are grown one after another, each equal to a call of its own.
+    Rows of the distance matrix are recomputed on the fly, so memory stays
+    O(n) besides one block of ``BLOCK_ELEMENTS``.
     """
     core = np.asarray(core, dtype=np.float64)
-    cores = np.atleast_2d(core)
-    trees, n = cores.shape
-    XC = np.ascontiguousarray(X)  # gathers the current points' coordinates
-    flat_core = cores.ravel()
-    core_at = np.arange(trees) * n  # flat index of (t, 0) in cores
-    cols = np.arange(n)  # the point of each working column
-    live_core = cores.copy()
-    dist_to_tree = np.full((trees, n), np.inf)
-    source = np.full((trees, n), -1, dtype=np.int64)
-    in_tree = np.zeros((trees, n), dtype=bool)
-    edges = np.empty((n - 1, 3, trees), dtype=np.float64)
+    XC = np.ascontiguousarray(X)
+    edges = np.stack([_floor_prim(XC, c, kind) for c in np.atleast_2d(core)])
+    return edges if core.ndim == 2 else edges[0]
 
-    current = np.zeros(trees, dtype=np.int64)
-    in_tree[:, 0] = True
-    shrink_at = n  # the first step shrinks away point 0 and sets up the views
-    for step in range(n - 1):
-        left = n - 1 - step  # points each tree has still to add
-        if left <= shrink_at:
-            keep = np.flatnonzero(~in_tree.all(axis=0))
-            cols = cols[keep]
-            XF = np.asfortranarray(XC[cols])
-            live_core, dist_to_tree, source, in_tree = (
-                a.take(keep, axis=1) for a in (live_core, dist_to_tree, source, in_tree)
-            )
-            shrink_at = left * 3 // 4
-            # Flat views: working element (t, j) sits at t * width + j.
-            at_row = np.arange(trees) * cols.size
-            flat_live, flat_dist = live_core.ravel(), dist_to_tree.ravel()
-            flat_source, flat_in = source.ravel(), in_tree.ravel()
-        row = point_to_rows(XC.take(current, axis=0), XF, kind)
-        np.maximum(row, live_core, out=row)
-        np.maximum(row, flat_core.take(core_at + current)[:, None], out=row)
-        np.copyto(source, current[:, None], where=row < dist_to_tree)
-        np.minimum(dist_to_tree, row, out=dist_to_tree)
-        pos = dist_to_tree.argmin(axis=1)
-        at = at_row + pos
-        current = cols.take(pos)
-        edges[step, 0] = flat_source.take(at)
-        edges[step, 1] = current
-        edges[step, 2] = flat_dist.take(at)
-        flat_live.put(at, np.inf)
-        flat_dist.put(at, np.inf)
-        flat_in.put(at, True)
-    edges = edges.transpose(2, 0, 1)
-    return np.ascontiguousarray(edges if core.ndim == 2 else edges[0])
+
+def _floor_prim(XC: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
+    """Prim's algorithm from point 0, adding a batch of points per step.
+
+    Each step adds the point nearest the tree (argmin; ties go to the lowest
+    index) and every other point whose distance to the tree has reached its
+    own core distance, its floor; each gets the edge [source, point,
+    distance] from a point already in the tree. No edge to b weighs less
+    than core_b, so a floor edge is a lightest edge at its point and the
+    argmin edge a lightest edge across the tree's cut: by the cut property
+    the edges stay inside one MST. The merge tree, ``tree_labels`` and the
+    components of ``dbscan.eps_cut`` are the same for every MST (see
+    ``build_merge_tree``).
+
+    The new batch then lowers the distance to the tree of each working
+    column (a point not yet reached) to the least max(d, core_a) over the
+    batch's points a, then the max with the column's own core_b, when that
+    is strictly (<) less, in blocks of at most ``BLOCK_ELEMENTS`` distances.
+    A column is skipped when the batch's box bound (``box_lower_bound``),
+    its least core or core_b already reaches the column's distance, since no
+    update could then lower it. The working columns drop the batch at each
+    step.
+    """
+    n = core.size
+    edges = np.empty((n - 1, 3), dtype=np.float64)
+    cols = np.arange(1, n)  # the point of each working column, ascending
+    XF = np.asfortranarray(XC[1:])
+    live_core = core[1:]
+    dist = np.full(n - 1, np.inf)
+    source = np.zeros(n - 1, dtype=np.int64)
+    batch, done = np.zeros(1, dtype=np.int64), 0
+    while cols.size:
+        points, batch_core = XC[batch], core[batch]
+        floor = np.maximum(live_core, batch_core.min())
+        np.maximum(floor, box_lower_bound(points.min(axis=0), points.max(axis=0), XF, kind),
+                   out=floor)
+        active = np.flatnonzero(floor < dist)
+        best, src, active_core = dist[active], source[active], live_core[active]
+        rows = _gather(XF, active)
+        step = block_rows(active.size)
+        for s in range(0, batch.size, step):
+            d = point_to_rows(points[s:s + step], rows, kind)
+            np.maximum(d, batch_core[s:s + step, None], out=d)
+            reach = np.maximum(d.min(axis=0), active_core)
+            better = np.flatnonzero(reach < best)
+            best[better] = reach[better]
+            src[better] = batch[s:s + step][d[:, better].argmin(axis=0)]
+        dist[active], source[active] = best, src
+
+        joined = dist <= live_core
+        joined[dist.argmin()] = True
+        new = np.flatnonzero(joined)
+        batch = cols[new]
+        edges[done:done + new.size] = np.column_stack([source[new], batch, dist[new]])
+        done += new.size
+        keep = np.flatnonzero(~joined)
+        cols, live_core, dist, source = cols[keep], live_core[keep], dist[keep], source[keep]
+        XF = _gather(XF, keep)
+    return edges
+
+
+def _gather(XF: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of a Fortran-ordered matrix, Fortran-ordered, in one
+    copy (each feature gathered as one contiguous row)."""
+    return XF.T.take(index, axis=1).T
 
 
 def _nearest(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
@@ -261,8 +339,9 @@ def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean") -> np.ndarra
 
 def lockstep_trees(X: np.ndarray, sizes, kind: str) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """The core distances of each of K sizes (1 <= size <= n) and the (K,
-    n-1, 3) edges of their lockstep Prim trees: one core-distance pass and
-    one Prim pass, each tree equal to the tree of its size alone."""
+    n-1, 3) edges of their spanning trees: one core-distance pass for all
+    sizes, then one floor-batched Prim tree per size, each equal to the tree
+    of its size alone."""
     core = core_distances(X, sizes, kind)
     return core, mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
 

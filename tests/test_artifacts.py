@@ -157,3 +157,12 @@ def test_read_record_is_the_inverse_of_jsonable(record):
             np.testing.assert_array_equal(back.params[key], values)
     else:
         assert back == record
+
+
+@pytest.mark.parametrize("text", ["[0.5, null]", "[NaN, 1.0]", "[1.0, Infinity]",
+                                  "[-Infinity]", "[1.0, true]"])
+def test_a_stored_array_is_a_list_of_finite_numbers(text):
+    doc = {"kind": "standard", "feature_names": ["cpu", "mem"],
+           "params": {"mean": json.loads(text), "scale": [1.0, 2.0]}}
+    with pytest.raises(ValueError, match="params: a list of finite numbers"):
+        read_record(TransformSpec, doc)

@@ -692,7 +692,8 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
                                     "seed_boolean", "bucket_bound_boolean",
                                     "profiles_quality_string", "profiles_quality_boolean",
                                     "profiles_outlier_ids_string", "profiles_member_ids_string",
-                                    "profiles_medoid_id_number", "profiles_centroid_boolean"])
+                                    "profiles_medoid_id_number", "profiles_centroid_boolean",
+                                    "profiles_centroid_null", "profiles_transform_param_null"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -758,6 +759,11 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
         doc["groups"][0]["medoid_id"] = 5
     elif damage == "profiles_centroid_boolean":
         doc["groups"][0]["centroid"][0] = True
+    elif damage == "profiles_centroid_null":  # numpy reads null as NaN: no row is ever an outlier
+        for group in doc["groups"]:
+            group["centroid"][0] = None
+    elif damage == "profiles_transform_param_null":
+        doc["transform_spec"]["params"]["mean"][0] = None
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)
@@ -917,3 +923,34 @@ def test_classify_probs_of_a_model_with_a_null_leaf_are_written_as_json_dumps_wr
     for line in lines:
         assert '"probs": {"0": NaN, ' in line
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_main_parses_every_call_with_one_parser_and_the_same_help_and_exit_codes(tmp_path, capsys):
+    from workload_profiler.cli import build_parser
+
+    def help_text(parse, words):
+        with pytest.raises(SystemExit) as exc:
+            parse([*words, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    _, _, trace, descriptor = write_inputs(tmp_path, n=200)
+    fresh = build_parser.__wrapped__()  # a parser of its own, never used by main
+    commands = [(), ("build",), ("classify",), ("evaluate",), ("feedback",), ("hopkins",),
+                ("sample",)]
+    helps = {words: help_text(fresh.parse_args, words) for words in commands}
+    hopkins = ["hopkins", "--trace", str(trace), "--descriptor", str(descriptor)]
+    for _ in range(3):
+        for words, text in helps.items():
+            assert help_text(main, words) == text
+        for argv in (["bogus"], ["classify"], [*hopkins, "--fraction", "x"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "usage: workload-profiler" in capsys.readouterr().err
+        assert main(hopkins) == 0 and 0.0 <= json.loads(capsys.readouterr().out)["score"] <= 1.0
+        assert main(["hopkins", "--trace", str(tmp_path / "absent.csv"),
+                     "--descriptor", str(descriptor)]) == 4
+        assert main(["evaluate", "--config", str(tmp_path / "absent.json"),
+                     "--holdout", str(trace)]) == 12
+    assert build_parser() is build_parser()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ordered_distance
-from workload_profiler.distances import point_to_rows
+from workload_profiler.distances import box_lower_bound, point_to_rows
 
 finite = st.floats(-1e3, 1e3)
 vec3 = st.tuples(finite, finite, finite)
@@ -128,3 +128,36 @@ def test_point_block_equals_one_point_calls(kind, dims):
         assert np.array_equal(got, np.stack([point_to_rows(p, F, kind) for p in block]))
     with pytest.raises(ValueError):
         point_to_rows(np.zeros((2, dims + 1)), F, kind)
+
+
+@pytest.mark.parametrize("dims", range(1, 10))
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_box_bound_never_exceeds_the_kernel_from_any_point_of_the_box(kind, dims):
+    rng = np.random.default_rng(20 + dims)
+    scale = rng.uniform(1e-3, 1e3, size=dims)
+    rows = np.asfortranarray(rng.normal(size=(200, dims)) * scale)
+    for _ in range(20):
+        corners = rows[rng.choice(200, size=int(rng.integers(1, 9)))]
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        bound = box_lower_bound(lo, hi, rows, kind)
+        assert bound.shape == (200,) and (bound >= 0).all()
+        inside = np.vstack([corners, lo, hi, lo + rng.random((30, dims)) * (hi - lo)])
+        inside = np.clip(inside, lo, hi)
+        assert (bound <= point_to_rows(inside, rows, kind)).all()
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_a_zero_width_box_bounds_by_the_kernel_distance_itself(kind, dims):
+    rng = np.random.default_rng(30 + dims)
+    grid = np.asfortranarray(rng.integers(-3, 4, size=(300, dims)).astype(float))
+    for point in grid[:40]:  # many rows tie with the point or sit on its box
+        assert np.array_equal(box_lower_bound(point, point, grid, kind),
+                              point_to_rows(point, grid, kind))
+        lo, hi = point - rng.integers(0, 2, dims), point + rng.integers(0, 2, dims)
+        assert (box_lower_bound(lo, hi, grid, kind) <= point_to_rows(point, grid, kind)).all()
+
+
+def test_a_box_bounds_no_cosine_distance():
+    rows = np.random.default_rng(40).normal(size=(50, 3))
+    assert box_lower_bound(rows.min(axis=0), rows.max(axis=0) + 1, rows, "cosine").tolist() == [0.0] * 50

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from oracles import same_partition, slow_hdbscan, slow_prim_mst, slow_tree_labels
-from workload_profiler.distances import point_to_rows
+from workload_profiler.dbscan import eps_cut
+from workload_profiler.distances import BLOCK_ELEMENTS, point_to_rows
 from workload_profiler.hdbscan import (
     build_merge_tree,
     condense,
@@ -88,6 +91,29 @@ def test_shared_core_distances_equal_separate_calls(kind):
         assert shared[k].tolist() == expected
 
 
+def assert_mst_like_slow_prim(X, core, edges, k, kind):
+    """``edges`` is a minimum spanning tree of mutual reachability that every
+    consumer reads as it reads ``slow_prim_mst``'s edges; with tied weights
+    the two may choose different edges, in a different order."""
+    n = len(X)
+    slow = slow_prim_mst(X, core, kind)
+    assert edges.shape == (n - 1, 3)
+    a, b = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    assert np.array_equal(np.sort(b), np.arange(1, n))  # every point but 0 joins once
+    joined_at = np.full(n, -1)
+    joined_at[b] = np.arange(n - 1)
+    assert np.all(joined_at[a] < joined_at[b])  # from a point already in the tree
+    for (i, j, w) in zip(a.tolist(), b.tolist(), edges[:, 2].tolist()):
+        assert w == max(core[i], core[j], point_to_rows(X[i], X[j:j + 1], kind)[0])
+    assert np.array_equal(np.sort(edges[:, 2]), np.sort(slow[:, 2]))
+    assert np.array_equal(tree_labels(edges, k), tree_labels(slow, k))
+    for fast_part, slow_part in zip(condense(*build_merge_tree(edges, n), k),
+                                    condense(*build_merge_tree(slow, n), k)):
+        assert np.array_equal(fast_part, slow_part)
+    for eps in np.unique(slow[:, 2])[::5]:
+        assert np.array_equal(eps_cut(X, core, edges, eps, kind), eps_cut(X, core, slow, eps, kind))
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_prim_edges_equal_slow_oracle(kind, duplicates):
@@ -99,8 +125,7 @@ def test_prim_edges_equal_slow_oracle(kind, duplicates):
         X = np.round(X, 1)
     for k in (2, 5, 15):
         core = core_distances(X, (k,), kind)[k]
-        edges = mutual_reachability_mst(X, core, kind)
-        assert np.array_equal(edges, slow_prim_mst(X, core, kind))
+        assert_mst_like_slow_prim(X, core, mutual_reachability_mst(X, core, kind), k, kind)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
@@ -113,6 +138,65 @@ def test_core_selection_equals_full_sort_for_k_from_1_to_n(kind):
         for k in ks:
             expected = [np.sort(point_to_rows(X[i], X, kind))[k - 1] for i in range(n)]
             assert core[k].tolist() == expected
+
+
+def kernel_elements(monkeypatch):
+    """A list that collects the size of every distance block the clustering
+    module asks the kernel for."""
+    module = importlib.import_module("workload_profiler.hdbscan")
+    sizes = []
+
+    def counted(x, rows, kind="euclidean"):
+        d = point_to_rows(x, rows, kind)
+        sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(module, "point_to_rows", counted)
+    return sizes
+
+
+def full_sort_core(X, k, kind):
+    return [np.sort(point_to_rows(X[i], X, kind))[k - 1] for i in range(len(X))]
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_pruned_core_distances_skip_far_columns_and_equal_a_full_sort(kind, monkeypatch):
+    rng = np.random.default_rng(12)
+    X = blobs(rng, [(6 * i, 3 * (i % 2), 0) for i in range(12)], 120, sigma=0.4, dims=3)
+    n = len(X)
+    sizes = kernel_elements(monkeypatch)
+    core = core_distances(X, (4, 10), kind)
+    assert sum(sizes) < n * n / 3  # a full scan measures n * n
+    assert max(sizes) <= BLOCK_ELEMENTS
+    for k in (4, 10):
+        assert core[k].tolist() == full_sort_core(X, k, kind)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_pruned_core_distances_equal_a_full_sort_with_ties_and_k_up_to_n(kind):
+    rng = np.random.default_rng(13)
+    grid = rng.integers(0, 5, size=(300, 2)).astype(float)  # many ties at the k-th distance
+    X = np.vstack([grid, grid[:40], np.full((30, 2), 2.0), rng.normal(20, 1, (10, 2))])
+    n = len(X)
+    ks = (2, 7, 31, 64, n - 1, n)
+    core = core_distances(X, ks, kind)
+    for k in ks:
+        assert core[k].tolist() == full_sort_core(X, k, kind), k
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_floor_batches_and_box_bounds_cut_the_mst_distance_work(kind, monkeypatch):
+    rng = np.random.default_rng(14)
+    X = blobs(rng, [(6 * i, 3 * (i % 2), 0) for i in range(8)], 90, sigma=0.4, dims=3)
+    n = len(X)
+    core = core_distances(X, (10,), kind)[10]
+    sizes = kernel_elements(monkeypatch)
+    edges = mutual_reachability_mst(X, core, kind)
+    assert len(sizes) < n / 4  # Prim alone takes n - 1 steps
+    assert sum(sizes) < 0.4 * n * n  # unpruned, the batches measure about n * n / 2
+    assert max(sizes) <= BLOCK_ELEMENTS
+    monkeypatch.undo()
+    assert_mst_like_slow_prim(X, core, edges, 10, kind)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
@@ -128,7 +212,8 @@ def test_lockstep_trees_equal_slow_oracle_per_tree(kind, duplicates, trees):
     forest = mutual_reachability_mst(X, np.stack([core[k] for k in ks]), kind)
     assert forest.shape == (trees, len(X) - 1, 3)
     for k, edges in zip(ks, forest):
-        assert np.array_equal(edges, slow_prim_mst(X, core[k], kind))
+        assert np.array_equal(edges, mutual_reachability_mst(X, core[k], kind))
+        assert_mst_like_slow_prim(X, core[k], edges, k, kind)
 
 
 def test_hdbscan_stack_rows_equal_each_size_alone():
