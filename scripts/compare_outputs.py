@@ -102,7 +102,7 @@ root, seed = Path(sys.argv[1]), int(sys.argv[2])
 
 def save(name, ds, config, descriptor=None):
     write_trace(ds, root / f"{name}.csv")
-    descriptor = descriptor or schema_for(ds).to_json()
+    descriptor = descriptor or schema_for(ds)
     artifacts.write_json(root / f"{name}-descriptor.json", descriptor)
     doc = {"trace": str(root / f"{name}.csv"),
            "descriptor": str(root / f"{name}-descriptor.json"), **config}
@@ -125,7 +125,7 @@ def add_numeric_column(path, rng):
 
 config = {"seed": seed, "acquires": {"optimal_cluster_count": 4}}
 ds, _, centers = make_blob_trace(1200, 4, seed=seed, metadata_noise=0.03, outlier_fraction=0.02)
-descriptor = schema_for(ds).to_json()
+descriptor = artifacts.jsonable(schema_for(ds))
 descriptor["columns"]["gpu_req"] = "metadata"
 descriptor["bucketize"] = ["gpu_req"]
 rng = np.random.default_rng(seed)
@@ -214,7 +214,7 @@ wide = {"seed": seed,
         "grid": {"algorithms": ["hdbscan"], "transforms": ["power"],
                  "distances": ["euclidean"], "min_points": [25, 50]},
         "acquires": {"optimal_cluster_count": 4}}
-descriptor = schema_for(ds).to_json()
+descriptor = artifacts.jsonable(schema_for(ds))
 descriptor["columns"]["tag"] = "metadata"
 save("wide", ds, wide, descriptor)
 save("wide-deep", ds, {**wide, "classifier": {"rounds": 40, "learning_rate": 0.3, "max_depth": 9,

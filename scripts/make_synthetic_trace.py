@@ -42,7 +42,7 @@ def main() -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace(dataset, out.with_suffix(".csv"))
-    artifacts.write_json(out.with_suffix(".descriptor.json"), schema_for(dataset).to_json())
+    artifacts.write_json(out.with_suffix(".descriptor.json"), schema_for(dataset))
     np.save(out.with_suffix(".centers.npy"), centers)
     counts = {int(c): int((labels == c).sum()) for c in sorted(set(labels.tolist()))}
     print(f"wrote {len(dataset)} workloads to {out.with_suffix('.csv')}")

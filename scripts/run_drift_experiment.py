@@ -40,7 +40,7 @@ def main() -> int:
     write_trace(train_ds, trace)
     write_trace(stream_ds, stream)
     descriptor = workdir / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    artifacts.write_json(descriptor, schema_for(train_ds))
 
     config = RunConfig.from_json(
         {
@@ -77,20 +77,17 @@ def main() -> int:
     t0 = time.time()
     report = run_feedback_command(config, stream)
     print(f"feedback done ({time.time() - t0:.1f}s):")
-    print(f"  events                 {report['events_total']}")
-    print(f"  violations             {report['violations_total']}")
-    print(f"  outliers               {report['outliers_total']}")
-    print(f"  triggers / adopted     {len(report['triggers'])} / {report['adopted_count']}")
-    for tr in report["triggers"]:
-        post = (
-            f", post-update violations {tr['violations_after']}/{tr['events_after']}"
-            if tr["adopted"]
-            else ""
-        )
+    print(f"  events                 {report.events_total}")
+    print(f"  violations             {report.violations_total}")
+    print(f"  outliers               {report.outliers_total}")
+    print(f"  triggers / adopted     {len(report.triggers)} / {report.adopted_count}")
+    for tr in report.triggers:
+        post = (f", post-update violations {tr.violations_after}/{tr.events_after}"
+                if tr.adopted else "")
         print(
-            f"    @event {tr['event_index']} causes={tr['causes']} "
-            f"quality {tr['acquires_before']} -> {tr['acquires_after']} "
-            f"adopted={tr['adopted']}{post}"
+            f"    @event {tr.event_index} causes={tr.causes} "
+            f"quality {tr.acquires_before} -> {tr.acquires_after} "
+            f"adopted={tr.adopted}{post}"
         )
     print(f"artifacts in {workdir / 'out'}")
     return 0

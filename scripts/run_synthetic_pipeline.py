@@ -41,7 +41,7 @@ def main() -> int:
     write_trace(train_ds, trace)
     write_trace(holdout_ds, holdout)
     descriptor = workdir / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    artifacts.write_json(descriptor, schema_for(train_ds))
 
     config = RunConfig.from_json(
         {
@@ -74,8 +74,8 @@ def main() -> int:
     t0 = time.time()
     rmse = run_evaluate(config, holdout)
     print(f"evaluate ({time.time() - t0:.1f}s):")
-    print(f"  workloads scored       {rmse['n_evaluated']}")
-    print(f"  fraction_below_50      {rmse['fraction_below_50']:.4f}")
+    print(f"  workloads scored       {rmse.n_evaluated}")
+    print(f"  fraction_below_50      {rmse.fraction_below_50:.4f}")
     print(f"artifacts in {workdir / 'out'}")
     return 0
 

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 from collections.abc import Callable, Mapping, Sequence
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -26,8 +26,12 @@ import numpy as np
 def jsonable(obj):
     """Recursively coerce to strict-JSON-safe values (no NaN/inf). This is
     the one place that decides a record's JSON: a dataclass instance becomes
-    an object of its fields by name, a numpy scalar or array its
-    ``tolist()``, a tuple a list and a mapping key its ``str``."""
+    an object of its fields, a numpy scalar or array its ``tolist()``, a
+    tuple a list and a mapping key its ``str``. A field is written under its
+    ``"key"`` metadata, else its name, and a field whose metadata sets
+    ``"omit"`` is left out while it equals its default. A dataclass with a
+    ``to_json`` method (a layout, or derived values) is written as what that
+    returns."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, (str, int, bool)) or obj is None:
@@ -39,7 +43,14 @@ def jsonable(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
         return jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        if hasattr(obj, "to_json"):
+            return jsonable(obj.to_json())
+        doc = {}
+        for f in _fields(type(obj)):
+            value = getattr(obj, f.name)
+            if not (f.omit and value == f.default):
+                doc[f.key] = jsonable(value)
+        return doc
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -149,42 +160,62 @@ def _reader(hint) -> Callable:
     raise TypeError(f"no JSON reader for {hint!r}")
 
 
+class _Field:
+    """One dataclass field as JSON holds it: under ``key``, left out when
+    ``omit`` is set and the value equals ``default``, and parsed by ``read``."""
+
+    def __init__(self, cls, f: dataclasses.Field):
+        self.cls, self.name = cls, f.name
+        self.key = f.metadata.get("key", f.name)
+        self.omit = f.metadata.get("omit", False)
+        factory = f.default_factory
+        self.required = f.default is dataclasses.MISSING and factory is dataclasses.MISSING
+        self.default = f.default if factory is dataclasses.MISSING else factory()
+        self._read = f.metadata.get("read")
+
+    @cached_property
+    def read(self) -> Callable:
+        """The field's ``"read"`` metadata, else the parser of its declared
+        type; built on the first read, so a record that is only written
+        needs none."""
+        return self._read or _reader(get_type_hints(self.cls)[self.name])
+
+
 @cache
-def _fields(cls) -> tuple:
-    """(name, parser, required) of each field of dataclass ``cls``."""
-    hints = get_type_hints(cls)
-    return tuple(
-        (f.name, f.metadata.get("read") or _reader(hints[f.name]),
-         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-    )
+def _fields(cls) -> tuple[_Field, ...]:
+    """The field table of dataclass ``cls``, which ``jsonable`` and
+    ``read_record`` both follow."""
+    return tuple(_Field(cls, f) for f in dataclasses.fields(cls))
 
 
 def read_record(cls, doc):
     """The ``cls`` dataclass of a JSON object, the inverse of ``jsonable``.
 
-    Each key of ``doc`` that names a field is parsed by the field's
-    declared type: ``int`` by ``json_int`` and ``float`` by ``json_float``;
-    a ``str`` or ``bool`` must be that JSON type; ``X | None`` also takes
-    null; a tuple comes from a JSON list (of its length, unless it is
-    ``tuple[X, ...]``), a ``dict[K, V]`` from a JSON object with its keys
-    parsed as ``K``, an ndarray from a list of finite numbers, a ``Path``
-    from a string, and a nested dataclass is read by this function. A field
-    whose metadata holds a ``"read"`` parser is parsed by that instead. An
-    absent key keeps the field's default, and a field without one is
-    required; other keys are ignored. A value of the wrong JSON type is a TypeError
-    and any other bad value a ValueError, its message led by the key."""
+    Each field is read from the key ``jsonable`` writes it under: its
+    ``"key"`` metadata, else its name; the name of a keyed field is not
+    read. The value is parsed by the field's declared type: ``int`` by
+    ``json_int`` and ``float`` by ``json_float``; a ``str`` or ``bool`` must
+    be that JSON type; ``X | None`` also takes null; a tuple comes from a
+    JSON list (of its length, unless it is ``tuple[X, ...]``), a
+    ``dict[K, V]`` from a JSON object with its keys parsed as ``K``, an
+    ndarray from a list of finite numbers, a ``Path`` from a string, and a
+    nested dataclass is read by this function. A field whose metadata holds
+    a ``"read"`` parser is parsed by that instead. An absent key keeps the
+    field's default, so an ``"omit"`` field left out reads back equal, and a
+    field without one is required; other keys are ignored. A value of the
+    wrong JSON type is a TypeError and any other bad value a ValueError, its
+    message led by the key."""
     _json(dict, doc)
     kwargs = {}
-    for name, read, required in _fields(cls):
-        if name in doc:
+    for f in _fields(cls):
+        if f.key in doc:
             try:
-                kwargs[name] = read(doc[name])
+                kwargs[f.name] = f.read(doc[f.key])
             except (TypeError, ValueError) as exc:
                 kind = TypeError if isinstance(exc, TypeError) else ValueError
-                raise kind(f"{name}: {exc}") from exc
-        elif required:
-            raise ValueError(f"{name}: a value is required")
+                raise kind(f"{f.key}: {exc}") from exc
+        elif f.required:
+            raise ValueError(f"{f.key}: a value is required")
     return cls(**kwargs)
 
 

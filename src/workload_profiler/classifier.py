@@ -9,11 +9,11 @@ and safe to run concurrently.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .artifacts import json_float, json_int, jsonable, read_record
+from .artifacts import read_record
 from .boosting import (
     BoostingParams,
     DEFAULT_PARAMS,
@@ -44,53 +44,30 @@ class TrainingSet:
 @dataclass
 class ClassifierModel:
     vocabulary: EncoderVocabulary
-    forest: Forest
+    # read as given: from_json lays the trees out once the sibling fields are read
+    forest: Forest = field(metadata={"key": "trees", "read": lambda trees: trees})
     class_labels: tuple[int, ...]  # sorted ascending; argmax ties pick the lowest
     hyperparams: BoostingParams
     seed: int = 0
     bucket_bounds: dict[str, tuple[float, float, float]] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "vocabulary": jsonable(self.vocabulary),
-            "class_labels": list(self.class_labels),
-            "hyperparams": jsonable(self.hyperparams),
-            "seed": self.seed,
-            "bucket_bounds": (
-                {k: list(v) for k, v in self.bucket_bounds.items()}
-                if self.bucket_bounds
-                else None
-            ),
-            "trees": self.forest.to_json(),
-        }
+    format_version: int = MODEL_FORMAT_VERSION
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ClassifierModel":
+        """The model of a ``jsonable`` document, of this format version and
+        stating every hyperparameter. ``read_record`` reads each field but
+        the forest, whose trees ``Forest.from_json`` lays out in the shape
+        that the class labels, vocabulary and hyperparameters give."""
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {doc.get('format_version')}")
-        vocab = read_record(EncoderVocabulary, doc["vocabulary"])
-        params = read_record(BoostingParams, doc["hyperparams"])
         # a config may leave hyperparameters at their defaults; a model states them all
         missing = [f.name for f in fields(BoostingParams) if f.name not in doc["hyperparams"]]
         if missing:
             raise KeyError(f"hyperparams lacks {missing}")
-        class_labels = tuple(map(json_int, doc["class_labels"]))
-        forest = Forest.from_json(doc["trees"], len(class_labels), vocab.dimension, params)
-        bounds = doc.get("bucket_bounds")
-        return cls(
-            vocabulary=vocab,
-            forest=forest,
-            class_labels=class_labels,
-            hyperparams=params,
-            seed=json_int(doc.get("seed", 0)),
-            bucket_bounds=(
-                {k: (json_float(v[0]), json_float(v[1]), json_float(v[2]))
-                 for k, v in bounds.items()}
-                if bounds
-                else None
-            ),
-        )
+        model = read_record(cls, doc)
+        model.forest = Forest.from_json(model.forest, len(model.class_labels),
+                                        model.vocabulary.dimension, model.hyperparams)
+        return model
 
 
 def build_training_set(

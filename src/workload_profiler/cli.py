@@ -15,7 +15,7 @@ import itertools
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii  # json.dumps' escaper under ensure_ascii
 from pathlib import Path
 
@@ -168,7 +168,8 @@ def _input_text(path: str):
 
 def _cmd_classify(args) -> int:
     model = load_artifact(Path(args.model), ClassifierModel.from_json)
-    profiles = load_artifact(Path(args.profiles), ProfileSet.from_json) if args.profiles else None
+    profiles = (load_artifact(Path(args.profiles), partial(artifacts.read_record, ProfileSet))
+                if args.profiles else None)
     policy = PredictionPolicy()
     if args.policy:
         try:
@@ -189,7 +190,7 @@ def _cmd_classify(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     report = run_evaluate(config, Path(args.holdout))
-    print(f"fraction_below_50={report['fraction_below_50']:.4f}")
+    print(f"fraction_below_50={report.fraction_below_50:.4f}")
     return 0
 
 
@@ -197,9 +198,9 @@ def _cmd_feedback(args) -> int:
     config = _load_config(args)
     report = run_feedback_command(config, Path(args.stream))
     print(
-        f"feedback: {report['events_total']} events, "
-        f"{report['violations_total']} violations, "
-        f"{len(report['triggers'])} triggers, {report['adopted_count']} adopted"
+        f"feedback: {report.events_total} events, "
+        f"{report.violations_total} violations, "
+        f"{len(report.triggers)} triggers, {report.adopted_count} adopted"
     )
     return 0
 
@@ -218,7 +219,7 @@ def _cmd_sample(args) -> int:
     sampled = stratified_sample(dataset, args.stratify_on, args.target, seed=args.seed)
     out = Path(args.out)
     write_trace(sampled, out)
-    artifacts.write_json(out.with_suffix(".descriptor.json"), schema_for(sampled).to_json())
+    artifacts.write_json(out.with_suffix(".descriptor.json"), schema_for(sampled))
     print(f"sample: {len(sampled)} of {len(dataset)} workloads -> {out}")
     return 0
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import json_float, jsonable
+from .artifacts import json_float
 from .boosting import BoostingParams, DEFAULT_PARAMS
 from .classifier import ClassifierModel, build_training_set, classify_encoded, train
 from .errors import (
@@ -246,12 +246,14 @@ class FeedbackRunReport:
                 self.labels, self.violated, self.outliers)
 
     def to_json(self) -> dict:
+        """feedback-report.json: the run's totals and its triggers, not the
+        event columns, which violations.csv holds."""
         return {
             "events_total": self.events_total,
             "violations_total": self.violations_total,
             "outliers_total": self.outliers_total,
             "adopted_count": self.adopted_count,
-            "triggers": jsonable(self.triggers),
+            "triggers": self.triggers,
         }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,10 @@ from .errors import (
     MissingArtifactError,
     NoValidRowsError,
 )
-from .feedback import EVENT_FIELDS, FeedbackConfig, ReclusterSpec, run_feedback
+from .feedback import EVENT_FIELDS, FeedbackConfig, FeedbackRunReport, ReclusterSpec, run_feedback
 from .gridsearch import GRID_REPORT_FIELDS, GridSpec, grid_search
 from .metrics import EQUAL_WEIGHTS, check_acquires_params, class_report
-from .predictor import PredictionPolicy, evaluate_holdout
+from .predictor import PredictionPolicy, RmseReport, evaluate_holdout
 from .preprocess import hopkins
 from .profiles import DEFAULT_PERCENTILES, ClusteringConfig, ProfileSet, stored_percentile
 from .trace_model import Dataset, TraceSchema, load_trace, runtime_matrix
@@ -66,7 +67,8 @@ class RunConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     optimal_cluster_count: int = 10
     acquires_weights: tuple[float, float, float] = EQUAL_WEIGHTS
-    classifier_params: BoostingParams = DEFAULT_PARAMS
+    classifier_params: BoostingParams = field(default=DEFAULT_PARAMS,
+                                              metadata={"key": "classifier"})
     validation_fraction: float = 0.2
     prediction: PredictionPolicy = field(default_factory=PredictionPolicy)
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
@@ -81,10 +83,9 @@ class RunConfig:
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
         """The config of a JSON document, read by ``artifacts.read_record``
-        with three keys moved: ``acquires`` holds ``optimal_cluster_count``
-        and ``weights`` (``acquires_weights``), and ``classifier`` is
-        ``classifier_params``. Relative paths are resolved against
-        ``base_dir``."""
+        with two keys moved: ``acquires`` holds ``optimal_cluster_count``
+        and ``weights`` (``acquires_weights``). Relative paths are resolved
+        against ``base_dir``."""
         try:
             if "seed" not in doc:
                 raise ConfigError("config must pin a seed (reproducibility contract)")
@@ -92,12 +93,11 @@ class RunConfig:
             if not isinstance(acquires, dict):
                 raise TypeError(f"acquires: a JSON object is required, got {acquires!r}")
             flat = {"output_dir": "out", **doc}
-            for section, key, name in ((doc, "classifier", "classifier_params"),
-                                       (acquires, "optimal_cluster_count", "optimal_cluster_count"),
-                                       (acquires, "weights", "acquires_weights")):
+            for key, name in (("optimal_cluster_count", "optimal_cluster_count"),
+                              ("weights", "acquires_weights")):
                 flat.pop(name, None)  # read from its section only
-                if key in section:
-                    flat[name] = section[key]
+                if key in acquires:
+                    flat[name] = acquires[key]
             config = artifacts.read_record(cls, flat)
             if base_dir is not None:  # an absolute path stays as it is
                 for name in ("trace", "descriptor", "output_dir"):
@@ -238,12 +238,18 @@ def run_build(config: RunConfig) -> BuildResult:
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_json(out / PROFILES_FILE, profiles.to_json(config.include_member_ids))
-    artifacts.write_json(out / MODEL_FILE, model.to_json())
+    artifacts.write_json(out / PROFILES_FILE, _stored(profiles, config))
+    artifacts.write_json(out / MODEL_FILE, model)
     artifacts.write_csv(out / GRID_FILE, GRID_REPORT_FIELDS, artifacts.record_columns(
         GRID_REPORT_FIELDS, [r.to_record() for r in rows]))
     artifacts.write_json(out / BUILD_REPORT_FILE, build_report)
     return BuildResult(dataset=dataset, profiles=profiles, model=model, report=build_report)
+
+
+def _stored(profiles: ProfileSet, config: RunConfig) -> ProfileSet:
+    """The profile set as written: without members unless the config
+    includes them."""
+    return profiles if config.include_member_ids else profiles.without_members()
 
 
 def load_artifact(path: Path, from_json):
@@ -264,7 +270,7 @@ def load_artifact(path: Path, from_json):
 
 
 def load_artifacts(output_dir: Path) -> tuple[ProfileSet, ClassifierModel]:
-    return (load_artifact(output_dir / PROFILES_FILE, ProfileSet.from_json),
+    return (load_artifact(output_dir / PROFILES_FILE, partial(artifacts.read_record, ProfileSet)),
             load_artifact(output_dir / MODEL_FILE, ClassifierModel.from_json))
 
 
@@ -279,7 +285,7 @@ def _prediction_schema(config: RunConfig) -> TraceSchema:
     return schema
 
 
-def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
+def run_evaluate(config: RunConfig, holdout_path: Path) -> RmseReport:
     """Score a holdout trace against the build artifacts; writes reports."""
     profiles, model = load_artifacts(config.output_dir)
     schema = _prediction_schema(config)
@@ -296,15 +302,15 @@ def run_evaluate(config: RunConfig, holdout_path: Path) -> dict:
         alt_normalization=config.alt_normalization,
     )
     out = config.output_dir
-    artifacts.write_json(out / RMSE_REPORT_FILE, report.to_json())
+    artifacts.write_json(out / RMSE_REPORT_FILE, report)
     ecdf, box = ("feature", "error"), ("profile", "q1", "median", "q3", "count")
     for path, fields, records in ((RMSE_ECDF_FILE, ecdf, report.ecdf_records()),
                                   (RMSE_BOXPLOT_FILE, box, report.boxplot_records())):
         artifacts.write_csv(out / path, fields, artifacts.record_columns(fields, records))
-    return report.to_json()
+    return report
 
 
-def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
+def run_feedback_command(config: RunConfig, stream_path: Path) -> FeedbackRunReport:
     """Replay a stream through the feedback loop; writes the run report."""
     profiles, model = load_artifacts(config.output_dir)
     schema = _prediction_schema(config)
@@ -329,11 +335,9 @@ def run_feedback_command(config: RunConfig, stream_path: Path) -> dict:
         features=config.predict_features,
     )
     out = config.output_dir
-    artifacts.write_json(out / FEEDBACK_REPORT_FILE, report.to_json())
+    artifacts.write_json(out / FEEDBACK_REPORT_FILE, report)
     artifacts.write_csv(out / VIOLATIONS_FILE, EVENT_FIELDS, report.event_columns(stream))
     if report.adopted_count and report.final_profiles and report.final_model:
-        artifacts.write_json(
-            out / PROFILES_POST_FILE, report.final_profiles.to_json(config.include_member_ids)
-        )
-        artifacts.write_json(out / MODEL_POST_FILE, report.final_model.to_json())
-    return report.to_json()
+        artifacts.write_json(out / PROFILES_POST_FILE, _stored(report.final_profiles, config))
+        artifacts.write_json(out / MODEL_POST_FILE, report.final_model)
+    return report

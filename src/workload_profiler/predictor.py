@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import jsonable
 from .classifier import ClassifierModel, classify_encoded
 from .errors import EmptyHoldoutError
 from .profiles import ProfileGroup, ProfileSet
@@ -81,27 +80,14 @@ def _errors(predicted: np.ndarray, actual: np.ndarray, scale: np.ndarray) -> tup
 @dataclass
 class RmseReport:
     features: tuple[str, ...]
-    rows: list[dict]  # id, profile, per-feature errors, combined
+    rows: list[dict] = field(metadata={"key": "workloads"})  # id, profile, errors, combined
     per_profile: dict[int, dict[str, float]]  # q1/median/q3 of combined
     fraction_below_50: float
     n_evaluated: int
     n_excluded: int
     policy: PredictionPolicy
-    alt_rows: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        doc = {
-            "features": list(self.features),
-            "n_evaluated": self.n_evaluated,
-            "n_excluded": self.n_excluded,
-            "fraction_below_50": self.fraction_below_50,
-            "policy": jsonable(self.policy),
-            "per_profile": {str(k): v for k, v in sorted(self.per_profile.items())},
-            "workloads": self.rows,
-        }
-        if self.alt_rows:
-            doc["workloads_alt_normalization"] = self.alt_rows
-        return doc
+    alt_rows: list[dict] = field(default_factory=list,
+                                 metadata={"key": "workloads_alt_normalization", "omit": True})
 
     def ecdf_records(self) -> list[dict]:
         out = []

@@ -8,12 +8,11 @@ transformed space used for clustering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import jsonable, read_record
 from .distances import DISTANCE_KINDS, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
@@ -80,21 +79,7 @@ class ProfileGroup:
     stats: dict[str, FeatureStats]  # raw units, keyed by runtime feature
     metadata_bag: dict[str, dict[str, int]]
     last_update: int
-    member_ids: tuple[str, ...] | None = None
-
-    def to_json(self, include_members: bool = False) -> dict:
-        doc = {
-            "label": self.label,
-            "size": self.size,
-            "centroid": [float(v) for v in self.centroid],
-            "medoid_id": self.medoid_id,
-            "stats": jsonable(self.stats),
-            "metadata_bag": self.metadata_bag,
-            "last_update": self.last_update,
-        }
-        if include_members and self.member_ids is not None:
-            doc["member_ids"] = list(self.member_ids)
-        return doc
+    member_ids: tuple[str, ...] | None = field(default=None, metadata={"omit": True})
 
 
 @dataclass
@@ -102,17 +87,13 @@ class ProfileSet:
     """A full clustering result plus the configuration that produced it."""
 
     groups: tuple[ProfileGroup, ...]
-    outlier_ids: tuple[str, ...]
+    outlier_ids: tuple[str, ...] | None  # None once written without members
     config: ClusteringConfig
     transform_spec: TransformSpec
     distance_threshold: float
     created_at: int
-    n_outliers: int = -1  # survives persistence when outlier_ids are dropped
+    n_outliers: int = field(metadata={"key": "outlier_count"})  # kept without outlier_ids
     quality: float | None = None  # composite score at build time
-
-    def __post_init__(self):
-        if self.n_outliers < 0:
-            self.n_outliers = len(self.outlier_ids)
 
     def group(self, label: int) -> ProfileGroup:
         for g in self.groups:
@@ -138,26 +119,11 @@ class ProfileSet:
         row: beyond tau of every centroid."""
         return self._centroid_distances(matrix).min(axis=0) > self.distance_threshold
 
-    def to_json(self, include_members: bool = False) -> dict:
-        return {
-            "groups": [g.to_json(include_members) for g in self.groups],
-            "outlier_count": self.n_outliers,
-            "outlier_ids": list(self.outlier_ids) if include_members else None,
-            "config": jsonable(self.config),
-            "transform_spec": jsonable(self.transform_spec),
-            "distance_threshold": self.distance_threshold,
-            "created_at": self.created_at,
-            "quality": self.quality,
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "ProfileSet":
-        """The set of a ``to_json`` document, read by ``read_record``:
-        ``outlier_count`` is the ``n_outliers`` field, and null
-        ``outlier_ids`` reads as none."""
-        outlier_ids = doc["outlier_ids"]
-        return read_record(cls, {**doc, "n_outliers": doc["outlier_count"],
-                                 "outlier_ids": [] if outlier_ids is None else outlier_ids})
+    def without_members(self) -> "ProfileSet":
+        """The set as written without members: no group holds member ids,
+        the outlier ids are None and the outlier count stays."""
+        return replace(self, outlier_ids=None,
+                       groups=tuple(replace(g, member_ids=None) for g in self.groups))
 
 
 def _feature_stats(values: np.ndarray, percentiles: Sequence[float]) -> FeatureStats:
@@ -246,6 +212,7 @@ def build_profiles(
     return ProfileSet(
         groups=tuple(groups),
         outlier_ids=outliers,
+        n_outliers=len(outliers),
         config=config,
         transform_spec=spec,
         distance_threshold=tau,

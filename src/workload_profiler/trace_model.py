@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +42,7 @@ class TraceSchema:
     """
 
     columns: Mapping[str, str]
-    bucketize: tuple[str, ...] = ()
+    bucketize: tuple[str, ...] = field(default=(), metadata={"omit": True})
 
     def __post_init__(self):
         roles = {}
@@ -91,12 +91,6 @@ class TraceSchema:
             return read_record(cls, doc)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"invalid descriptor {path}: {exc}") from exc
-
-    def to_json(self) -> dict:
-        doc: dict = {"columns": dict(self.columns)}
-        if self.bucketize:
-            doc["bucketize"] = list(self.bucketize)
-        return doc
 
 
 def _code_column(cells: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:

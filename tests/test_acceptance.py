@@ -212,7 +212,7 @@ def test_criterion_5_end_to_end_prediction(tmp_path):
     holdout = tmp_path / "holdout.csv"
     write_trace(holdout_ds, holdout)
     descriptor = tmp_path / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    artifacts.write_json(descriptor, schema_for(train_ds))
     config = RunConfig.from_json(
         {
             "trace": str(trace),
@@ -230,9 +230,9 @@ def test_criterion_5_end_to_end_prediction(tmp_path):
         }
     )
     build = run_build(config)
-    rmse_doc = run_evaluate(config, holdout)
+    rmse = run_evaluate(config, holdout)
     elapsed = time.time() - start
-    fraction = rmse_doc["fraction_below_50"]
+    fraction = rmse.fraction_below_50
     report(
         5,
         "end-to-end-prediction",
@@ -358,7 +358,7 @@ def test_criterion_8_reproducibility(tmp_path):
     trace = tmp_path / "trace.csv"
     write_trace(ds, trace)
     descriptor = tmp_path / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(ds).to_json())
+    artifacts.write_json(descriptor, schema_for(ds))
     doc = {
         "trace": str(trace),
         "descriptor": str(descriptor),

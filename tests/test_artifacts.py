@@ -3,7 +3,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -125,6 +125,27 @@ def test_jsonable_writes_a_numpy_array_as_its_nested_lists():
     assert doc == {"floats": [[1.5, None], [None, -0.0]], "ints": [0, 1, 2],
                    "flags": [True, False], "empty": []}
     assert [type(v) for v in doc["ints"] + doc["flags"]] == [int] * 3 + [bool] * 2
+
+
+@dataclass
+class Keyed:
+    count: int = field(metadata={"key": "total"})
+    note: str | None = field(default=None, metadata={"omit": True})
+    tags: tuple[str, ...] = field(default_factory=tuple, metadata={"omit": True})
+
+
+@pytest.mark.parametrize("record", [Keyed(3), Keyed(0, note="n"), Keyed(2, tags=("a", "b"))],
+                         ids=["defaults", "note", "tags"])
+def test_a_field_is_written_under_its_key_and_left_out_at_its_omitted_default(record):
+    doc = jsonable(record)
+    want = {"total": record.count}
+    want.update({"note": record.note} if record.note is not None else {})
+    want.update({"tags": list(record.tags)} if record.tags else {})
+    assert doc == want
+    assert read_record(Keyed, json.loads(json.dumps(doc))) == record
+    with pytest.raises(ValueError, match="total: a value is required"):
+        read_record(Keyed, {"count": record.count})  # the field's name is not its key
+    assert read_record(Keyed, {**doc, "count": 99}) == record
 
 
 RECORDS = [

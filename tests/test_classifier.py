@@ -6,6 +6,7 @@ from oracles import slow_forest_probabilities
 from rows import block_of, encoded, rows_of
 
 from workload_profiler import boosting
+from workload_profiler.artifacts import jsonable
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import (
     ClassifierModel,
@@ -250,7 +251,7 @@ ORACLE_MODELS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_routing_equals_slow_oracle_exactly(name):
     model, queries = ORACLE_MODELS[name]()
-    doc = json.loads(json.dumps(model.to_json()))
+    doc = json.loads(json.dumps(jsonable(model)))
     want = [slow_forest_probabilities(doc, q) for q in queries]
     for m in (model, ClassifierModel.from_json(doc)):
         labels, probs = classify_batch(m, queries)
@@ -279,7 +280,7 @@ def test_labels_are_the_argmax_of_each_rows_softmax_over_distinct_rows_only(name
 def test_model_round_trip(tmp_path):
     ts, vocab, records, _ = bijective_training(300, 3, seed=13)
     model = train(ts, vocab, FAST, seed=4)
-    doc = model.to_json()
+    doc = jsonable(model)
     back = ClassifierModel.from_json(doc)
     assert back.class_labels == model.class_labels
     assert back.seed == 4
@@ -292,7 +293,7 @@ def test_a_model_that_still_holds_unknown_policy_loads():
     # models written before the vocabulary lost its one-valued policy field
     ts, vocab, records, _ = bijective_training(100, 2, seed=14)
     model = train(ts, vocab, FAST, seed=0)
-    doc = model.to_json()
+    doc = jsonable(model)
     assert "unknown_policy" not in doc["vocabulary"]
     doc["vocabulary"]["unknown_policy"] = "zero"
     back = ClassifierModel.from_json(doc)
@@ -303,7 +304,7 @@ def test_a_model_that_still_holds_unknown_policy_loads():
 
 def test_model_version_check():
     ts, vocab, _, _ = bijective_training(100, 2, seed=14)
-    doc = train(ts, vocab, FAST, seed=0).to_json()
+    doc = jsonable(train(ts, vocab, FAST, seed=0))
     doc["format_version"] = 99
     with pytest.raises(ValueError):
         ClassifierModel.from_json(doc)
@@ -319,6 +320,6 @@ def test_bucketized_metadata_at_classify_time():
     # an explicit quartile label passes through untouched
     assert classify(model, {"req": "q4", "noise": "n"})[0] == 1
     # round trip preserves the bounds
-    back = ClassifierModel.from_json(model.to_json())
+    back = ClassifierModel.from_json(jsonable(model))
     assert back.bucket_bounds == {"req": (10.0, 20.0, 30.0)}
     assert classify(back, {"req": 5.0, "noise": "n"})[0] == 0

@@ -25,7 +25,7 @@ def write_inputs(tmp_path, n=600, k=3, seed=0):
     trace = tmp_path / "trace.csv"
     write_trace(ds, trace)
     descriptor = tmp_path / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(ds).to_json())
+    artifacts.write_json(descriptor, schema_for(ds))
     return ds, centers, trace, descriptor
 
 
@@ -194,7 +194,7 @@ def test_build_validation_predictions_equal_slow_oracle(tmp_path, monkeypatch):
     result = pipeline.run_build(pipeline.RunConfig.load(config))
 
     assert routed and len(reported) == len(routed)
-    doc = json.loads(json.dumps(result.model.to_json()))
+    doc = json.loads(json.dumps(artifacts.jsonable(result.model)))
     metadata = [w.metadata for w in rows_of(result.dataset)]
     metadata_of = dict(zip(map(tuple, encode_records(result.model, metadata).tolist()), metadata))
     for row, label in zip(routed, reported):
@@ -243,7 +243,7 @@ def test_feedback_command(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     write_trace(train_ds, trace)
     descriptor = tmp_path / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    artifacts.write_json(descriptor, schema_for(train_ds))
     stream = tmp_path / "stream.csv"
     write_trace(stream_ds, stream)
     out = tmp_path / "out"
@@ -269,7 +269,7 @@ def test_pinned_recluster_config_is_the_adopted_combination(tmp_path, capsys):
     write_trace(train_ds, trace)
     write_trace(stream_ds, stream)
     descriptor = tmp_path / "descriptor.json"
-    artifacts.write_json(descriptor, schema_for(train_ds).to_json())
+    artifacts.write_json(descriptor, schema_for(train_ds))
     out = tmp_path / "out"
     pinned = {"algorithm": "hdbscan", "transform": "standard", "distance": "manhattan",
               "min_points": 30}
@@ -575,7 +575,7 @@ def test_classify_output_is_strict_json_and_reports_labels_without_a_profile(tmp
 
     expected_ids = [None, [1, None, {"a": None}], "plain"]
     rows = classify(out / "profiles.json")
-    profiles = ProfileSet.from_json(artifacts.read_json(out / "profiles.json"))
+    profiles = artifacts.read_record(ProfileSet, artifacts.read_json(out / "profiles.json"))
     for i, row in enumerate(rows):
         assert row["id"] == expected_ids[i % 3]
         group = profiles.group(row["label"])
@@ -693,7 +693,11 @@ def test_unreadable_build_artifact_exits_10_naming_the_file(tmp_path, capsys):
                                     "profiles_quality_string", "profiles_quality_boolean",
                                     "profiles_outlier_ids_string", "profiles_member_ids_string",
                                     "profiles_medoid_id_number", "profiles_centroid_boolean",
-                                    "profiles_centroid_null", "profiles_transform_param_null"])
+                                    "profiles_centroid_null", "profiles_transform_param_null",
+                                    "class_labels_string", "bucket_bound_four_numbers",
+                                    "bucket_bound_string", "model_without_format_version",
+                                    "profiles_without_outlier_count",
+                                    "profiles_without_outlier_ids"])
 def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path, capsys, damage):
     ds, _, trace, descriptor = write_inputs(tmp_path, n=300)
     out = tmp_path / "out"
@@ -764,6 +768,18 @@ def test_build_artifact_that_from_json_rejects_exits_10_naming_the_file(tmp_path
             group["centroid"][0] = None
     elif damage == "profiles_transform_param_null":
         doc["transform_spec"]["params"]["mean"][0] = None
+    elif damage == "class_labels_string":  # tuple() would read (0, 1, 2)
+        doc["class_labels"] = "".join(map(str, doc["class_labels"]))
+    elif damage == "bucket_bound_four_numbers":  # the first three would be read
+        doc["bucket_bounds"] = {"owner": [1.0, 2.0, 3.0, 4.0]}
+    elif damage == "bucket_bound_string":
+        doc["bucket_bounds"] = {"owner": "123"}
+    elif damage == "model_without_format_version":
+        del doc["format_version"]
+    elif damage == "profiles_without_outlier_count":  # a default count would read silently
+        del doc["outlier_count"]
+    elif damage == "profiles_without_outlier_ids":
+        del doc["outlier_ids"]
     else:
         del doc["groups"]
     artifacts.write_json(out / name, doc)
@@ -809,7 +825,7 @@ def test_classify_lines_are_canonical_json_with_probs_keys_in_string_order(tmp_p
     ds, _, _ = make_blob_trace(1300, 13, seed=301, metadata_noise=0.02)
     trace, descriptor, out = tmp_path / "trace.csv", tmp_path / "descriptor.json", tmp_path / "out"
     write_trace(ds, trace)
-    artifacts.write_json(descriptor, schema_for(ds).to_json())
+    artifacts.write_json(descriptor, schema_for(ds))
     config = write_config(tmp_path, trace, descriptor, out, k=13, extra={
         "classifier": dict(BOOST, rounds=8, max_depth=4)})
     assert main(["build", "--config", str(config)]) == 0
@@ -911,7 +927,7 @@ def test_classify_probs_of_a_model_with_a_null_leaf_are_written_as_json_dumps_wr
     assert main(["build", "--config", str(write_config(tmp_path, trace, descriptor, out))]) == 0
     model = ClassifierModel.from_json(artifacts.read_json(out / "model.json"))
     model.forest.value[0, 0] = math.nan  # model.json stores it as null
-    artifacts.write_json(tmp_path / "nan-model.json", model.to_json())
+    artifacts.write_json(tmp_path / "nan-model.json", model)
     inp = tmp_path / "batch.jsonl"
     inp.write_text("".join(json.dumps({"id": w.id, "metadata": w.metadata}) + "\n"
                            for w in rows_of(ds)[:5]), encoding="utf-8")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from rows import dataset_of, reordered, rows_of
 
+from workload_profiler.artifacts import jsonable
 from workload_profiler.boosting import BoostingParams
 from workload_profiler.classifier import build_training_set, train
 from workload_profiler.errors import EmptyHoldoutError
@@ -189,7 +190,7 @@ def test_holdout_report_shapes():
     box = report.boxplot_records()
     assert all({"profile", "q1", "median", "q3", "count"} <= set(r) for r in box)
     assert len(report.alt_rows) == report.n_evaluated
-    doc = report.to_json()
+    doc = jsonable(report)
     assert "workloads_alt_normalization" in doc
 
 
@@ -212,6 +213,7 @@ def test_unscorable_holdout_errors():
     stale = type(profiles)(
         groups=tuple(shifted),
         outlier_ids=profiles.outlier_ids,
+        n_outliers=profiles.n_outliers,
         config=profiles.config,
         transform_spec=profiles.transform_spec,
         distance_threshold=profiles.distance_threshold,
@@ -243,8 +245,8 @@ def test_holdout_scores_equal_scalar_arithmetic_and_meet_columns_by_name():
     assert flipped.schema_runtime != holdout.schema_runtime
     again = evaluate_holdout(flipped, model, profiles, policy, features=holdout.schema_runtime,
                              alt_normalization=True)
-    assert again.to_json() == report.to_json()
-    assert json.dumps(report.to_json())  # numpy scalars would not serialize
+    assert jsonable(again) == jsonable(report)
+    assert json.dumps(jsonable(report))  # numpy scalars would not serialize
     actual_of = {w.id: w.runtime for w in rows_of(holdout)}
     for row, alt in zip(report.rows, report.alt_rows):
         group = profiles.group(row["profile"])

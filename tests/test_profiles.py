@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import slow_percentile
+from workload_profiler.artifacts import jsonable, read_record
 from workload_profiler.errors import EmptyProfileSetError
 from workload_profiler.preprocess import fit_transform
 from workload_profiler.distances import point_to_rows
@@ -125,15 +126,15 @@ def test_profile_set_round_trip():
     ds, labels, _ = make_blob_trace(120, 2, seed=9)
     spec, _ = fit_transform(runtime_matrix(ds), "robust")
     ps = build_profiles(ds, labels, config(transform="robust"), spec, now=3)
-    doc = ps.to_json(include_members=True)
-    back = ProfileSet.from_json(doc)
+    doc = jsonable(ps)
+    back = read_record(ProfileSet, doc)
     assert back.labels() == ps.labels()
     assert back.n_outliers == ps.n_outliers
     assert back.distance_threshold == ps.distance_threshold
     np.testing.assert_array_equal(back.groups[0].centroid, ps.groups[0].centroid)
     assert back.groups[0].stats == ps.groups[0].stats
     # without members the ids are dropped but the count survives
-    lean = ProfileSet.from_json(ps.to_json(include_members=False))
+    lean = read_record(ProfileSet, jsonable(ps.without_members()))
     assert lean.groups[0].member_ids is None
     assert lean.n_outliers == ps.n_outliers
 
