@@ -155,7 +155,7 @@ def grid_search(
     fitted: dict[str, tuple] = {}
     rows: list[GridRow] = []
     best_key = None
-    best: tuple | None = None  # (row_index, labels, spec, transformed)
+    best: tuple | None = None  # (row_index, labels, spec)
 
     configs = [
         ClusteringConfig(c.algorithm, c.transform, c.distance, c.min_points, eps=c.eps, seed=seed)
@@ -168,7 +168,7 @@ def grid_search(
             fitted[transform] = fit_transform(matrix, transform)
         spec, transformed = fitted[transform]
         first = len(rows)
-        group = [GridRow(config=config) for config in members]
+        group = [GridRow(config, silhouette_subsampled=n > silhouette_cap) for config in members]
         rows.extend(group)
 
         scored = []
@@ -181,7 +181,6 @@ def grid_search(
                 row.error = "no clusters"
                 continue
             row.mean_cluster_size = float(clustered.size / row.n_clusters)
-            row.silhouette_subsampled = clustered.size > silhouette_cap
             scored.append((first + i, labels))
         if not scored:
             continue
@@ -207,16 +206,14 @@ def grid_search(
             key = (-score.total, row.n_outliers, row.config.min_points, index)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (index, labels, spec, transformed)
+                best = (index, labels, spec)
 
     if best is None:
         raise NoViableConfigError("no grid combination produced a valid clustering")
 
-    row_index, labels, spec, transformed = best
+    row_index, labels, spec = best
     rows[row_index].selected = True
     winner = rows[row_index].config
-    profile_set = build_profiles(
-        dataset, labels, winner, spec, now=now, percentiles=percentiles, transformed=transformed
-    )
+    profile_set = build_profiles(dataset, labels, winner, spec, now=now, percentiles=percentiles)
     profile_set.quality = rows[row_index].acquires_total
     return winner, profile_set, rows

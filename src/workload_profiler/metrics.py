@@ -15,37 +15,15 @@ import numpy as np
 
 from .distances import block_rows, point_to_rows
 from .errors import DegenerateDataError
-from .preprocess import proportional_allocation
 from .trace_model import matrix_rows
 
 DEFAULT_SILHOUETTE_CAP = 20_000
 
 
-def _scored_rows(lab: np.ndarray, max_points: int, seed: int) -> np.ndarray | None:
-    """Ascending row indices a labelling's silhouette is taken over: its
-    clustered rows, or beyond ``max_points`` a proportional per-cluster
-    subsample of them (fixed seed); None with fewer than 2 clusters."""
-    idx = np.flatnonzero(lab >= 0)
-    sub = lab[idx]
-    uniq = np.unique(sub)
-    if uniq.size < 2:
-        return None
-    if idx.size > max_points:
-        sizes = {str(c): int(np.sum(sub == c)) for c in uniq}
-        alloc = proportional_allocation(sizes, max_points)
-        rng = np.random.default_rng(seed)
-        picked: list[np.ndarray] = []
-        for c in uniq:
-            members = np.flatnonzero(sub == c)
-            picked.append(members[rng.choice(members.size, size=alloc[str(c)], replace=False)])
-        idx = idx[np.sort(np.concatenate(picked))]
-    return idx
-
-
 class _Scoring:
-    """One labelling's silhouette within a pass over the union of the scored
-    rows of its pass: each pass row's dense cluster index (the spare bin k for
-    rows this labelling does not score) and each scored row's coefficient."""
+    """One labelling's silhouette within a pass over the union of the rows its
+    pass scores: each pass row's dense cluster index (the spare bin k for rows
+    this labelling does not score) and each scored row's coefficient."""
 
     def __init__(self, lab: np.ndarray, idx: np.ndarray, cols: np.ndarray, block: int):
         uniq, dense = np.unique(lab[idx], return_inverse=True)
@@ -86,24 +64,31 @@ class _Scoring:
         return float(total / self.size)
 
 
-def _silhouette_pass(X: np.ndarray, labs: list, kind: str) -> list[float]:
-    """Means of several (labels, scored rows) pairs from one pass over blocks
-    of distance rows, restricted to the union of their scored rows. bincount
-    adds in index order, so each sum has the bits of a pass of its own."""
-    cols = np.unique(np.concatenate([idx for _, idx in labs]))
+def _silhouette_pass(
+    X: np.ndarray, labellings: np.ndarray, scored: np.ndarray, kind: str
+) -> list[float | None]:
+    """Mean of each labelling over its clustered rows among ``scored``, None
+    where fewer than 2 clusters remain, from one pass over blocks of distance
+    rows restricted to the union of the rows scored. bincount adds in index
+    order, so each sum has the bits of a pass of its own."""
+    picks = [scored[lab[scored] >= 0] for lab in labellings]
+    defined = [t for t, idx in enumerate(picks) if np.unique(labellings[t][idx]).size >= 2]
+    if not defined:
+        return [None] * len(labellings)
+    cols = np.unique(np.concatenate([picks[t] for t in defined]))
     XF = np.asfortranarray(X[cols])
     block = block_rows(cols.size)
-    scorings = [_Scoring(lab, idx, cols, block) for lab, idx in labs]
+    scorings = {t: _Scoring(labellings[t], picks[t], cols, block) for t in defined}
     for start in range(0, cols.size, block):
         rows = np.arange(start, min(start + block, cols.size))
         d = point_to_rows(XF[start:start + block], XF, kind)
-        for s in scorings:
+        for s in scorings.values():
             hit = s.member[rows]
             if hit.all():
                 s.add_block(rows, d)
             elif hit.any():
                 s.add_block(rows[hit], d[hit])
-    return [s.mean() for s in scorings]
+    return [scorings[t].mean() if t in scorings else None for t in range(len(labellings))]
 
 
 def silhouette_mean(
@@ -115,31 +100,27 @@ def silhouette_mean(
 ) -> float | list[float | None]:
     """Mean silhouette coefficient over non-outlier points.
 
-    Exact O(n^2) computation up to ``max_points`` clustered points; beyond
-    that a proportional per-cluster subsample (fixed seed) is scored instead.
-    Singleton-cluster points score 0 by convention.
+    The scored rows are all n rows of the matrix up to ``max_points``;
+    beyond that, one uniform sample of ``max_points`` rows drawn with
+    ``seed`` whatever the labels, so it depends only on (n, max_points,
+    seed). Each labelling is scored exactly on its clustered rows among them,
+    O(m^2) for m scored rows: a cluster's size, its means and the average are
+    taken within the scored rows, so a cluster with one scored member is a
+    singleton there. Singleton-cluster points score 0 by convention.
 
     ``labels`` is one labelling, giving a float (DegenerateDataError with
-    fewer than 2 clusters), or a (K, n) stack, giving a list of K values with
-    None where the labelling alone would raise. The labellings scored on all
-    their clustered rows share one pass over blocks of distance rows; each
-    subsampled one gets a pass over its own sample. Each value equals its
-    labelling's own call.
+    fewer than 2 clusters among the scored rows), or a (K, n) stack, giving a
+    list of K values with None where the labelling alone would raise. All
+    labellings share one pass over blocks of distance rows, and each value
+    equals its labelling's own call.
     """
     X = matrix_rows(matrix)
     stack = np.asarray(labels)
-    labellings = np.atleast_2d(stack)
-    whole, sampled = [], []
-    for t, lab in enumerate(labellings):
-        idx = _scored_rows(lab, max_points, seed)
-        if idx is not None:
-            (whole if idx.size == np.count_nonzero(lab >= 0) else sampled).append((t, lab, idx))
-    passes = ([whole] if whole else []) + [[item] for item in sampled]
-    means: list[float | None] = [None] * len(labellings)
-    for group in passes:
-        values = _silhouette_pass(X, [(lab, idx) for _, lab, idx in group], kind)
-        for (t, _, _), value in zip(group, values):
-            means[t] = value
+    n = stack.shape[-1]
+    scored = np.arange(n)
+    if n > max_points:
+        scored = np.sort(np.random.default_rng(seed).choice(n, max_points, replace=False))
+    means = _silhouette_pass(X, np.atleast_2d(stack), scored, kind)
     if stack.ndim == 2:
         return means
     if means[0] is None:

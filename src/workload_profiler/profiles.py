@@ -160,7 +160,6 @@ def build_profiles(
     spec: TransformSpec,
     now: int,
     percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-    transformed: FeatureMatrix | None = None,
 ) -> ProfileSet:
     """Assemble one ProfileGroup per non-negative label.
 
@@ -174,10 +173,9 @@ def build_profiles(
     if not np.any(lab >= 0):
         raise EmptyProfileSetError("every workload was labelled an outlier")
 
-    if transformed is None:
-        transformed = apply_transform(spec, runtime_matrix(dataset))
-    T = transformed.rows
-    raw = runtime_matrix(dataset).rows
+    raw_matrix = runtime_matrix(dataset)
+    T = apply_transform(spec, raw_matrix).rows
+    raw = raw_matrix.rows
     ids = dataset.ids
     metadata = dataset.metadata
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from workload_profiler import boosting
-from workload_profiler.preprocess import proportional_allocation
 
 
 def _ordered_unit(v: list[float]) -> list[float] | None:
@@ -515,22 +514,16 @@ def slow_silhouette(X: np.ndarray, labels, kind="euclidean"):
 
 def rowwise_silhouette(X: np.ndarray, labels, kind="euclidean", max_points=20_000, seed=0):
     """Mean silhouette with one distance row and one bincount per scored
-    point, over the clustered (or subsampled) rows only, summed in row order:
-    the bits the blocked, stacked silhouette_mean must reproduce."""
+    point, over the clustered rows of the uniform sample of max_points rows
+    (all rows up to max_points) only, summed in row order: the bits the
+    blocked, stacked silhouette_mean must reproduce."""
     labels = np.asarray(labels)
-    X, lab = X[labels >= 0], labels[labels >= 0]
-    uniq = np.unique(lab)
-    if uniq.size < 2:
-        return None
     if X.shape[0] > max_points:
-        alloc = proportional_allocation({str(c): int(np.sum(lab == c)) for c in uniq}, max_points)
-        rng = np.random.default_rng(seed)
-        picked = []
-        for c in uniq:
-            idx = np.flatnonzero(lab == c)
-            picked.append(idx[rng.choice(idx.size, size=alloc[str(c)], replace=False)])
-        sel = np.sort(np.concatenate(picked))
-        X, lab = X[sel], lab[sel]
+        sel = np.sort(np.random.default_rng(seed).choice(X.shape[0], max_points, replace=False))
+        X, labels = X[sel], labels[sel]
+    X, lab = X[labels >= 0], labels[labels >= 0]
+    if np.unique(lab).size < 2:
+        return None
     uniq, dense = np.unique(lab, return_inverse=True)
     k = uniq.size
     counts = np.bincount(dense, minlength=k)

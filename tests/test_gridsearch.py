@@ -1,13 +1,36 @@
+import numpy as np
 import pytest
 
 from oracles import rowwise_silhouette, slow_acquires
 from workload_profiler.dbscan import dbscan
-from workload_profiler.errors import NoViableConfigError
+from workload_profiler.errors import DegenerateDataError, NoViableConfigError
 from workload_profiler.gridsearch import DEFAULT_MIN_POINTS, GridSpec, grid_search
 from workload_profiler.hdbscan import hdbscan
+from workload_profiler.metrics import silhouette_mean
 from workload_profiler.preprocess import fit_transform
 from workload_profiler.synth import make_blob_trace
 from workload_profiler.trace_model import runtime_matrix
+
+
+def test_a_cluster_the_silhouette_sample_misses_leaves_the_row_undefined():
+    ds, _, _ = make_blob_trace(120, 2, seed=3)
+    _, transformed = fit_transform(runtime_matrix(ds), "standard")
+    labels = hdbscan(transformed, 10)
+    assert np.unique(labels[labels >= 0]).size == 2
+    cap = 4
+
+    def sampled_clusters(seed):
+        sel = np.random.default_rng(seed).choice(len(ds), cap, replace=False)
+        return np.unique(labels[sel][labels[sel] >= 0]).size
+
+    seed = next(s for s in range(100) if sampled_clusters(s) < 2)
+    assert silhouette_mean(transformed, np.stack([labels]), max_points=cap, seed=seed) == [None]
+    with pytest.raises(DegenerateDataError):
+        silhouette_mean(transformed, labels, max_points=cap, seed=seed)
+    grid = GridSpec(transforms=("standard",), distances=("euclidean",), min_points=(10,))
+    _, _, (row,) = grid_search(ds, grid, 2, seed=seed, silhouette_cap=cap)
+    assert row.n_clusters == 2 and row.silhouette_subsampled
+    assert not row.silhouette_defined and row.silhouette == 0.0
 
 
 def test_grid_spec_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from oracles import (
     slow_davies_bouldin,
     slow_silhouette,
 )
+from workload_profiler import metrics
+from workload_profiler.distances import block_rows
 from workload_profiler.errors import DegenerateDataError
 from workload_profiler.metrics import (
     EQUAL_WEIGHTS,
@@ -79,13 +83,14 @@ def test_stacked_silhouette_equals_one_call_per_labelling(kind):
 
     singletons = base.copy()
     singletons[[0, 100, 200]] = [7, 8, 9]  # singleton clusters score 0
+    # n = 270 > max_points: every labelling is scored within one sample of 250 rows.
     stack = np.stack([
-        drop(base, 0.2),  # below the cap: scored in the shared pass
+        drop(base, 0.2),
         drop(singletons, 0.25),
         drop(rng.integers(0, 4, n), 0.3),
         np.where(base == 1, 0, -1),  # a single cluster: undefined
         np.full(n, -1),  # all outliers: undefined
-        base,  # 270 clustered points > max_points: scored on a subsample
+        base,  # every row clustered
     ])
     got = silhouette_mean(X, stack, kind, max_points=250, seed=3)
     assert len(got) == len(stack)
@@ -97,6 +102,34 @@ def test_stacked_silhouette_equals_one_call_per_labelling(kind):
         assert value == alone == rowwise_silhouette(X, lab, kind, max_points=250, seed=3)
     assert got[3] is None and got[4] is None and None not in got[:3]
     assert silhouette_mean(X, base, kind, seed=3) != got[5]  # the subsample ran
+
+
+def test_every_labelling_above_the_cap_shares_one_pass(monkeypatch):
+    rng = np.random.default_rng(4)
+    n, cap = 600, 400
+    X = rng.normal(size=(n, 2))
+    stack = np.stack([rng.integers(0, k, n) for k in (2, 3, 5)])  # n > cap rows clustered each
+    calls = []
+    kernel = metrics.point_to_rows
+    monkeypatch.setattr(
+        metrics, "point_to_rows", lambda *args: calls.append(1) or kernel(*args)
+    )
+    got = silhouette_mean(X, stack, max_points=cap, seed=1)
+    assert len(calls) == math.ceil(cap / block_rows(cap))
+    assert got == [rowwise_silhouette(X, lab, max_points=cap, seed=1) for lab in stack]
+
+
+def test_a_cluster_with_one_sampled_member_scores_as_a_singleton():
+    rng = np.random.default_rng(2)
+    n, cap, seed = 300, 100, 7
+    X = rng.normal(size=(n, 2))
+    sel = np.sort(np.random.default_rng(seed).choice(n, cap, replace=False))
+    lab = np.zeros(n, dtype=int)
+    lab[np.setdiff1d(np.arange(n), sel)[:5]] = 1  # not sampled
+    lab[sel[0]] = 1  # the one sampled member of cluster 1
+    value = silhouette_mean(X, lab, max_points=cap, seed=seed)
+    assert value == silhouette_mean(X[sel], lab[sel])
+    assert value == pytest.approx(slow_silhouette(X[sel], lab[sel]), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])

@@ -162,7 +162,7 @@ def build_pipeline(seed=0):
     from workload_profiler.hdbscan import hdbscan
 
     found = hdbscan(transformed, 20)
-    profiles = build_profiles(train_ds, found, config, spec, now=0, transformed=transformed)
+    profiles = build_profiles(train_ds, found, config, spec, now=0)
     ts, vocab = build_training_set(train_ds, profiles)
     model = train(ts, vocab, BoostingParams(rounds=30), seed=seed)
     holdout, _, _ = make_blob_trace(300, 4, seed=seed + 1, centers=centers, id_prefix="h")
