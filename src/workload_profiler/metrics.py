@@ -8,87 +8,113 @@ reported unclamped, so it can be negative when cohesion is poor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distances import block_rows, point_to_rows
+from .distances import BLOCK_ELEMENTS, point_to_rows
 from .errors import DegenerateDataError
 from .trace_model import matrix_rows
 
 DEFAULT_SILHOUETTE_CAP = 20_000
 
 
-class _Scoring:
-    """One labelling's silhouette within a pass over the union of the rows its
-    pass scores: each pass row's dense cluster index (the spare bin k for rows
-    this labelling does not score) and each scored row's coefficient."""
+def _triangle_blocks(n: int):
+    """(start, end) of the pass's row blocks: block [s, e) is measured
+    against the e columns up to its own end, at most BLOCK_ELEMENTS distances
+    ((e - s) * e, one row at least), so blocks are taller near the start."""
+    start = 0
+    while start < n:
+        rows = max(1, (math.isqrt(start * start + 4 * BLOCK_ELEMENTS) - start) // 2)
+        yield start, min(start + rows, n)
+        start += rows
 
-    def __init__(self, lab: np.ndarray, idx: np.ndarray, cols: np.ndarray, block: int):
-        uniq, dense = np.unique(lab[idx], return_inverse=True)
-        self.size = idx.size
-        self.k = uniq.size
-        self.counts = np.bincount(dense, minlength=self.k)
-        self.dense = np.full(cols.size, self.k, dtype=np.int64)
-        self.dense[np.searchsorted(cols, idx)] = dense
-        self.member = self.dense < self.k
-        # Bins of a block's flattened bincount: row r of the block owns
-        # bins r * (k + 1) .. r * (k + 1) + k.
-        self.bins = self.dense + (self.k + 1) * np.arange(min(block, cols.size))[:, None]
-        self.value = np.zeros(cols.size)
-        self.adds = np.zeros(cols.size, dtype=bool)  # rows that add a term
 
-    def add_block(self, rows: np.ndarray, d: np.ndarray) -> None:
-        """Coefficients of ``rows`` (scored pass rows) from their distance rows."""
-        m, k = rows.size, self.k
-        sums = np.bincount(
-            self.bins[:m].ravel(), weights=d.ravel(), minlength=m * (k + 1)
-        ).reshape(m, k + 1)
-        r = np.arange(m)
+class _ClusterSums:
+    """One distinct labelling's distance sums over a pass: each pass row's
+    dense cluster index (the spare bin k for rows it does not score) and
+    sums[c, j], the sum of the distances from pass row j to the pass rows of
+    cluster c, which gets its terms in ascending row order from 0."""
+
+    def __init__(self, dense: np.ndarray, k: int):
+        self.dense = dense
+        self.k = k
+        self.sums = np.empty((k + 1, dense.size))
+
+    def add_block(self, start: int, d: np.ndarray) -> None:
+        """Take block [start, end) of distance rows d = D[start:end, :end].
+
+        One flattened bincount over the block's columns starts its rows'
+        sums (row r owns bins r * (k + 1) .. r * (k + 1) + k); then each
+        block row, in ascending order, is added as a column to every earlier
+        row's sum for its cluster, which are the terms those sums get next,
+        as D is exactly symmetric."""
+        m, end = d.shape
+        bins = self.dense[:end] + (self.k + 1) * np.arange(m)[:, None]
+        self.sums[:, start:end] = np.bincount(
+            bins.ravel(), weights=d.ravel(), minlength=m * (self.k + 1)
+        ).reshape(m, self.k + 1).T
+        for r, c in enumerate(self.dense[start:end].tolist()):
+            if c < self.k:
+                self.sums[c, :start] += d[r, :start]
+
+    def mean(self, self_distance: np.ndarray) -> float:
+        """Mean coefficient over the scored rows; a singleton scores 0."""
+        rows = np.flatnonzero(self.dense < self.k)
         c = self.dense[rows]
-        size = self.counts[c]
-        a = (sums[r, c] - d[r, rows]) / np.maximum(size - 1, 1)
-        means = sums[:, :k] / self.counts
-        means[r, c] = np.inf
-        b = means.min(axis=1)
+        counts = np.bincount(c, minlength=self.k)
+        size = counts[c]
+        r = np.arange(rows.size)
+        means = self.sums[:self.k, rows]
+        a = (means[c, r] - self_distance[rows]) / np.maximum(size - 1, 1)
+        means /= counts[:, None]
+        means[c, r] = np.inf
+        b = means.min(axis=0)
         denom = np.maximum(a, b)
-        adds = (size > 1) & (denom > 0.0)  # a singleton scores 0
-        self.value[rows] = np.divide(b - a, denom, out=np.zeros(m), where=adds)
-        self.adds[rows] = adds
-
-    def mean(self) -> float:
+        adds = (size > 1) & (denom > 0.0)
+        value = np.divide(b - a, denom, out=np.zeros(rows.size), where=adds)
         total = 0.0
-        for v in self.value[self.adds].tolist():  # ascending rows, in order
+        for v in value[adds].tolist():  # ascending rows, in order
             total += v
-        return float(total / self.size)
+        return float(total / rows.size)
 
 
 def _silhouette_pass(
     X: np.ndarray, labellings: np.ndarray, scored: np.ndarray, kind: str
 ) -> list[float | None]:
     """Mean of each labelling over its clustered rows among ``scored``, None
-    where fewer than 2 clusters remain, from one pass over blocks of distance
-    rows restricted to the union of the rows scored. bincount adds in index
-    order, so each sum has the bits of a pass of its own."""
+    where fewer than 2 clusters remain, from one pass over the lower triangle
+    of the distances among the union of the rows scored, each pair measured
+    once. Every (row, cluster) sum adds its terms in ascending column order
+    from 0, as a bincount over the whole distance row would, so each value
+    has the bits of a pass of its own. Labellings with the same dense
+    clusters on the pass rows share one table of sums."""
     picks = [scored[lab[scored] >= 0] for lab in labellings]
     defined = [t for t, idx in enumerate(picks) if np.unique(labellings[t][idx]).size >= 2]
     if not defined:
         return [None] * len(labellings)
     cols = np.unique(np.concatenate([picks[t] for t in defined]))
+    tables: dict[tuple[int, bytes], _ClusterSums] = {}
+    keys = {}
+    for t in defined:
+        uniq, members = np.unique(labellings[t][picks[t]], return_inverse=True)
+        dense = np.full(cols.size, uniq.size, dtype=np.int64)
+        dense[np.searchsorted(cols, picks[t])] = members
+        keys[t] = (uniq.size, dense.tobytes())
+        if keys[t] not in tables:
+            tables[keys[t]] = _ClusterSums(dense, uniq.size)
     XF = np.asfortranarray(X[cols])
-    block = block_rows(cols.size)
-    scorings = {t: _Scoring(labellings[t], picks[t], cols, block) for t in defined}
-    for start in range(0, cols.size, block):
-        rows = np.arange(start, min(start + block, cols.size))
-        d = point_to_rows(XF[start:start + block], XF, kind)
-        for s in scorings.values():
-            hit = s.member[rows]
-            if hit.all():
-                s.add_block(rows, d)
-            elif hit.any():
-                s.add_block(rows[hit], d[hit])
-    return [scorings[t].mean() if t in scorings else None for t in range(len(labellings))]
+    self_distance = np.empty(cols.size)
+    for start, end in _triangle_blocks(cols.size):
+        d = point_to_rows(XF[start:end], XF[:end], kind)
+        r = np.arange(end - start)
+        self_distance[start:end] = d[r, start + r]
+        for table in tables.values():
+            table.add_block(start, d)
+    means = {key: table.mean(self_distance) for key, table in tables.items()}
+    return [means[keys[t]] if t in keys else None for t in range(len(labellings))]
 
 
 def silhouette_mean(
@@ -111,8 +137,10 @@ def silhouette_mean(
     ``labels`` is one labelling, giving a float (DegenerateDataError with
     fewer than 2 clusters among the scored rows), or a (K, n) stack, giving a
     list of K values with None where the labelling alone would raise. All
-    labellings share one pass over blocks of distance rows, and each value
-    equals its labelling's own call.
+    labellings share one pass that measures each pair of the union of their
+    scored rows once, about m(m+1)/2 distances, with one bincount per
+    distinct labelling and block of rows and one in-place add per row; each
+    value equals its labelling's own call.
     """
     X = matrix_rows(matrix)
     stack = np.asarray(labels)

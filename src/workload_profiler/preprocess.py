@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import point_to_rows
+from .distances import block_rows, point_to_rows
 from .errors import DegenerateDataError, SchemaError, UndefinedSkewnessError
 from .trace_model import Dataset, FeatureMatrix
 
@@ -190,11 +190,14 @@ def hopkins(matrix: FeatureMatrix, sample_fraction: float = 0.1, seed: int = 0) 
 
     u = np.empty(m)  # probe -> nearest real point
     w = np.empty(m)  # sampled real point -> nearest other real point
-    for i in range(m):
-        u[i] = point_to_rows(probes[i], Xs, "euclidean").min()
-        d = point_to_rows(Xs[sample_idx[i]], Xs, "euclidean")
-        d[sample_idx[i]] = np.inf
-        w[i] = d.min()
+    block = block_rows(n)
+    for start in range(0, m, block):
+        end = min(start + block, m)
+        u[start:end] = point_to_rows(probes[start:end], Xs, "euclidean").min(axis=1)
+        own = sample_idx[start:end]
+        d = point_to_rows(Xs[own], Xs, "euclidean")
+        d[np.arange(own.size), own] = np.inf
+        w[start:end] = d.min(axis=1)
     total = float(u.sum() + w.sum())
     score = 0.5 if total == 0.0 else float(w.sum()) / total
     return HopkinsResult(score=score, sample_size=m, seed=seed)

@@ -88,19 +88,27 @@ def test_point_to_rows_bits_independent_of_layout(kind):
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
 def test_point_to_rows_symmetric_bit_for_bit(kind):
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(120, 4)) * 100.0
-    X[90:100] = X[10:20]  # exact duplicates
-    X[[7, 50, 95]] = 0.0  # zero vectors
-    X = np.asfortranarray(X)
-    D = np.stack([point_to_rows(X[i], X, kind) for i in range(120)])
-    assert np.array_equal(D, D.T)
-    zero = ~X.any(axis=1)
-    assert (np.diag(D)[~zero] == 0).all()
-    assert (np.diag(D[90:100, 10:20])[~zero[90:100]] == 0).all()
-    if kind == "cosine":
-        assert (D[zero] == 1).all() and (D[:, zero] == 1).all()
-        assert ((D >= 0) & (D <= 2)).all()
+    for dims in range(1, 10):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(120, dims)) * 100.0
+        X[90:100] = X[10:20]  # exact duplicates
+        X[[7, 50, 95]] = 0.0  # zero vectors
+        X = np.asfortranarray(X)
+        D = np.stack([point_to_rows(X[i], X, kind) for i in range(120)])
+        assert np.array_equal(D, D.T)
+        # Block calls of any shape agree with their transpose and with D, as
+        # the silhouette's lower-triangle pass relies on.
+        for a, b in ((slice(0, 7), slice(30, 120)), (slice(40, 100), slice(0, 100)),
+                     (slice(0, 120), slice(119, 120)), (slice(5, 6), slice(0, 2))):
+            block = point_to_rows(X[a], X[b], kind)
+            assert np.array_equal(block, point_to_rows(X[b], X[a], kind).T)
+            assert np.array_equal(block, D[a, b])
+        zero = ~X.any(axis=1)
+        assert (np.diag(D)[~zero] == 0).all()
+        assert (np.diag(D[90:100, 10:20])[~zero[90:100]] == 0).all()
+        if kind == "cosine":
+            assert (D[zero] == 1).all() and (D[:, zero] == 1).all()
+            assert ((D >= 0) & (D <= 2)).all()
 
 
 @pytest.mark.parametrize("dims", range(1, 10))

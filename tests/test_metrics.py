@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from oracles import (
     slow_silhouette,
 )
 from workload_profiler import metrics
-from workload_profiler.distances import block_rows
 from workload_profiler.errors import DegenerateDataError
 from workload_profiler.metrics import (
     EQUAL_WEIGHTS,
@@ -109,14 +106,76 @@ def test_every_labelling_above_the_cap_shares_one_pass(monkeypatch):
     n, cap = 600, 400
     X = rng.normal(size=(n, 2))
     stack = np.stack([rng.integers(0, k, n) for k in (2, 3, 5)])  # n > cap rows clustered each
-    calls = []
+    sizes = []  # distances returned by each kernel call
     kernel = metrics.point_to_rows
-    monkeypatch.setattr(
-        metrics, "point_to_rows", lambda *args: calls.append(1) or kernel(*args)
-    )
+
+    def counted(*args):
+        d = kernel(*args)
+        sizes.append(d.size)
+        return d
+
+    monkeypatch.setattr(metrics, "point_to_rows", counted)
     got = silhouette_mean(X, stack, max_points=cap, seed=1)
-    assert len(calls) == math.ceil(cap / block_rows(cap))
+    # One pass over the lower triangle of the sample's distances: a full
+    # pass per labelling would measure 3 * cap^2, a full shared pass cap^2.
+    assert sum(sizes) <= 0.65 * cap**2
     assert got == [rowwise_silhouette(X, lab, max_points=cap, seed=1) for lab in stack]
+
+
+def _edge_inputs():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 3))
+    X[[3, 17, 30]] = 0.0  # zero rows: cosine puts them at 1 from everything, itself too
+    X[[5, 6, 25]] = X[4]  # exact duplicates
+    lab = rng.integers(0, 3, 40)
+    lab[[3, 4, 17]] = 0  # a zero row's self-distance 1 enters a(i) of its cluster
+    return X, lab
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_silhouette_equals_rowwise_on_zero_and_duplicate_rows(kind):
+    X, lab = _edge_inputs()
+    assert silhouette_mean(X, lab, kind) == rowwise_silhouette(X, lab, kind)
+    dup = np.repeat(X[:10], 3, axis=0)  # every row thrice
+    dup_lab = np.repeat(lab[:10], 3)
+    assert silhouette_mean(dup, dup_lab, kind) == rowwise_silhouette(dup, dup_lab, kind)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1], [1, 0, 1], [0, -1, 1]])
+def test_silhouette_equals_rowwise_on_two_and_three_rows(kind, labels):
+    X = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.5]])[: len(labels)]
+    assert silhouette_mean(X, labels, kind) == rowwise_silhouette(X, labels, kind)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_silhouette_equals_rowwise_when_the_last_block_holds_one_row(kind):
+    first_end = next(metrics._triangle_blocks(1000))[1]
+    n = first_end + 1
+    assert list(metrics._triangle_blocks(n))[-1] == (first_end, n)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    lab = rng.integers(0, 4, n)
+    assert silhouette_mean(X, lab, kind) == rowwise_silhouette(X, lab, kind)
+
+
+@pytest.mark.parametrize("max_points", [40, 30])  # all rows; a sample of 30
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_stack_of_equal_distinct_and_undefined_labellings(kind, max_points):
+    X, lab = _edge_inputs()
+    other = np.roll(lab, 1)
+    stack = np.stack([
+        lab,
+        lab + 5,  # the same clusters under other names: one table of sums with the first
+        other,
+        np.where(lab == 1, 2, -1),  # fewer than 2 clusters: None
+        np.where(lab == 2, -1, lab),  # the first's dense indices, one cluster fewer
+    ])
+    got = silhouette_mean(X, stack, kind, max_points=max_points, seed=2)
+    assert got == [
+        rowwise_silhouette(X, row, kind, max_points=max_points, seed=2) for row in stack
+    ]
+    assert got[0] == got[1] and got[3] is None
 
 
 def test_a_cluster_with_one_sampled_member_scores_as_a_singleton():
