@@ -6,9 +6,27 @@ Supported kinds: euclidean, manhattan, cosine. Cosine distance is
 of the unit rows; a zero vector is assigned distance 1 to everything
 (including itself), which keeps the value defined without inventing a
 direction for it.
+
+The kernel and the passes built on it (``box_lower_bound``,
+``hdbscan.core_distances``, ``hdbscan._floor_prim``,
+``metrics._silhouette_pass``, ``profiles._medoid_index``) run inside
+``_unbuffered``: numpy's ufunc buffer is set to its smallest size for the
+call and restored afterwards, also when the call raises. numpy 2.4 buffers a
+broadcast operand, such as a block's (K, 1) column of coordinates, whenever
+an output row is shorter than about a third of the buffer (8192 elements by
+default), which makes each step of a block of fewer than about 2730 columns
+about 3-4 times slower per element. A 16-element buffer lets the iterator
+run such a broadcast directly. Inside these functions every ufunc works on
+float64 or int64 operands without casting, and elementwise results and
+contiguous reductions do not depend on how numpy iterates, so the bits are
+those of the default buffer. The setting is not made process-wide: an
+operation that must cast (the encoders and the forest's routing) would then
+run in 16-element buffers, which made a classify pass about 30% longer.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,11 +37,36 @@ DISTANCE_KINDS = ("euclidean", "manhattan", "cosine")
 BLOCK_ELEMENTS = 16_384
 
 
+# numpy's ufunc buffer size, in elements, inside ``_unbuffered``. numpy 1.x
+# accepts a multiple of 16 only.
+_SMALL_BUFFER = 16
+
+
+def _unbuffered(fn):
+    """``fn`` run with numpy's ufunc buffer at ``_SMALL_BUFFER`` elements and
+    the caller's size restored on return or raise (by hand: numpy 1.x's
+    ``errstate`` does not restore it). A call made inside another scoped
+    call finds the small buffer set and runs as it is."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if np.getbufsize() == _SMALL_BUFFER:
+            return fn(*args, **kwargs)
+        old = np.setbufsize(_SMALL_BUFFER)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+
+    return scoped
+
+
 def block_rows(n: int) -> int:
     """Rows of n distances in one block: at least 1, at most BLOCK_ELEMENTS."""
     return max(1, BLOCK_ELEMENTS // max(n, 1))
 
 
+@_unbuffered
 def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """Distances from one point, shape (m,), to every row of an (n, m) matrix,
     shape (n,); or from each of a (K, m) block of points, shape (K, n).
@@ -84,6 +127,7 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     return np.sqrt(even, out=even)
 
 
+@_unbuffered
 def box_lower_bound(lo, hi, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """For each row, shape (n,), a value at most ``point_to_rows(x, row,
     kind)`` for every point x with lo <= x <= hi featurewise.

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import block_rows, box_lower_bound, point_to_rows
+from .distances import _unbuffered, block_rows, box_lower_bound, point_to_rows
 from .trace_model import matrix_rows
 
 
@@ -47,6 +47,7 @@ from .trace_model import matrix_rows
 CORE_BLOCK_ROWS = 64
 
 
+@_unbuffered
 def core_distances(X: np.ndarray, ks, kind: str = "euclidean") -> dict[int, np.ndarray]:
     """Distance to the k-th nearest neighbor, the point itself included, for
     every k in ``ks`` (each 1 <= k <= n), equal to a full sort of each row.
@@ -133,6 +134,7 @@ def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.nd
     return edges if core.ndim == 2 else edges[0]
 
 
+@_unbuffered
 def _floor_prim(XC: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
     """Prim's algorithm from point 0, adding a batch of points per step.
 

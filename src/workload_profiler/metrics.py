@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import BLOCK_ELEMENTS, point_to_rows
+from .distances import BLOCK_ELEMENTS, _unbuffered, point_to_rows
 from .errors import DegenerateDataError
 from .trace_model import matrix_rows
 
@@ -81,6 +81,7 @@ class _ClusterSums:
         return float(total / rows.size)
 
 
+@_unbuffered
 def _silhouette_pass(
     X: np.ndarray, labellings: np.ndarray, scored: np.ndarray, kind: str
 ) -> list[float | None]:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distances import DISTANCE_KINDS, block_rows, point_to_rows
+from .distances import DISTANCE_KINDS, _unbuffered, block_rows, point_to_rows
 from .errors import EmptyProfileSetError, UndefinedSkewnessError
 from .preprocess import TRANSFORM_KINDS, TransformSpec, apply_transform, skewness
 from .trace_model import Dataset, FeatureMatrix, runtime_matrix
@@ -141,6 +141,7 @@ def _feature_stats(values: np.ndarray, percentiles: Sequence[float]) -> FeatureS
     )
 
 
+@_unbuffered
 def _medoid_index(rows: np.ndarray, kind: str) -> int:
     """First row with the least distance sum. Row sums of a C-contiguous
     block have the bits of one row's sum, so blocks keep the same medoid."""

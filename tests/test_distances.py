@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ordered_distance
-from workload_profiler.distances import box_lower_bound, point_to_rows
+from workload_profiler.distances import _unbuffered, box_lower_bound, point_to_rows
+from workload_profiler.hdbscan import _floor_prim, core_distances
+from workload_profiler.metrics import _silhouette_pass
+from workload_profiler.profiles import _medoid_index
 
 finite = st.floats(-1e3, 1e3)
 vec3 = st.tuples(finite, finite, finite)
@@ -169,3 +172,79 @@ def test_a_zero_width_box_bounds_by_the_kernel_distance_itself(kind, dims):
 def test_a_box_bounds_no_cosine_distance():
     rows = np.random.default_rng(40).normal(size=(50, 3))
     assert box_lower_bound(rows.min(axis=0), rows.max(axis=0) + 1, rows, "cosine").tolist() == [0.0] * 50
+
+
+def _scoped_calls():
+    """One call of each function that runs in the small-buffer scope."""
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(60, 3))
+    F = np.asfortranarray(X)
+    labels = np.repeat([0, 1, 2], 20)
+    core = core_distances(X, [4])[4]
+    return {
+        "point_to_rows": lambda: point_to_rows(X[:5], F, "manhattan"),
+        "box_lower_bound": lambda: box_lower_bound(X.min(axis=0), X[0], F, "euclidean"),
+        "core_distances": lambda: core_distances(X, [2, 5], "euclidean"),
+        "_floor_prim": lambda: _floor_prim(X, core, "euclidean"),
+        "_silhouette_pass": lambda: _silhouette_pass(
+            X, labels[None], np.arange(60), "cosine"),
+        "_medoid_index": lambda: _medoid_index(X, "euclidean"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_scoped_calls()))
+@pytest.mark.parametrize("caller_buffer", [None, 4096])
+def test_a_scoped_call_leaves_the_callers_buffer_size(name, caller_buffer):
+    old = np.getbufsize()
+    try:
+        if caller_buffer is not None:
+            np.setbufsize(caller_buffer)
+        before = np.getbufsize()
+        _scoped_calls()[name]()
+        assert np.getbufsize() == before
+    finally:
+        np.setbufsize(old)
+    assert np.getbufsize() == old
+
+
+@pytest.mark.parametrize("args", [
+    ([1.0, 2.0], np.zeros((3, 2)), "chebyshev"),  # unknown kind
+    ([1.0, 2.0], np.zeros((3, 3)), "euclidean"),  # dimension mismatch
+    (np.zeros((2, 2)), np.zeros((3, 3)), "manhattan"),
+])
+def test_a_raising_kernel_call_leaves_the_callers_buffer_size(args):
+    before = np.getbufsize()
+    with pytest.raises(ValueError):
+        point_to_rows(*args)
+    assert np.getbufsize() == before
+
+
+def test_the_scope_sets_the_small_buffer_and_keeps_names_and_docstrings():
+    @_unbuffered
+    def probe():
+        """Doc."""
+        return np.getbufsize()
+
+    assert probe() == 16 and probe.__wrapped__() == np.getbufsize() != 16
+    assert (probe.__name__, probe.__doc__) == ("probe", "Doc.")
+    for fn in (point_to_rows, box_lower_bound, core_distances, _floor_prim, _silhouette_pass,
+               _medoid_index):
+        assert fn.__wrapped__.__name__ == fn.__name__ and fn.__doc__
+
+
+@pytest.mark.parametrize("dims", range(1, 10))
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+def test_bits_on_both_sides_of_numpys_buffering_boundary(kind, dims):
+    """numpy buffers a block's (K, 1) coordinates below about 2730 columns
+    at its default buffer: the scoped call, the call under the default
+    buffer and the one-point calls give the same bits on either side."""
+    rng = np.random.default_rng(60 + dims)
+    assert np.getbufsize() == 8192
+    for k, n in ((3, 2700), (3, 2750), (8, 2700), (8, 2750), (128, 128)):
+        rows = rng.normal(size=(n, dims)) * rng.uniform(0.01, 100.0, size=dims)
+        rows[n // 2] = 0.0  # a zero row for cosine
+        F = np.asfortranarray(rows)
+        block = rows[rng.choice(n, size=k)]
+        got = point_to_rows(block, F, kind)
+        assert np.array_equal(got, point_to_rows.__wrapped__(block, F, kind))
+        assert np.array_equal(got, np.stack([point_to_rows(p, F, kind) for p in block]))
