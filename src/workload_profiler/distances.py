@@ -7,15 +7,15 @@ of the unit rows; a zero vector is assigned distance 1 to everything
 (including itself), which keeps the value defined without inventing a
 direction for it.
 
-The kernel and the passes built on it (``box_lower_bound``,
-``hdbscan.core_distances``, ``hdbscan._floor_prim``,
-``metrics._silhouette_pass``, ``profiles._medoid_index``) run inside
-``_unbuffered``: numpy's ufunc buffer is set to its smallest size for the
-call and restored afterwards, also when the call raises. numpy 2.4 buffers a
-broadcast operand, such as a block's (K, 1) column of coordinates, whenever
-an output row is shorter than about a third of the buffer (8192 elements by
-default), which makes each step of a block of fewer than about 2730 columns
-about 3-4 times slower per element. A 16-element buffer lets the iterator
+The kernel and the passes built on it (``hdbscan.core_distances``,
+``hdbscan._floor_prim``, ``metrics._silhouette_pass``,
+``profiles._medoid_index``) run inside ``_unbuffered``: numpy's ufunc buffer
+is set to its smallest size for the call and restored afterwards, also when
+the call raises. ``box_lower_bound`` is called only from inside such a pass.
+numpy 2.4 buffers a broadcast operand, such as a block's (K, 1) column of
+coordinates, whenever an output row is shorter than about a third of the
+buffer (8192 elements by default), which makes each step of a block of fewer
+than about 2730 columns about 3-4 times slower per element. A 16-element buffer lets the iterator
 run such a broadcast directly. Inside these functions every ufunc works on
 float64 or int64 operands without casting, and elementwise results and
 contiguous reductions do not depend on how numpy iterates, so the bits are
@@ -45,13 +45,10 @@ _SMALL_BUFFER = 16
 def _unbuffered(fn):
     """``fn`` run with numpy's ufunc buffer at ``_SMALL_BUFFER`` elements and
     the caller's size restored on return or raise (by hand: numpy 1.x's
-    ``errstate`` does not restore it). A call made inside another scoped
-    call finds the small buffer set and runs as it is."""
+    ``errstate`` does not restore it)."""
 
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
-        if np.getbufsize() == _SMALL_BUFFER:
-            return fn(*args, **kwargs)
         old = np.setbufsize(_SMALL_BUFFER)
         try:
             return fn(*args, **kwargs)
@@ -127,7 +124,6 @@ def point_to_rows(x, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     return np.sqrt(even, out=even)
 
 
-@_unbuffered
 def box_lower_bound(lo, hi, rows: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """For each row, shape (n,), a value at most ``point_to_rows(x, row,
     kind)`` for every point x with lo <= x <= hi featurewise.

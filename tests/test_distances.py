@@ -183,7 +183,6 @@ def _scoped_calls():
     core = core_distances(X, [4])[4]
     return {
         "point_to_rows": lambda: point_to_rows(X[:5], F, "manhattan"),
-        "box_lower_bound": lambda: box_lower_bound(X.min(axis=0), X[0], F, "euclidean"),
         "core_distances": lambda: core_distances(X, [2, 5], "euclidean"),
         "_floor_prim": lambda: _floor_prim(X, core, "euclidean"),
         "_silhouette_pass": lambda: _silhouette_pass(
@@ -227,8 +226,7 @@ def test_the_scope_sets_the_small_buffer_and_keeps_names_and_docstrings():
 
     assert probe() == 16 and probe.__wrapped__() == np.getbufsize() != 16
     assert (probe.__name__, probe.__doc__) == ("probe", "Doc.")
-    for fn in (point_to_rows, box_lower_bound, core_distances, _floor_prim, _silhouette_pass,
-               _medoid_index):
+    for fn in (point_to_rows, core_distances, _floor_prim, _silhouette_pass, _medoid_index):
         assert fn.__wrapped__.__name__ == fn.__name__ and fn.__doc__
 
 
