@@ -8,15 +8,15 @@ level-wise to max_depth with the usual second-order gain
 
     0.5 * (GL^2/(HL+l2) + GR^2/(HR+l2) - G^2/(H+l2))
 
-and leaf weight -G/(H+l2). Training rows are sorted into a canonical order
-first, so the fitted model is invariant to input row permutation. Equal
-(row, label) pairs are then adjacent runs, and the trees grow on each run's
-head alone, its gradient and hessian multiplied by the run's length (the
-instance weights of XGBoost): every histogram, softmax and gradient is over
-distinct pairs, and each round's softmax is computed into one reused
-(distinct pairs, classes) buffer. Where every run has length 1 the bits are
-those of a fit over every row; a longer run's one multiply can differ from
-its rows' sequential adds in the last place.
+and leaf weight -G/(H+l2). Training grows the trees on the distinct
+(row, label) pairs in lexicographic order (``distinct_rows``, the same
+grouping that scoring uses), so the fitted model is invariant to input row
+permutation. Each pair's gradient and hessian are multiplied by its count
+(the instance weights of XGBoost): every histogram, softmax and gradient is
+over distinct pairs, and each round's softmax is computed into one reused
+(distinct pairs, classes) buffer. Where every count is 1 the bits are those
+of a fit over every row in that order; a larger count's one multiply can
+differ from its rows' sequential adds in the last place.
 
 Prediction routes each distinct encoded row once, ROUTE_BLOCK distinct rows at
 a time, and takes the softmax of the distinct rows only: scoring memory is
@@ -75,16 +75,10 @@ ROUTE_BLOCK = 512  # rows routed together: routing memory stays block x trees
 MAX_NODES = 2 ** 30
 
 
-def canonical_order(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Permutation sorting rows by (one-hot columns, label), ties in input
-    order: a stable, order-free presentation of the same training bag."""
-    keys = [np.asarray(labels)] + [rows[:, j] for j in reversed(range(rows.shape[1]))]
-    return np.lexsort(keys).astype(np.int64)
-
-
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct rows in lexicographic order, each row's index into them)."""
-    order = np.lexsort(rows.T)  # equal rows end up adjacent
+    """(the distinct rows in lexicographic order, first column first, each
+    row's index into them)."""
+    order = np.lexsort(rows.T[::-1])  # equal rows end up adjacent
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -303,17 +297,9 @@ def fit_forest(
     """Boost softmax trees on encoded rows ((n, features) one-hot columns,
     -1 for none) with dense labels 0..K-1, once per distinct (row, label)
     pair weighted by its count."""
-    labels = np.asarray(labels, dtype=np.int64)
-    order = canonical_order(rows, labels)
-    rows = rows[order]
-    y = labels[order]
-    # Equal (row, label) pairs are adjacent now: grow on each run's head,
-    # its gradient and hessian scaled by the run's length.
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (y[1:] != y[:-1])
-    count = np.diff(np.flatnonzero(head), append=len(rows)).astype(np.float64)
-    rows = rows[head]
-    y = y[head]
+    pairs, inverse = distinct_rows(np.column_stack([rows, np.asarray(labels, dtype=np.int64)]))
+    count = np.bincount(inverse).astype(np.float64)
+    rows, y = pairs[:, :-1], pairs[:, -1]
 
     active = rows >= 0
     rows_flat = np.nonzero(active)[0]  # row-major: each row's columns in order

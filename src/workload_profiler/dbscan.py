@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distances import block_rows, point_to_rows
-from .hdbscan import _nearest, lockstep_trees
+from .hdbscan import _nearest, spanning_trees
 from .trace_model import matrix_rows
 
 
@@ -28,8 +28,8 @@ def dbscan(matrix, eps: float, min_points: int, kind: str = "euclidean") -> np.n
         raise ValueError("min_points must be >= 2")
     if n < min_points:
         raise ValueError(f"need at least min_points={min_points} rows, got {n}")
-    core, (edges,) = lockstep_trees(X, [min_points], kind)
-    return eps_cut(X, core[min_points], edges, eps, kind)
+    core, trees = spanning_trees(X, [min_points], kind)
+    return eps_cut(X, core[min_points], trees[min_points], eps, kind)
 
 
 def eps_cut(X: np.ndarray, core: np.ndarray, edges: np.ndarray, eps: float,
@@ -39,10 +39,10 @@ def eps_cut(X: np.ndarray, core: np.ndarray, edges: np.ndarray, eps: float,
     within eps of anything by mutual reachability, and of each other by
     distance, so the tree's edges of weight <= eps join exactly each
     cluster's core points. The tree adds every point but the first once,
-    from a point already in the tree (``hdbscan._floor_prim``), so those
-    edges are parent pointers, and pointer doubling finds each point's root.
-    Which of several minimum spanning trees it is does not matter: their
-    edges of weight <= eps join the same components."""
+    from a point already in the tree (``hdbscan.mutual_reachability_mst``),
+    so those edges are parent pointers, and pointer doubling finds each
+    point's root. Which of several minimum spanning trees it is does not
+    matter: their edges of weight <= eps join the same components."""
     n = X.shape[0]
     up = np.arange(n)
     cut = edges[edges[:, 2] <= eps].astype(np.int64)

@@ -8,7 +8,7 @@ of the unit rows; a zero vector is assigned distance 1 to everything
 direction for it.
 
 The kernel and the passes built on it (``hdbscan.core_distances``,
-``hdbscan._floor_prim``, ``metrics._silhouette_pass``,
+``hdbscan.mutual_reachability_mst``, ``metrics._silhouette_pass``,
 ``profiles._medoid_index``) run inside ``_unbuffered``: numpy's ufunc buffer
 is set to its smallest size for the call and restored afterwards, also when
 the call raises. ``box_lower_bound`` is called only from inside such a pass.

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dbscan import eps_cut
 from .errors import DegenerateDataError, NoViableConfigError
-from .hdbscan import lockstep_trees, tree_labels
+from .hdbscan import spanning_trees, tree_labels
 from .metrics import EQUAL_WEIGHTS, acquires, davies_bouldin, silhouette_mean
 from .metrics import DEFAULT_SILHOUETTE_CAP
 from .preprocess import fit_transform
@@ -31,26 +31,15 @@ class GridSpec:
     eps: tuple[float, ...] = ()  # only consumed by dbscan combinations
 
     def __post_init__(self):
-        from .distances import DISTANCE_KINDS
-        from .preprocess import TRANSFORM_KINDS
-
+        """Checks what no single combination can, then builds every
+        combination, whose ``ClusteringConfig`` rejects a bad value."""
         if not (self.algorithms and self.transforms and self.distances and self.min_points):
             raise ValueError("grid axes must be nonempty")
-        if any(mp < 2 for mp in self.min_points):
-            raise ValueError("min_points must be >= 2")
-        for algorithm in self.algorithms:
-            if algorithm not in ("hdbscan", "dbscan"):
-                raise ValueError(f"unknown clustering algorithm {algorithm!r}")
-        for transform in self.transforms:
-            if transform not in TRANSFORM_KINDS:
-                raise ValueError(f"unknown transform kind {transform!r}")
-        for dist in self.distances:
-            if dist not in DISTANCE_KINDS:
-                raise ValueError(f"unknown distance kind {dist!r}")
         if "dbscan" in self.algorithms and not self.eps:
             raise ValueError("dbscan combinations require at least one eps value")
         if not all(math.isfinite(eps) and eps > 0 for eps in self.eps):
             raise ValueError(f"eps values must be finite and > 0, got {list(self.eps)}")
+        self.combinations()
 
     @classmethod
     def pinned(cls, c: ClusteringConfig) -> "GridSpec":
@@ -107,16 +96,15 @@ GRID_REPORT_FIELDS = _CONFIG_FIELDS + tuple(f.name for f in fields(GridRow)[1:])
 def _cluster_group(group: list[GridRow], transformed) -> list[tuple[int, np.ndarray]]:
     """(position, labels) of each row of a group whose size fits the data; a
     row whose size does not gets its error instead. The group's sizes share
-    one core-distance pass and one MST call that grows a tree per size,
-    whatever the algorithm: an hdbscan row takes its tree's merge, condense
-    and select steps, a dbscan row the tree's cut at its eps."""
+    one core-distance pass and grow one MST each, whatever the algorithm:
+    an hdbscan row takes its tree's merge, condense and select steps, a
+    dbscan row the tree's cut at its eps."""
     X = matrix_rows(transformed)
     n = X.shape[0]
     kind = group[0].config.distance
     sizes = sorted({r.config.min_points for r in group if r.config.min_points <= n})
     if sizes:
-        core, forest = lockstep_trees(X, sizes, kind)
-        trees = dict(zip(sizes, forest))
+        core, trees = spanning_trees(X, sizes, kind)
     out = []
     for i, row in enumerate(group):
         c = row.config
@@ -145,8 +133,8 @@ def grid_search(
     The winner maximizes the composite score; ties break toward fewer
     outliers, then smaller min_points, then declaration order. Combinations
     that share an algorithm, transform and distance are adjacent and are
-    evaluated as one group: one core-distance pass and one MST call serve
-    all of the group's sizes, and one silhouette pass scores all of its
+    evaluated as one group: one core-distance pass and one MST per size
+    serve all of the group's sizes, and one silhouette pass scores all of its
     labellings. Only one group's arrays (K labellings of n rows) are alive
     at a time. Every row equals the row of a grid of that combination alone.
     """

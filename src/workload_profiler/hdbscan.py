@@ -6,11 +6,11 @@ Pipeline:
      rows that skips the columns an exact box bound puts beyond the block's
      seed radius (core_distances);
   2. mutual reachability distance mrd(a, b) = max(core_a, core_b, d(a, b));
-  3. a minimum spanning tree over mrd, O(n) memory per tree: Prim that adds
-     every point whose distance to the tree has reached its core distance
-     along with the nearest one, each batch skipping the columns its box
-     bound rules out (mutual_reachability_mst); the trees of several sizes
-     grow one after another;
+  3. a minimum spanning tree over mrd, O(n) memory: Prim that adds every
+     point whose distance to the tree has reached its core distance along
+     with the nearest one, each batch skipping the columns its box bound
+     rules out (mutual_reachability_mst); the sizes of a grid group share
+     the core-distance pass and grow one tree each (spanning_trees);
   4. a merge tree as parent, size, least-point and lambda arrays: one
      union-find pass over the edges in weight order, equal-weight merges
      contracted (build_merge_tree);
@@ -119,25 +119,14 @@ def _near_order(X: np.ndarray, unit: int, part_rows: int) -> np.ndarray:
     return np.concatenate(order)
 
 
-def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
-    """A minimum spanning tree of the implicit mutual reachability graph.
-
-    ``core`` is one array of n core distances, giving an (n-1, 3) array of
-    edges [a, b, weight], or a (K, n) stack of them, giving (K, n-1, 3): the
-    K trees are grown one after another, each equal to a call of its own.
-    Rows of the distance matrix are recomputed on the fly, so memory stays
-    O(n) besides one block of ``BLOCK_ELEMENTS``.
-    """
-    core = np.asarray(core, dtype=np.float64)
-    XC = np.ascontiguousarray(X)
-    edges = np.stack([_floor_prim(XC, c, kind) for c in np.atleast_2d(core)])
-    return edges if core.ndim == 2 else edges[0]
-
-
 @_unbuffered
-def _floor_prim(XC: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
-    """Prim's algorithm from point 0, adding a batch of points per step.
+def mutual_reachability_mst(X: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
+    """A minimum spanning tree of the implicit mutual reachability graph of
+    the rows of ``X`` with their ``core`` distances: (n-1, 3) edges [a, b,
+    weight]. Rows of the distance matrix are recomputed on the fly, so
+    memory stays O(n) besides one block of ``BLOCK_ELEMENTS``.
 
+    Prim's algorithm from point 0, adding a batch of points per step.
     Each step adds the point nearest the tree (argmin; ties go to the lowest
     index) and every other point whose distance to the tree has reached its
     own core distance, its floor; each gets the edge [source, point,
@@ -157,6 +146,7 @@ def _floor_prim(XC: np.ndarray, core: np.ndarray, kind: str) -> np.ndarray:
     update could then lower it. The working columns drop the batch at each
     step.
     """
+    XC = np.ascontiguousarray(X)
     n = core.size
     edges = np.empty((n - 1, 3), dtype=np.float64)
     cols = np.arange(1, n)  # the point of each working column, ascending
@@ -335,17 +325,17 @@ def hdbscan(matrix, min_cluster_size: int, kind: str = "euclidean") -> np.ndarra
         raise ValueError("min_cluster_size must be >= 2")
     if n < k:
         raise ValueError(f"need at least min_cluster_size={k} rows, got {n}")
-    _, (edges,) = lockstep_trees(X, [k], kind)
-    return tree_labels(edges, k)
+    _, trees = spanning_trees(X, [k], kind)
+    return tree_labels(trees[k], k)
 
 
-def lockstep_trees(X: np.ndarray, sizes, kind: str) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """The core distances of each of K sizes (1 <= size <= n) and the (K,
-    n-1, 3) edges of their spanning trees: one core-distance pass for all
-    sizes, then one floor-batched Prim tree per size, each equal to the tree
-    of its size alone."""
+def spanning_trees(X: np.ndarray, sizes,
+                   kind: str) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """(core distances, spanning tree edges) of each size (1 <= size <= n),
+    both keyed by size: one core-distance pass for all sizes, then one
+    ``mutual_reachability_mst`` call per size."""
     core = core_distances(X, sizes, kind)
-    return core, mutual_reachability_mst(X, np.stack([core[k] for k in sizes]), kind)
+    return core, {k: mutual_reachability_mst(X, c, kind) for k, c in core.items()}
 
 
 def tree_labels(edges: np.ndarray, min_cluster_size: int) -> np.ndarray:

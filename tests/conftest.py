@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -22,8 +21,3 @@ def tiny_dataset() -> Dataset:
     return dataset_of(
         (r[0], {"user": r[1], "task": r[2]}, {"cpu": r[3], "mem": r[4]}) for r in rows
     )
-
-
-def blob_matrix(n_per, centers, sigma, seed, dims=2):
-    rng = np.random.default_rng(seed)
-    return np.vstack([rng.normal(c, sigma, size=(n_per, dims)) for c in centers])

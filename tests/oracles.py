@@ -879,7 +879,7 @@ def slow_fit_forest(rows, labels, n_classes, dim, params):
     ``boosting._MIN_GAIN`` at call time."""
     pairs, counts = np.unique(
         np.column_stack([rows, np.asarray(labels, dtype=np.int64)]), axis=0, return_counts=True
-    )  # lexicographic, as canonical_order sorts
+    )  # lexicographic, first column first, as fit_forest groups them
     return _slow_boost(pairs[:, :-1], pairs[:, -1], counts.astype(np.float64),
                        n_classes, dim, params)
 
@@ -889,5 +889,5 @@ def slow_fit_forest_rows(rows, labels, n_classes, dim, params):
     what ``fit_forest`` must reproduce bit for bit where no (row, label) pair
     repeats."""
     labels = np.asarray(labels, dtype=np.int64)
-    order = boosting.canonical_order(rows, labels)
+    order = np.lexsort([labels, *rows.T[::-1]])  # (row, label), first column first
     return _slow_boost(rows[order], labels[order], None, n_classes, dim, params)

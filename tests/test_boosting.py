@@ -84,6 +84,21 @@ def test_without_repeated_pairs_the_fit_equals_the_per_row_oracle():
     assert_same_forest(fast, slow)
 
 
+def test_training_pairs_are_the_distinct_rows_first_column_first():
+    rows = np.array([[1, 0], [0, 2], [1, 0], [0, 1], [2, -1], [0, 2]])
+    distinct, inverse = boosting.distinct_rows(rows)
+    assert distinct.tolist() == [[0, 1], [0, 2], [1, 0], [2, -1]]
+    assert np.array_equal(distinct[inverse], rows)
+    # repeated (row, label) pairs, shuffled: the fit weights each pair by its count
+    rows, labels, dim = encoded_case(5, 150, [2, 3], 3, missing=0.1)
+    rows, labels = np.tile(rows, (3, 1)), np.tile(labels, 3)
+    shuffle = np.random.default_rng(6).permutation(len(rows))
+    params = BoostingParams(rounds=3, max_depth=3)
+    fast, slow = fit_both(rows[shuffle], labels[shuffle], 3, dim, params)
+    assert (fast.feature >= 0).sum() > 3  # the trees do grow
+    assert_same_forest(fast, slow)
+
+
 def test_a_gain_equal_to_the_threshold_does_not_split(monkeypatch):
     rows, labels, dim = encoded_case(3, 300, [4, 3], 3, missing=0.05)
     params = BoostingParams(rounds=1, max_depth=3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import ordered_distance
 from workload_profiler.distances import _unbuffered, box_lower_bound, point_to_rows
-from workload_profiler.hdbscan import _floor_prim, core_distances
+from workload_profiler.hdbscan import core_distances, mutual_reachability_mst
 from workload_profiler.metrics import _silhouette_pass
 from workload_profiler.profiles import _medoid_index
 
@@ -184,7 +184,7 @@ def _scoped_calls():
     return {
         "point_to_rows": lambda: point_to_rows(X[:5], F, "manhattan"),
         "core_distances": lambda: core_distances(X, [2, 5], "euclidean"),
-        "_floor_prim": lambda: _floor_prim(X, core, "euclidean"),
+        "mutual_reachability_mst": lambda: mutual_reachability_mst(X, core, "euclidean"),
         "_silhouette_pass": lambda: _silhouette_pass(
             X, labels[None], np.arange(60), "cosine"),
         "_medoid_index": lambda: _medoid_index(X, "euclidean"),
@@ -226,7 +226,8 @@ def test_the_scope_sets_the_small_buffer_and_keeps_names_and_docstrings():
 
     assert probe() == 16 and probe.__wrapped__() == np.getbufsize() != 16
     assert (probe.__name__, probe.__doc__) == ("probe", "Doc.")
-    for fn in (point_to_rows, core_distances, _floor_prim, _silhouette_pass, _medoid_index):
+    for fn in (point_to_rows, core_distances, mutual_reachability_mst, _silhouette_pass,
+               _medoid_index):
         assert fn.__wrapped__.__name__ == fn.__name__ and fn.__doc__
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from workload_profiler.gridsearch import DEFAULT_MIN_POINTS, GridSpec, grid_sear
 from workload_profiler.hdbscan import hdbscan
 from workload_profiler.metrics import silhouette_mean
 from workload_profiler.preprocess import fit_transform
+from workload_profiler.profiles import ClusteringConfig
 from workload_profiler.synth import make_blob_trace
 from workload_profiler.trace_model import runtime_matrix
 
@@ -42,6 +45,22 @@ def test_grid_spec_validation():
         GridSpec(algorithms=("dbscan",))  # dbscan needs eps values
     with pytest.raises(ValueError):
         GridSpec(algorithms=("optics",))  # not implemented: an unknown algorithm
+    # a bad value anywhere on an axis raises what its ClusteringConfig raises
+    for axis, field, value in (("algorithms", "algorithm", "kmeans"),
+                               ("transforms", "transform", "log"),
+                               ("distances", "distance", "chebyshev"),
+                               ("min_points", "min_points", 1)):
+        good = {"algorithm": "hdbscan", "transform": "standard", "distance": "euclidean",
+                "min_points": 10}
+        with pytest.raises(ValueError) as alone:
+            ClusteringConfig(**{**good, field: value})
+        with pytest.raises(ValueError) as grid:
+            GridSpec(**{axis: (good[field], value)})
+        assert str(grid.value) == str(alone.value)
+    # eps is checked on an hdbscan-only grid too
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError, match="eps values must be finite and > 0"):
+            GridSpec(eps=(eps,))
 
 
 def test_default_min_points_range():

@@ -11,9 +11,9 @@ from workload_profiler.hdbscan import (
     condense,
     core_distances,
     hdbscan,
-    lockstep_trees,
     mutual_reachability_mst,
     select_clusters,
+    spanning_trees,
     tree_labels,
 )
 
@@ -208,10 +208,10 @@ def test_lockstep_trees_equal_slow_oracle_per_tree(kind, duplicates, trees):
     if duplicates:
         X = np.round(np.vstack([X, X[:20], np.full((10, 3), 1.5)]), 1)
     ks = (2, 3, 5, 9, 15, 30, 60)[:trees]
-    core = core_distances(X, ks, kind)
-    forest = mutual_reachability_mst(X, np.stack([core[k] for k in ks]), kind)
-    assert forest.shape == (trees, len(X) - 1, 3)
-    for k, edges in zip(ks, forest):
+    core, forest = spanning_trees(X, ks, kind)
+    assert list(core) == list(forest) == list(ks)
+    for k, edges in forest.items():
+        assert np.array_equal(core[k], core_distances(X, (k,), kind)[k])
         assert np.array_equal(edges, mutual_reachability_mst(X, core[k], kind))
         assert_mst_like_slow_prim(X, core[k], edges, k, kind)
 
@@ -220,9 +220,10 @@ def test_hdbscan_stack_rows_equal_each_size_alone():
     rng = np.random.default_rng(10)
     X = np.vstack([blobs(rng, [(0, 0), (4, 4), (0, 6)], 40, sigma=0.5), rng.uniform(-3, 9, (8, 2))])
     sizes = (30, 4, 12, 4)
-    _, forest = lockstep_trees(X, sizes, "manhattan")
-    assert forest.shape == (4, len(X) - 1, 3)
-    for k, edges in zip(sizes, forest):
+    _, forest = spanning_trees(X, sizes, "manhattan")
+    assert list(forest) == [30, 4, 12]  # a repeated size grows one tree
+    for k, edges in forest.items():
+        assert edges.shape == (len(X) - 1, 3)
         assert np.array_equal(tree_labels(edges, k), hdbscan(X, k, "manhattan"))
 
 
@@ -291,9 +292,8 @@ def tree_cases(kind, seeds):
              r.choice([0.0, 1.0], size=(n, 1)),
              np.where(r.random((n, 1)) < 0.2, 0.0, r.normal(size=(n, 3))))[seed % 5]
         ks = sorted({2, n, *r.integers(2, n + 1, size=4).tolist()})
-        core = core_distances(X, ks, kind)
-        forest = mutual_reachability_mst(X, np.stack([core[k] for k in ks]), kind)
-        for k, edges in zip(ks, forest):
+        _, forest = spanning_trees(X, ks, kind)
+        for k, edges in forest.items():
             yield edges, n, k
 
 
